@@ -10,6 +10,7 @@ import json
 import random
 import sys
 import time
+from fractions import Fraction
 
 from .dalg import (ALGEBRAS, AlgebraElement, basis as algebra_basis,
                    dim_formula)
@@ -153,7 +154,7 @@ def _suite_roundtrip(algebra, k, samples, seed):
 
 def _suite_cellular(algebra, k, samples, seed):
     rng = random.Random(seed)
-    cb = cellular_basis(algebra, k)   # constructor fails if not a basis
+    cb = cellular_basis(algebra, k)   # constructor checks the bijection
     diagrams = algebra_basis(algebra, k)
     report = {"checked": 0, "failures": []}
     if k <= 1:
@@ -227,13 +228,16 @@ def cmd_gram(args):
     return 0
 
 
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("not a rational number: %r" % text)
+
+
 def cmd_irreducibles(args):
-    char = int(args.char)
-    x_value = None
-    if args.x is not None:
-        from fractions import Fraction
-        x_value = Fraction(args.x)
-    rows = irreducible_table(args.algebra, args.k, char=char, x_value=x_value)
+    char = args.char
+    rows = irreducible_table(args.algebra, args.k, char=char, x_value=args.x)
     header = ["label", "dim_W", "dim_D", "nonzero"]
     if char != 0:
         header.append("p_restricted")
@@ -301,9 +305,11 @@ def build_parser():
     p = sub.add_parser("irreducibles",
                        help="cell-module and irreducible dimension table")
     common(p)
-    p.add_argument("--char", default="0",
+    p.add_argument("--char", type=int, default=0,
                    help="field characteristic: 0 or an odd prime")
-    p.add_argument("--x", help="evaluation point for x (rational)")
+    p.add_argument("--x", type=_rational,
+                   help="evaluation point for x (rational); required "
+                        "when --char is not 0")
     p.set_defaults(func=cmd_irreducibles)
 
     return parser

@@ -34,7 +34,12 @@ class Incompatible(ZRelError):
 
 
 class UnsupportedCharacteristic(ZRelError):
-    """Characteristic-2 fields are not supported (2 must be invertible)."""
+    """The characteristic is neither 0 nor an odd prime (2 must be
+    invertible)."""
+
+
+class InvalidPoint(ZRelError):
+    """No evaluation point for x, or one the field cannot hold."""
 
 
 class UnknownLabel(ZRelError):

@@ -173,7 +173,7 @@ def wreath_murphy(n):
         for i in range(a, n):
             core = core * _half_idempotent(n, i, -1)
         stab = GAElement({WreathElt.from_perm(p): 1
-                          for p in _row_stabilizer_pair(canon1, canon2, n)})
+                          for p in _row_stabilizer(canon1 + canon2)})
         core = core * stab
         canon_entries = tableau_entries(canon1) + tableau_entries(canon2)
         bitabs = standard_bitableaux(bishape)
@@ -187,23 +187,6 @@ def wreath_murphy(n):
                 records.append(MurphyRecord(bishape, s, t, elt))
     return MurphyBasis(records, sorted(WreathElt.all(n)),
                        bishape_strictly_dominates, _ga)
-
-
-def _row_stabilizer_pair(tab1, tab2, n):
-    """Row stabilizer of a bitableau inside the permutations of n letters."""
-    perms = [Perm.identity(n)]
-    for tab in (tab1, tab2):
-        for row in tab:
-            from itertools import permutations as iperms
-            row0 = [v - 1 for v in row]
-            new = []
-            for assign in iperms(row0):
-                images = list(range(n))
-                for a, b in zip(row0, assign):
-                    images[a] = b
-                new.append(Perm(images))
-            perms = [p * q for p in perms for q in new]
-    return perms
 
 
 def product_murphy(s1, s2):

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dalg import AlgebraElement, dim_formula
-from .errors import Incompatible, UnknownLabel, UnsupportedCharacteristic
-from .ring import ExactMatrix, Poly, Rationals, ScalarField
+from .errors import (Incompatible, InvalidPoint, UnknownLabel,
+                     UnsupportedCharacteristic)
+from .ring import ExactMatrix, Poly, PrimeField, Rationals, ScalarField
 from .tableaux import bishape_sort_key, shape_sort_key
 from .tabular import cellular_basis, phi
 
@@ -146,31 +147,44 @@ def label_sort_key(label):
     return (label.r, label.s1 + label.s2, label.s1, gkey)
 
 
+def _scalar_field(char, x_value):
+    """The field of characteristic char with x evaluated at x_value."""
+    if x_value is None:
+        raise InvalidPoint("characteristic %d needs an evaluation point x"
+                           % char)
+    try:
+        field = Rationals() if char == 0 else PrimeField(char)
+    except ValueError:
+        raise UnsupportedCharacteristic(
+            "characteristic must be 0 or an odd prime, got %r" % (char,))
+    try:
+        return ScalarField(field, x_value)
+    except ZeroDivisionError:
+        raise InvalidPoint("x = %s is not defined in %r" % (x_value, field))
+
+
 def irreducible_table(algebra, k, char=0, x_value=None):
     """Per-label table of cell-module and irreducible dimensions.
 
     char 0 with x_value None works symbolically over the rational function
     field; otherwise the Gram matrix is evaluated at the given x in QQ or
-    the prime field.  Rows: label, dim W, dim D, whether the form is
-    nonzero (label in the semisimple-support set), and det (symbolic runs
-    only).
+    the prime field, and a prime char without x_value is an error.  Rows:
+    label, dim W, dim D, whether the form is nonzero (label in the
+    semisimple-support set), and det (symbolic runs only).
     """
+    symbolic = char == 0 and x_value is None
+    sf = None if symbolic else _scalar_field(char, x_value)
     cb = cellular_basis(algebra, k)
     rows = []
     for label in sorted(cb.labels(), key=label_sort_key):
         g = gram(label, algebra, k)
         nonzero = any(not e.is_zero() for row in g.entries for e in row)
         entry = {"label": label, "dim_W": g.nrows, "nonzero": nonzero}
-        if char == 0 and x_value is None:
+        if symbolic:
             rank, det = g.rank_det_symbolic()
             entry["dim_D"] = rank
             entry["det"] = det
         else:
-            field = Rationals() if char == 0 else None
-            if field is None:
-                from .ring import PrimeField
-                field = PrimeField(char)
-            sf = ScalarField(field, x_value if x_value is not None else 1)
             rank, _ = g.evaluate(sf).rank_det_field(sf.field)
             entry["dim_D"] = rank
             if char != 0:

@@ -488,30 +488,6 @@ class ExactMatrix:
             basis.append(vec)
         return basis
 
-    def solve_field(self, rhs, field):
-        """Solve self @ x = rhs for a square invertible matrix over a field."""
-        n = self.nrows
-        if n != self.ncols or len(rhs) != n:
-            raise ValueError("need a square system")
-        m = [list(row) + [rhs[i]] for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if m[r][col] != field.zero():
-                    pivot = r
-                    break
-            if pivot is None:
-                raise ArithmeticError("singular system")
-            m[col], m[pivot] = m[pivot], m[col]
-            pinv = field.inv(m[col][col])
-            m[col] = [field.mul(pinv, e) for e in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != field.zero():
-                    factor = m[r][col]
-                    m[r] = [field.sub(a, field.mul(factor, b))
-                            for a, b in zip(m[r], m[col])]
-        return [m[i][n] for i in range(n)]
-
     def inverse_rational(self):
         """Inverse of a square matrix with Fraction entries."""
         n = self.nrows

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .dalg import AlgebraElement, _check_algebra, basis as algebra_basis
 from .errors import Incompatible, NotADiagram, UnknownLabel
 from .groups import GAElement, Perm
 from .murphy import SymLayer, WreathSymLayer
-from .ring import ExactMatrix, ONE, Poly
+from .ring import Poly
 from .zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, canonicalize,
-                    enumerate_rk, propagating_data, restrict)
+                    enumerate_rk, join, propagating_data, restrict)
 
 
 class HalfDiagram:
@@ -65,26 +64,6 @@ class HalfDiagram:
     @property
     def s2(self):
         return len(self.z_marks)
-
-    def e_block(self, support):
-        """The block of a marked couple containing the minimal e-vertex."""
-        return self.base.block_of((TOP, support[0], E))
-
-    def g_block(self, support):
-        return self.base.block_of((TOP, support[0], G))
-
-    def z_block(self, support):
-        return self.base.block_of((TOP, support[0], E))
-
-    def marked_blocks(self):
-        """All raw blocks covered by some mark."""
-        out = []
-        for m in self.e_marks:
-            out.append(self.e_block(m))
-            out.append(self.g_block(m))
-        for m in self.z_marks:
-            out.append(self.z_block(m))
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, HalfDiagram) and self.base == other.base
@@ -214,51 +193,23 @@ def reconstruct(top, bottom, f, sigma1, sigma2):
     """Inverse of decompose: glue marks along (f, sigma1, sigma2)."""
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    def tv(v):
-        return (TOP, v[1], v[2])
-
-    def bv(v):
-        return (BOTTOM, v[1], v[2])
-
-    for b in top.base.blocks:
-        for v in b:
-            parent[tv(v)] = tv(v)
-    for b in bottom.base.blocks:
-        for v in b:
-            parent[bv(v)] = bv(v)
-    for b in top.base.blocks:
-        for v in b[1:]:
-            union(tv(b[0]), tv(v))
-    for b in bottom.base.blocks:
-        for v in b[1:]:
-            union(bv(b[0]), bv(v))
+    # a mark's e-block (z-block) holds its minimal vertex with sign e, its
+    # g-block the same vertex with sign g
+    glue = []
     for i, tsup in enumerate(top.e_marks):
         bsup = bottom.e_marks[sigma1(i)]
-        if f[i]:
-            union(tv(top.e_block(tsup)[0]), bv(bottom.g_block(bsup)[0]))
-            union(tv(top.g_block(tsup)[0]), bv(bottom.e_block(bsup)[0]))
-        else:
-            union(tv(top.e_block(tsup)[0]), bv(bottom.e_block(bsup)[0]))
-            union(tv(top.g_block(tsup)[0]), bv(bottom.g_block(bsup)[0]))
+        glue.append(((TOP, tsup[0], E), (BOTTOM, bsup[0], f[i])))
+        glue.append(((TOP, tsup[0], G), (BOTTOM, bsup[0], 1 - f[i])))
     for l, tsup in enumerate(top.z_marks):
         bsup = bottom.z_marks[sigma2(l)]
-        union(tv(top.z_block(tsup)[0]), bv(bottom.z_block(bsup)[0]))
+        glue.append(((TOP, tsup[0], E), (BOTTOM, bsup[0], E)))
+    root = join(top.base.blocks
+                + tuple([(BOTTOM, i, s) for _, i, s in b]
+                        for b in bottom.base.blocks)
+                + tuple(glue))
     classes = {}
-    for v in parent:
-        classes.setdefault(find(v), []).append(v)
+    for v, r in root.items():
+        classes.setdefault(r, []).append(v)
     return canonicalize(list(classes.values()), top.k, 2)
 
 
@@ -272,51 +223,19 @@ def phi(top, bottom):
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    root = join(top.base.blocks + bottom.base.blocks)
+    marked = []
     for half in (top, bottom):
-        for b in half.base.blocks:
-            for v in b:
-                parent.setdefault(v, v)
-    for half in (top, bottom):
-        for b in half.base.blocks:
-            for v in b[1:]:
-                union(b[0], v)
-    top_marked = {}    # join class -> (kind, mark index, which block)
-    for i, m in enumerate(top.e_marks):
-        for tag, blk in (("e", top.e_block(m)), ("g", top.g_block(m))):
-            cls = find(blk[0])
-            if cls in top_marked:
-                return None
-            top_marked[cls] = ("e", i, tag)
-    for l, m in enumerate(top.z_marks):
-        cls = find(top.z_block(m)[0])
-        if cls in top_marked:
+        owner = {}     # join class -> (kind, mark index, which block)
+        for i, m in enumerate(half.e_marks):
+            for tag, sign in (("e", E), ("g", G)):
+                owner[root[(TOP, m[0], sign)]] = ("e", i, tag)
+        for i, m in enumerate(half.z_marks):
+            owner[root[(TOP, m[0], E)]] = ("z", i, None)
+        if len(owner) != 2 * half.s1 + half.s2:
             return None
-        top_marked[cls] = ("z", l, None)
-    bot_marked = {}
-    for j, m in enumerate(bottom.e_marks):
-        for tag, blk in (("e", bottom.e_block(m)), ("g", bottom.g_block(m))):
-            cls = find(blk[0])
-            if cls in bot_marked:
-                return None
-            bot_marked[cls] = ("e", j, tag)
-    for m_i, m in enumerate(bottom.z_marks):
-        cls = find(bottom.z_block(m)[0])
-        if cls in bot_marked:
-            return None
-        bot_marked[cls] = ("z", m_i, None)
+        marked.append(owner)
+    top_marked, bot_marked = marked
     if set(top_marked) != set(bot_marked):
         return None
     s1, s2 = top.s1, top.s2
@@ -335,15 +254,7 @@ def phi(top, bottom):
             images2[i] = j
     if None in images1 or None in images2:
         return None
-    l = 0
-    seen = set()
-    for v in parent:
-        cls = find(v)
-        if cls in seen:
-            continue
-        seen.add(cls)
-        if cls not in top_marked:
-            l += 1
+    l = len(set(root.values()) - set(top_marked))
     return (l, tuple(signs), Perm(images1), Perm(images2))
 
 
@@ -485,14 +396,13 @@ class CellRecord:
 
 class CellularBasis:
     """The full cellular basis of one algebra at one size, with exact
-    change of basis from the diagram basis."""
+    change of basis from the diagram basis, block by block."""
 
     def __init__(self, algebra, k):
         _check_algebra(algebra)
         self.algebra = algebra
         self.k = k
         self.diagrams = algebra_basis(algebra, k)
-        self.diag_index = {d: i for i, d in enumerate(self.diagrams)}
         variant = variant_for(algebra)
         self.M = {}
         self.layers = {}
@@ -517,15 +427,18 @@ class CellularBasis:
                         elem = AlgebraElement(algebra, k, terms)
                         self.records.append(CellRecord(label, (P, rec.s),
                                                        (Q, rec.t), elem))
-        n = len(self.records)
-        if n != len(self.diagrams):
-            raise AssertionError("cellular basis size %d != dim %d"
-                                 % (n, len(self.diagrams)))
-        matrix = [[Fraction(0)] * n for _ in range(n)]
-        for col, rec in enumerate(self.records):
-            for d, c in rec.element.terms.items():
-                matrix[self.diag_index[d]][col] = c.const_value()
-        self._inv = ExactMatrix(matrix).inverse_rational()
+        support = set()
+        for rec in self.records:
+            support.update(rec.element.terms)
+        # Each (P, Q) block carries a Murphy basis across g -> reconstruct
+        # (P, Q, g), so the records form a basis exactly when reconstruct is
+        # a bijection onto the diagrams: they cover them and are as many.
+        if (len(self.records) != len(self.diagrams)
+                or support != set(self.diagrams)):
+            raise AssertionError("cellular basis (%d records, %d diagrams "
+                                 "covered) does not match dim %d"
+                                 % (len(self.records), len(support),
+                                    len(self.diagrams)))
         self._positions = {}
         for i, rec in enumerate(self.records):
             self._positions[(rec.label, rec.left, rec.right)] = i
@@ -538,17 +451,23 @@ class CellularBasis:
                                                                   right),))
 
     def coords(self, elem):
-        """Exact cellular coordinates of an algebra element (Poly-valued)."""
-        vec = [Poly()] * len(self.diagrams)
+        """Exact cellular coordinates of an algebra element (Poly-valued).
+
+        The diagrams with halves (P, Q) span one copy of the group algebra
+        of the (s1, s2) layer, so each such block is solved by that layer's
+        Murphy coordinates alone."""
+        blocks = {}
         for d, c in elem.terms.items():
-            vec[self.diag_index[d]] = c
-        out = []
-        for row in self._inv.entries:
-            acc = Poly()
-            for q, p in zip(row, vec):
-                if q and p:
-                    acc = acc + p * q
-            out.append(acc)
+            P, Q, f, sg1, sg2 = decompose(d)
+            g = self.layers[(P.s1, P.s2)].from_glue(f, sg1, sg2)
+            blocks.setdefault((P, Q), {})[g] = c
+        out = [Poly()] * len(self.records)
+        for (P, Q), terms in blocks.items():
+            s1, s2 = P.s1, P.s2
+            murphy = self.layers[(s1, s2)].murphy()
+            for rec, c in zip(murphy.records, murphy.coords(GAElement(terms))):
+                label = CellLabel(s1, s2, rec.label)
+                out[self._positions[(label, (P, rec.s), (Q, rec.t))]] = c
         return out
 
     def label_lt(self, a, b):

@@ -227,7 +227,10 @@ def enumerate_rk_bruteforce(k, rows):
     return out
 
 
-def _analyze_components(d):
+def join(groups):
+    """Union-find: {vertex: root}, two vertices sharing a root exactly when
+    a chain of the given groups links them.  Every vertex must lie in some
+    group; a vertex may lie in several."""
     parent = {}
 
     def find(a):
@@ -236,29 +239,28 @@ def _analyze_components(d):
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+    for group in groups:
+        root = None
+        for v in group:
+            r = find(parent.setdefault(v, v))
+            if root is None:
+                root = r
+            elif r != root:
+                parent[r] = root
+    return {v: find(v) for v in parent}
 
-    for row, i, _ in vertex_set(d.k, d.rows):
-        parent.setdefault((row, i), (row, i))
-    for b in d.blocks:
-        first = (b[0][0], b[0][1])
-        for v in b[1:]:
-            union(first, (v[0], v[1]))
+
+def _analyze_components(d):
+    root = join([(row, i) for row, i, _ in b] for b in d.blocks)
     groups = {}
-    for pos in parent:
-        groups.setdefault(find(pos), []).append(pos)
+    for pos, r in root.items():
+        groups.setdefault(r, ([], []))[0].append(pos)
+    for b in d.blocks:
+        groups[root[b[0][:2]]][1].append(b)
     comps = []
-    for positions in groups.values():
+    for positions, cblocks in groups.values():
         positions.sort()
-        pos_set = set(positions)
-        cblocks = [b for b in d.blocks if (b[0][0], b[0][1]) in pos_set]
-        if len(cblocks) == 1:
-            kind = Z2CLASS
-        else:
-            kind = EPAIR
+        kind = Z2CLASS if len(cblocks) == 1 else EPAIR
         comps.append(Component(tuple(positions), tuple(sorted(cblocks)), kind))
     comps.sort(key=lambda c: c.support)
     return tuple(comps)
@@ -267,15 +269,6 @@ def _analyze_components(d):
 def quotient(d):
     """The unsigned partition: i ~ j when some signed copies are related."""
     return tuple(c.support for c in d.components())
-
-
-def component_kind(d, block):
-    """EPAIR or Z2CLASS for a block (or sign-couple representative) of d."""
-    block = tuple(sorted(block))
-    for c in d.components():
-        if block in c.blocks:
-            return c.kind
-    raise UnknownBlock("block %r not in partition" % (block,))
 
 
 def propagating_data(d):
@@ -318,34 +311,11 @@ def compose(d1, d2, middle_info=False):
         raise SizeMismatch("k=%d vs k=%d" % (d1.k, d2.k))
     k = d1.k
     # levels: 0 = top of d1, 1 = shared middle, 2 = bottom of d2
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for level in range(3):
-        for i in range(1, k + 1):
-            for s in (E, G):
-                parent[(level, i, s)] = (level, i, s)
-    for b in d1.blocks:
-        first = (b[0][0], b[0][1], b[0][2])  # rows 0/1 already match levels 0/1
-        for v in b[1:]:
-            union(first, v)
-    for b in d2.blocks:
-        shifted = [(v[0] + 1, v[1], v[2]) for v in b]
-        for v in shifted[1:]:
-            union(shifted[0], v)
+    root = join(d1.blocks + tuple([(lvl + 1, i, s) for lvl, i, s in b]
+                                  for b in d2.blocks))
     classes = {}
-    for v in parent:
-        classes.setdefault(find(v), []).append(v)
+    for v, r in root.items():
+        classes.setdefault(r, []).append(v)
     outer_blocks = []
     loops = 0
     middle = []

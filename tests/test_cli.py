@@ -5,10 +5,11 @@ import json
 import pytest
 
 from zrelalg.cli import build_parser, format_label, main, parse_label
-from zrelalg.dalg import AlgebraElement, basis
+from zrelalg.dalg import AlgebraElement, basis, dim_formula
 from zrelalg.errors import UsageError
 from zrelalg.ring import poly_matrix_from_csv
-from zrelalg.tabular import CellLabel
+from zrelalg.repn import cell_module
+from zrelalg.tabular import CellLabel, cellular_basis
 from zrelalg.zpart import ZStablePartition
 
 
@@ -118,6 +119,18 @@ def test_irreducibles_table(capsys):
     assert "p_restricted" in out.splitlines()[0]
 
 
+@pytest.mark.slow
+def test_signed_k3_cells_and_point_table(capsys):
+    cb = cellular_basis("signed", 3)
+    dims = [cell_module(label, "signed", 3).dim for label in cb.labels()]
+    assert sum(d * d for d in dims) == dim_formula("signed", 3) == 5055
+    code, out, _ = run(capsys, "irreducibles", "--algebra", "signed",
+                       "--k", "3", "--char", "2147483647", "--x", "12345")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert sorted(int(r.split()[1]) for r in rows) == sorted(dims)
+
+
 def test_label_parsing_roundtrip():
     for algebra, text in [("z2rel", "0,0,0,-,-,-"),
                           ("z2rel", "3,1,1,1,-,1"),
@@ -144,6 +157,12 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "mul", "--k", "1", "/no/such/file", "/none")[0] == 2
     assert run(capsys, "gram", "--algebra", "z2rel", "--k", "1",
                "--label", "banana")[0] == 2
+    for extra in (["--char", "4", "--x", "1"], ["--char", "abc"],
+                  ["--char", "2", "--x", "1"], ["--x", "foo"],
+                  ["--x", "1/0"], ["--char", "3", "--x", "1/3"],
+                  ["--char", "3"]):
+        assert run(capsys, "irreducibles", "--algebra", "z2rel", "--k", "1",
+                   *extra)[0] == 2
 
 
 def test_help_exits_cleanly(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
-from zrelalg.errors import (Incompatible, UnknownLabel,
+from zrelalg.errors import (Incompatible, InvalidPoint, UnknownLabel,
                             UnsupportedCharacteristic)
 from zrelalg.repn import (action_matrix, cell_module, gram, gram_bruteforce,
                           gram_rank_symbolic, irreducible_table,
@@ -159,6 +159,12 @@ def test_irreducible_table_modular():
     # sort order is deterministic
     keys = [label_sort_key(r["label"]) for r in rows]
     assert keys == sorted(keys)
+    with pytest.raises(InvalidPoint):
+        irreducible_table("z2rel", 1, char=3)
+    with pytest.raises(InvalidPoint):
+        irreducible_table("z2rel", 1, char=3, x_value=Fraction(1, 3))
+    with pytest.raises(UnsupportedCharacteristic):
+        irreducible_table("z2rel", 1, char=4, x_value=Fraction(1))
 
 
 def test_gram_bruteforce_matches_factorized_sampled_k2():

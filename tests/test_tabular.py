@@ -159,13 +159,26 @@ def test_tabular_axiom_sampled_k2(algebra):
 @pytest.mark.parametrize("algebra", ALGEBRAS)
 @pytest.mark.parametrize("k", [1, 2])
 def test_cellular_basis_is_a_basis(algebra, k):
-    cb = cellular_basis(algebra, k)   # constructor inverts the matrix
+    cb = cellular_basis(algebra, k)   # constructor checks the bijection
     assert len(cb.records) == dim_formula(algebra, k)
     # coordinates of a record are a unit vector
     for i in range(0, len(cb.records), max(1, len(cb.records) // 10)):
         coords = cb.coords(cb.records[i].element)
         for j, c in enumerate(coords):
             assert c == (ONE if i == j else Poly())
+
+
+@pytest.mark.parametrize("algebra,k", [(a, k) for a in ALGEBRAS
+                                      for k in (1, 2)] + [("partition", 3)])
+def test_coords_reassemble_every_diagram(algebra, k):
+    cb = cellular_basis(algebra, k)
+    for d in basis(algebra, k):
+        elem = AlgebraElement.of(algebra, d)
+        total = AlgebraElement.zero(algebra, k)
+        for c, rec in zip(cb.coords(elem), cb.records):
+            if not c.is_zero():
+                total = total + rec.element.scale(c)
+        assert total == elem
 
 
 def test_cell_congruence_exhaustive_k1():
