@@ -7,12 +7,16 @@ dominant label LOWER: products of basis elements only ever produce terms
 whose label strictly dominates, so "reduce mod lower" discards exactly
 those.  Division by 2 enters through the idempotents (1 +/- g)/2, which is
 why coefficient fields of characteristic 2 are rejected downstream.
+
+The builders are memoized, so each group has one basis, shared by every
+layer and algebra that uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .groups import GAElement, Perm, ProdElt, WreathElt
 from .ring import ExactMatrix, Poly
@@ -60,45 +64,45 @@ def _row_stabilizer(tab):
 
 
 class MurphyBasis:
-    """A full cellular basis of one group algebra, with exact coordinates."""
+    """A full cellular basis of one group algebra, with exact coordinates.
 
-    def __init__(self, records, elements, label_lt, embed):
+    Records are indexed once by (label, s, t); the inverse of the change of
+    basis is computed on first use and kept as sparse columns, so a
+    coordinate costs only the terms it reads.
+    """
+
+    def __init__(self, records, elements, label_lt):
         self.records = records
         self.elements = list(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
         self.label_lt = label_lt        # strict "cell-lower" predicate
-        self.embed = embed              # group element -> GAElement
-        n = len(self.records)
-        if n != len(self.elements):
+        if len(records) != len(self.elements):
             raise ValueError("record count %d != group order %d"
-                             % (n, len(self.elements)))
-        cols = []
-        for rec in self.records:
-            col = [Fraction(0)] * n
-            for g, c in rec.element.terms.items():
-                col[self.index[g]] = c.const_value()
-            cols.append(col)
-        matrix = ExactMatrix([[cols[r][g] for r in range(n)] for g in range(n)])
-        self._inv = matrix.inverse_rational()
+                             % (len(records), len(self.elements)))
+        self.position = {}
+        self._tableaux = {}             # label -> {s: None}, in record order
+        for i, rec in enumerate(records):
+            self.position[(rec.label, rec.s, rec.t)] = i
+            self._tableaux.setdefault(rec.label, {})[rec.s] = None
 
-    def record_position(self, label, s, t):
-        for i, rec in enumerate(self.records):
-            if rec.label == label and rec.s == s and rec.t == t:
-                return i
-        raise KeyError((label, s, t))
+    @cached_property
+    def _columns(self):
+        """g -> {record index: coefficient of g in the dual basis}."""
+        n = len(self.records)
+        index = {g: j for j, g in enumerate(self.elements)}
+        matrix = [[Fraction(0)] * n for _ in range(n)]
+        for r, rec in enumerate(self.records):
+            for g, c in rec.element.terms.items():
+                matrix[index[g]][r] = c.const_value()
+        inv = ExactMatrix(matrix).inverse_rational().entries
+        return {g: {i: inv[i][j] for i in range(n) if inv[i][j]}
+                for g, j in index.items()}
 
     def coords(self, ga):
         """Exact coordinates of a group-algebra element in this basis (Poly)."""
-        vec = [Poly() for _ in self.elements]
+        out = [Poly()] * len(self.records)
         for g, c in ga.terms.items():
-            vec[self.index[g]] = c
-        out = []
-        for row in self._inv.entries:
-            acc = Poly()
-            for q, p in zip(row, vec):
-                if q and p:
-                    acc = acc + p * q
-            out.append(acc)
+            for i, q in self._columns[g].items():
+                out[i] = out[i] + c * q
         return out
 
     def struct_const(self, label, s, t, delta):
@@ -107,30 +111,24 @@ class MurphyBasis:
         Exact expansion; reduction mod lower labels cannot change this
         coordinate, so no explicit reduction is needed.
         """
-        ms = self.records[self.record_position(label, s, s)].element
-        mt = self.records[self.record_position(label, t, t)].element
-        prod = ms * self.embed(delta) * mt
-        return self.coords(prod)[self.record_position(label, s, t)]
+        ms = self.records[self.position[(label, s, s)]].element
+        mt = self.records[self.position[(label, t, t)]].element
+        i = self.position[(label, s, t)]
+        acc = Poly()
+        for g, c in (ms * GAElement.of(delta) * mt).terms.items():
+            q = self._columns[g].get(i)
+            if q:
+                acc = acc + c * q
+        return acc
 
     def tableaux_for(self, label):
-        seen = []
-        for rec in self.records:
-            if rec.label == label and rec.s not in seen:
-                seen.append(rec.s)
-        return seen
+        return list(self._tableaux.get(label, ()))
 
     def labels(self):
-        seen = []
-        for rec in self.records:
-            if rec.label not in seen:
-                seen.append(rec.label)
-        return seen
+        return list(self._tableaux)
 
 
-def _ga(g):
-    return GAElement.of(g)
-
-
+@cache
 def sym_murphy(n):
     """Murphy basis of the symmetric group algebra on n letters."""
     records = []
@@ -142,9 +140,10 @@ def sym_murphy(n):
                  for tab in tabs}
         for s in tabs:
             for t in tabs:
-                elt = _ga(words[s].inv()) * x * _ga(words[t])
+                elt = (GAElement.of(words[s].inv()) * x
+                       * GAElement.of(words[t]))
                 records.append(MurphyRecord(shape, s, t, elt))
-    return MurphyBasis(records, sorted(Perm.all(n)), strictly_dominates, _ga)
+    return MurphyBasis(records, sorted(Perm.all(n)), strictly_dominates)
 
 
 def _half_idempotent(n, i, sign):
@@ -154,6 +153,7 @@ def _half_idempotent(n, i, sign):
     return e
 
 
+@cache
 def wreath_murphy(n):
     """Cellular basis of the signed-permutation group algebra on n letters.
 
@@ -183,12 +183,14 @@ def wreath_murphy(n):
             words[bt] = WreathElt.from_perm(_word_to_perm(n, canon_entries, dst))
         for s in bitabs:
             for t in bitabs:
-                elt = _ga(words[s].inv()) * core * _ga(words[t])
+                elt = (GAElement.of(words[s].inv()) * core
+                       * GAElement.of(words[t]))
                 records.append(MurphyRecord(bishape, s, t, elt))
     return MurphyBasis(records, sorted(WreathElt.all(n)),
-                       bishape_strictly_dominates, _ga)
+                       bishape_strictly_dominates)
 
 
+@cache
 def product_murphy(s1, s2):
     """Tensor basis of (signed perms on s1) x (perms on s2)."""
     wb = wreath_murphy(s1)
@@ -209,31 +211,15 @@ def product_murphy(s1, s2):
             return bishape_strictly_dominates(x[0], y[0])
         return strictly_dominates(x[1], y[1])
 
-    return MurphyBasis(records, sorted(ProdElt.all(s1, s2)), label_lt, _ga)
+    return MurphyBasis(records, sorted(ProdElt.all(s1, s2)), label_lt)
 
 
+@dataclass(frozen=True)
 class WreathSymLayer:
     """Hypergroup layer (Z2 wr S_s1) x S_s2 used by the z2rel/signed algebras."""
 
-    def __init__(self, s1, s2):
-        self.s1 = s1
-        self.s2 = s2
-        self._murphy = None
-
-    def order(self):
-        fact1 = 1
-        for i in range(2, self.s1 + 1):
-            fact1 *= i
-        fact2 = 1
-        for i in range(2, self.s2 + 1):
-            fact2 *= i
-        return 2**self.s1 * fact1 * fact2
-
-    def elements(self):
-        return ProdElt.all(self.s1, self.s2)
-
-    def identity(self):
-        return ProdElt.identity(self.s1, self.s2)
+    s1: int
+    s2: int
 
     def from_glue(self, f, sigma1, sigma2):
         return ProdElt(WreathElt(f, sigma1), sigma2)
@@ -242,29 +228,14 @@ class WreathSymLayer:
         return (g.wreath.signs, g.wreath.perm, g.perm)
 
     def murphy(self):
-        if self._murphy is None:
-            self._murphy = product_murphy(self.s1, self.s2)
-        return self._murphy
+        return product_murphy(self.s1, self.s2)
 
 
+@dataclass(frozen=True)
 class SymLayer:
     """Plain S_s1 layer for the partition algebra (f = id, s2 = 0)."""
 
-    def __init__(self, s1):
-        self.s1 = s1
-        self._murphy = None
-
-    def order(self):
-        fact = 1
-        for i in range(2, self.s1 + 1):
-            fact *= i
-        return fact
-
-    def elements(self):
-        return Perm.all(self.s1)
-
-    def identity(self):
-        return Perm.identity(self.s1)
+    s1: int
 
     def from_glue(self, f, sigma1, sigma2):
         if any(f):
@@ -277,6 +248,4 @@ class SymLayer:
         return ((0,) * self.s1, g, Perm.identity(0))
 
     def murphy(self):
-        if self._murphy is None:
-            self._murphy = sym_murphy(self.s1)
-        return self._murphy
+        return sym_murphy(self.s1)

@@ -191,7 +191,6 @@ class Poly:
 
 ZERO = Poly()
 ONE = Poly.const(1)
-X = Poly.x()
 
 
 class Rationals:
@@ -333,11 +332,6 @@ class ExactMatrix:
         for row in self.entries:
             if len(row) != self.ncols:
                 raise ValueError("ragged matrix")
-
-    @staticmethod
-    def zero(nrows, ncols, zero=None):
-        z = ZERO if zero is None else zero
-        return ExactMatrix([[z for _ in range(ncols)] for _ in range(nrows)])
 
     @staticmethod
     def identity(n):
@@ -520,19 +514,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return "ExactMatrix(%d x %d)" % (self.nrows, self.ncols)
-
-
-def rank_det(matrix, mode="symbolic", field=None):
-    """Rank and determinant of an ExactMatrix.
-
-    mode="symbolic": entries are Poly, rank over Q(x), det a Poly.
-    mode="field": entries already specialized; `field` supplies the arithmetic.
-    """
-    if mode == "symbolic":
-        return matrix.rank_det_symbolic()
-    if mode == "field":
-        return matrix.rank_det_field(field)
-    raise ValueError("unknown mode %r" % mode)
 
 
 def poly_matrix_from_csv(text):

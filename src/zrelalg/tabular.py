@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .dalg import AlgebraElement, _check_algebra, basis as algebra_basis
@@ -424,7 +425,10 @@ class CellularBasis:
                             f, sg1, sg2 = layer.to_glue(g)
                             d = reconstruct(P, Q, f, sg1, sg2)
                             terms[d] = terms.get(d, Poly()) + coeff
-                        elem = AlgebraElement(algebra, k, terms)
+                        # reconstruct yields basis diagrams only, as the
+                        # support check below confirms
+                        elem = AlgebraElement(algebra, k)
+                        elem.terms = terms
                         self.records.append(CellRecord(label, (P, rec.s),
                                                        (Q, rec.t), elem))
         support = set()
@@ -479,25 +483,19 @@ class CellularBasis:
         return self.layers[(a.s1, a.s2)].murphy().label_lt(a.glabel, b.glabel)
 
     def labels(self):
-        seen = []
-        for rec in self.records:
-            if rec.label not in seen:
-                seen.append(rec.label)
-        return seen
+        return [CellLabel(s1, s2, glabel)
+                for (s1, s2), layer in self.layers.items()
+                for glabel in layer.murphy().labels()]
 
     def left_data(self, label):
-        seen = []
-        for rec in self.records:
-            if rec.label == label and rec.left not in seen:
-                seen.append(rec.left)
-        return seen
+        """Left halves of a label, in record order: tableau-major."""
+        layer = self.layers.get((label.s1, label.s2))
+        if layer is None:
+            return []
+        return [(P, s) for s in layer.murphy().tableaux_for(label.glabel)
+                for P in self.M[(label.s1, label.s2)]]
 
 
-_cellular_cache = {}
-
-
+@cache
 def cellular_basis(algebra, k):
-    key = (algebra, k)
-    if key not in _cellular_cache:
-        _cellular_cache[key] = CellularBasis(algebra, k)
-    return _cellular_cache[key]
+    return CellularBasis(algebra, k)

@@ -106,10 +106,6 @@ class Component:
     blocks: tuple           # one block (Z2CLASS) or the sign-paired couple (EPAIR)
     kind: str               # EPAIR or Z2CLASS
 
-    @property
-    def min_vertex(self):
-        return self.support[0]
-
     def rows_met(self):
         return frozenset(row for row, _ in self.support)
 

@@ -11,7 +11,7 @@ from conftest import record_criterion
 
 from zrelalg.dalg import (AlgebraElement, basis, diagram_to_wreath,
                           dim_formula, top_cell_group, wreath_to_diagram)
-from zrelalg.groups import Perm, ProdElt, WreathElt
+from zrelalg.groups import GAElement, Perm, ProdElt, WreathElt
 from zrelalg.murphy import sym_murphy, wreath_murphy
 from zrelalg.repn import (action_matrix, cell_module, gram, gram_bruteforce,
                           gram_rank_symbolic, radical_and_irreducible)
@@ -211,7 +211,7 @@ def test_criterion_10_murphy_layer():
 
     def cellular(mb, group_elements):
         for g in group_elements:
-            ga = mb.embed(g)
+            ga = GAElement.of(g)
             for rec in mb.records:
                 for c, rec2 in zip(mb.coords(ga * rec.element), mb.records):
                     if c.is_zero():

@@ -10,6 +10,7 @@ from zrelalg.groups import GAElement, Perm, ProdElt, WreathElt
 from zrelalg.murphy import (SymLayer, WreathSymLayer, product_murphy,
                             sym_murphy, wreath_murphy)
 from zrelalg.ring import ONE, Poly
+from zrelalg.tabular import layer_for
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -52,7 +53,7 @@ def _check_cellularity(mb, group_elements):
     same label with the right tableau fixed, modulo strictly lower
     (more dominant) labels."""
     for g in group_elements:
-        ga = mb.embed(g)
+        ga = GAElement.of(g)
         for rec in mb.records:
             coords = mb.coords(ga * rec.element)
             for c, rec2 in zip(coords, mb.records):
@@ -92,6 +93,25 @@ def test_struct_const_hand_example():
     assert mb.struct_const((1, 1), t1, t1, Perm.identity(2)) == ONE
 
 
+@pytest.mark.parametrize("mb", [sym_murphy(3), wreath_murphy(2),
+                                product_murphy(2, 1), product_murphy(1, 2)])
+def test_struct_const_is_one_coordinate(mb):
+    # oracle: the (label, s, t) entry of the full coordinate vector
+    checked = 0
+    for label in mb.labels():
+        tabs = mb.tableaux_for(label)
+        for s in tabs:
+            for t in tabs:
+                ms = mb.records[mb.position[(label, s, s)]].element
+                mt = mb.records[mb.position[(label, t, t)]].element
+                for delta in mb.elements:
+                    full = mb.coords(ms * GAElement.of(delta) * mt)
+                    assert (mb.struct_const(label, s, t, delta)
+                            == full[mb.position[(label, s, t)]])
+                    checked += 1
+    assert checked == len(mb.records) * len(mb.elements)
+
+
 def test_wreath_idempotent_layers():
     # top label ((1), ()): the element is the projector (1 + g)/2, which
     # squares to itself; struct const of the identity is 1.
@@ -109,15 +129,15 @@ def test_wreath_idempotent_layers():
 
 def test_layer_objects():
     layer = WreathSymLayer(2, 1)
-    assert layer.order() == 8
-    assert len(layer.elements()) == 8
     g = layer.from_glue((1, 0), Perm((1, 0)), Perm((0,)))
     assert layer.to_glue(g) == ((1, 0), Perm((1, 0)), Perm((0,)))
-    assert layer.identity() * g == g
     assert len(layer.murphy().records) == 8
+    # one Murphy basis per group, shared by the z2rel and signed layers
+    assert (layer_for("z2rel", 1, 1).murphy()
+            is layer_for("signed", 1, 1).murphy())
 
     sym = SymLayer(2)
-    assert sym.order() == 2
+    assert len(sym.murphy().records) == 2
     p = sym.from_glue((0, 0), Perm((1, 0)), Perm(()))
     assert p == Perm((1, 0))
     assert sym.to_glue(p) == ((0, 0), Perm((1, 0)), Perm(()))
@@ -128,7 +148,7 @@ def test_layer_objects():
 @given(st.sampled_from(Perm.all(3)), st.sampled_from(Perm.all(3)))
 def test_coords_linear_in_products(p, q):
     mb = sym_murphy(3)
-    a, b = mb.embed(p), mb.embed(q)
+    a, b = GAElement.of(p), GAElement.of(q)
     lhs = mb.coords(a + b.scale(Fraction(3, 2)))
     ca, cb = mb.coords(a), mb.coords(b)
     for l, x, y in zip(lhs, ca, cb):

@@ -152,6 +152,27 @@ def test_irreducible_table_symbolic():
     assert Poly.parse("x^3 - x^2") in dets
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_partition_degenerates_only_at_small_delta(k):
+    """P_k(delta) is semisimple iff delta is not in {0, ..., 2k-2}
+    (Halverson-Ram 2005).  Here delta = x^2, so the product of the Gram
+    determinants is c x^a prod_{j=1}^{2k-2} (x^2 - j)^{m_j}, with c a
+    nonzero constant and every exponent at least one."""
+    rest = Poly.const(1)
+    for row in irreducible_table("partition", k):
+        rest = rest * row["det"]
+    assert not rest.is_zero()
+    factors = [Poly.x()] + [Poly({2: 1, 0: -j}) for j in range(1, 2 * k - 1)]
+    for factor in factors:
+        exponent = 0
+        quotient, remainder = rest.divmod(factor)
+        while remainder.is_zero():
+            rest, exponent = quotient, exponent + 1
+            quotient, remainder = rest.divmod(factor)
+        assert exponent >= 1, factor
+    assert rest.is_const()
+
+
 def test_irreducible_table_modular():
     rows = irreducible_table("z2rel", 1, char=3, x_value=Fraction(1))
     assert sum(1 for r in rows if r["dim_D"] < r["dim_W"]) >= 1

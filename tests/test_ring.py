@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zrelalg.ring import (ExactMatrix, ONE, Poly, PrimeField, QQ, Rationals,
-                          ScalarField, ZERO, evaluate, poly_matrix_from_csv,
-                          rank_det)
+                          ScalarField, ZERO, evaluate, poly_matrix_from_csv)
 
 fractions = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 polys = st.dictionaries(st.integers(0, 6), fractions, max_size=5).map(Poly)
@@ -106,4 +105,4 @@ def test_csv_roundtrip():
 def test_rank_det_dispatcher():
     m = ExactMatrix([[Poly.const(1), Poly.const(0)],
                      [Poly.const(0), Poly.const(0)]])
-    assert rank_det(m, "symbolic") == (1, ZERO)
+    assert m.rank_det_symbolic() == (1, ZERO)
