@@ -6,11 +6,13 @@ rationals -- so rank drops of the Gram forms are visible side by side.
 """
 
 import argparse
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
-from zrelalg.cli import format_label
+from zrelalg.cli import _rational, format_label
 from zrelalg.dalg import ALGEBRAS
+from zrelalg.errors import ZRelError
 from zrelalg.repn import irreducible_table
 
 
@@ -43,17 +45,25 @@ def run(config):
         print()
 
 
+def _points(text):
+    return tuple(_rational(p) for p in text.split(","))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k", type=int, default=1)
     parser.add_argument("--char", type=int, default=0,
                         help="0 or an odd prime")
-    parser.add_argument("--points", default="0,1",
+    parser.add_argument("--points", type=_points, default="0,1",
                         help="comma-separated rational evaluation points")
     args = parser.parse_args()
-    points = tuple(Fraction(p) for p in args.points.split(","))
-    run(Config(k=args.k, points=points, char=args.char))
+    try:
+        run(Config(k=args.k, points=args.points, char=args.char))
+    except ZRelError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,7 +11,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from zrelalg.cli import _SUITES
+from zrelalg.cli import _SUITES, positive_int
 from zrelalg.dalg import ALGEBRAS
 
 
@@ -44,7 +44,7 @@ def run(config):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=200)
+    parser.add_argument("--samples", type=positive_int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-k", type=int, default=2)
     parser.add_argument("--json", action="store_true",

@@ -80,6 +80,27 @@ def _write_out(text, out):
         sys.stdout.write(text)
 
 
+def _load(path, from_json):
+    """Read an operand file; content that does not parse is a usage error."""
+    with open(path) as fh:
+        try:
+            return from_json(json.load(fh))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise UsageError("%s is not a valid operand file: %s: %s"
+                             % (path, type(exc).__name__, exc))
+
+
+def positive_int(text):
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("not an integer >= 1: %r" % text)
+    return value
+
+
 def cmd_dim(args):
     if args.method == "formula":
         print(dim_formula(args.algebra, args.k))
@@ -96,10 +117,8 @@ def cmd_basis(args):
 
 
 def cmd_mul(args):
-    with open(args.a) as fh:
-        a = AlgebraElement.from_json(json.load(fh))
-    with open(args.b) as fh:
-        b = AlgebraElement.from_json(json.load(fh))
+    a = _load(args.a, AlgebraElement.from_json)
+    b = _load(args.b, AlgebraElement.from_json)
     if a.k != args.k or b.k != args.k:
         raise UsageError("operands have k=%d,%d but --k %d"
                          % (a.k, b.k, args.k))
@@ -108,8 +127,7 @@ def cmd_mul(args):
 
 
 def cmd_decompose(args):
-    with open(args.diagram) as fh:
-        d = ZStablePartition.from_json(json.load(fh))
+    d = _load(args.diagram, ZStablePartition.from_json)
     if d.k != args.k:
         raise UsageError("diagram has k=%d but --k %d" % (d.k, args.k))
     top, bot, f, sigma1, sigma2 = decompose(d)
@@ -154,29 +172,40 @@ def _suite_roundtrip(algebra, k, samples, seed):
 
 def _suite_cellular(algebra, k, samples, seed):
     rng = random.Random(seed)
-    cb = cellular_basis(algebra, k)   # constructor checks the bijection
+    cb = cellular_basis(algebra, k)
     diagrams = algebra_basis(algebra, k)
-    report = {"checked": 0, "failures": []}
+    cells = cb.cells()
+    report = {"checked": 1, "failures": []}
+    # Each (P, Q) block carries a Murphy basis across g -> reconstruct
+    # (P, Q, g), so the cells form a basis exactly when reconstruct is a
+    # bijection onto the diagrams: they cover them and are as many.
+    support = set()
+    for cell in cells:
+        support.update(cb.element(*cell).terms)
+    expected = set(diagrams)
+    if len(cells) != len(diagrams) or support != expected:
+        report["failures"].append(
+            "cellular basis: %d cells cover %d of %d diagrams"
+            % (len(cells), len(support & expected), len(diagrams)))
     if k <= 1:
-        pairs = [(d, rec) for d in diagrams for rec in cb.records]
+        pairs = [(d, cell) for d in diagrams for cell in cells]
     else:
-        pairs = [(rng.choice(diagrams), rng.choice(cb.records))
+        pairs = [(rng.choice(diagrams), rng.choice(cells))
                  for _ in range(samples)]
-    for d, rec in pairs:
-        coords = cb.coords(AlgebraElement.of(algebra, d) * rec.element)
+    for d, (label, left, right) in pairs:
+        coords = cb.coords(AlgebraElement.of(algebra, d)
+                           * cb.element(label, left, right))
         report["checked"] += 1
-        for c, rec2 in zip(coords, cb.records):
-            if c.is_zero():
-                continue
-            if rec2.label == rec.label:
-                if rec2.right != rec.right:
+        for label2, _, right2 in coords:
+            if label2 == label:
+                if right2 != right:
                     report["failures"].append(
-                        "right half changed: %r on %r" % (d, rec.label))
+                        "right half changed: %r on %r" % (d, label))
                     break
-            elif not cb.label_lt(rec2.label, rec.label):
+            elif not cb.label_lt(label2, label):
                 report["failures"].append(
                     "label escaped upward: %r on %r -> %r"
-                    % (d, rec.label, rec2.label))
+                    % (d, label, label2))
                 break
     return report
 
@@ -241,7 +270,6 @@ def cmd_irreducibles(args):
     header = ["label", "dim_W", "dim_D", "nonzero"]
     if char != 0:
         header.append("p_restricted")
-    widths = None
     table = [header]
     for row in rows:
         cells = [format_label(row["label"]), str(row["dim_W"]),
@@ -261,7 +289,7 @@ def build_parser():
         description="Exact arithmetic for sign-stable diagram algebras")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, method=False):
+    def common(p):
         p.add_argument("--algebra", choices=ALGEBRAS, required=True)
         p.add_argument("--k", type=int, required=True)
 
@@ -292,7 +320,7 @@ def build_parser():
     common(p)
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=positive_int, default=200)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gram", help="Gram matrix of a cell module as CSV")
@@ -323,13 +351,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ZRelError as exc:
+    except (ZRelError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

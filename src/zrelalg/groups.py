@@ -57,19 +57,6 @@ class Perm:
     def all(n):
         return [Perm(p) for p in permutations(range(n))]
 
-    @staticmethod
-    def from_cycle(n, cycle):
-        images = list(range(n))
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            images[a] = b
-        return Perm(images)
-
-    @staticmethod
-    def transposition(n, a, b):
-        images = list(range(n))
-        images[a], images[b] = b, a
-        return Perm(images)
-
 
 class WreathElt:
     """Element (f, sigma) of the group of signed permutations on n letters.

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from .dalg import AlgebraElement, dim_formula
 from .errors import (Incompatible, InvalidPoint, UnknownLabel,
                      UnsupportedCharacteristic)
-from .ring import ExactMatrix, Poly, PrimeField, Rationals, ScalarField
+from .ring import (ExactMatrix, Poly, PrimeField, Rationals, ScalarField,
+                   ZERO)
 from .tableaux import bishape_sort_key, shape_sort_key
 from .tabular import cellular_basis, phi
 
@@ -53,12 +54,9 @@ def action_matrix(a, module):
     n = module.dim
     cols = []
     for left in module.basis:
-        rec = cb.records[cb.position(module.label, left, right0)]
-        coords = cb.coords(a * rec.element)
-        col = []
-        for target in module.basis:
-            col.append(coords[cb.position(module.label, target, right0)])
-        cols.append(col)
+        coords = cb.coords(a * cb.element(module.label, left, right0))
+        cols.append([coords.get((module.label, target, right0), ZERO)
+                     for target in module.basis])
     return ExactMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
@@ -90,15 +88,11 @@ def gram_bruteforce(label, algebra, k):
     C'_{S,S} * C'_{T,T} (Gram congruence, no factorization)."""
     cb = cellular_basis(algebra, k)
     module = cell_module(label, algebra, k)
+    diagonal = [cb.element(label, S, S) for S in module.basis]
     entries = []
-    for S in module.basis:
-        row = []
-        rec_ss = cb.records[cb.position(label, S, S)]
-        for T in module.basis:
-            rec_tt = cb.records[cb.position(label, T, T)]
-            coords = cb.coords(rec_ss.element * rec_tt.element)
-            row.append(coords[cb.position(label, S, T)])
-        entries.append(row)
+    for S, c_ss in zip(module.basis, diagonal):
+        entries.append([cb.coords(c_ss * c_tt).get((label, S, T), ZERO)
+                        for T, c_tt in zip(module.basis, diagonal)])
     return ExactMatrix(entries)
 
 

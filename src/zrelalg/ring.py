@@ -317,11 +317,6 @@ def pow_field(field, base, exponent):
     return out
 
 
-def evaluate(poly, scalar_field):
-    """Specialize x; a ring homomorphism Q[x] -> field."""
-    return scalar_field.eval_poly(poly)
-
-
 class ExactMatrix:
     """Dense rectangular matrix with Poly or field-scalar entries."""
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from .dalg import AlgebraElement, _check_algebra, basis as algebra_basis
+from .dalg import (AlgebraElement, _check_algebra, basis as algebra_basis,
+                   dim_formula)
 from .errors import Incompatible, NotADiagram, UnknownLabel
 from .groups import GAElement, Perm
 from .murphy import SymLayer, WreathSymLayer
@@ -182,12 +183,8 @@ def decompose(d):
         signs[i] = 1 if (BOTTOM, bsup[0], G) in blk else 0
     images2 = [0] * s2
     for tsup, bsup in z_through:
-        images2[z_marks_index(top_half, tsup)] = z_marks_index(bot_half, bsup)
+        images2[top_half.z_marks.index(tsup)] = bot_half.z_marks.index(bsup)
     return (top_half, bot_half, tuple(signs), Perm(images1), Perm(images2))
-
-
-def z_marks_index(half, support):
-    return half.z_marks.index(tuple(support))
 
 
 def reconstruct(top, bottom, f, sigma1, sigma2):
@@ -266,16 +263,6 @@ def layer_for(algebra, s1, s2):
             raise UnknownLabel("partition algebra has s2 = 0 only")
         return SymLayer(s1)
     return WreathSymLayer(s1, s2)
-
-
-def phi_element(top, bottom, layer):
-    """The phi-map valued in the layer's group algebra (zero element if
-    the gluing conditions fail)."""
-    res = phi(top, bottom)
-    if res is None:
-        return GAElement.zero()
-    l, f, sigma1, sigma2 = res
-    return GAElement.of(layer.from_glue(f, sigma1, sigma2), Poly.x(l))
 
 
 def index_pairs(algebra, k):
@@ -387,27 +374,23 @@ class CellLabel:
         return 2 * self.s1 + self.s2
 
 
-@dataclass(frozen=True)
-class CellRecord:
-    label: CellLabel
-    left: tuple      # (HalfDiagram, layer tableau datum)
-    right: tuple
-    element: object  # AlgebraElement
-
-
 class CellularBasis:
-    """The full cellular basis of one algebra at one size, with exact
-    change of basis from the diagram basis, block by block."""
+    """The cellular basis of one algebra at one size, as a view over the
+    marked halves ``M`` and the Murphy ``layers``: no element is stored.
+
+    A basis element is named (label, (P, s), (Q, t)); it is the Murphy
+    element m_{s,t} of the label's layer carried across
+    g -> reconstruct(P, Q, g), and is built only on demand by ``element``.
+    """
 
     def __init__(self, algebra, k):
         _check_algebra(algebra)
         self.algebra = algebra
         self.k = k
-        self.diagrams = algebra_basis(algebra, k)
         variant = variant_for(algebra)
         self.M = {}
         self.layers = {}
-        self.records = []
+        count = 0
         for s1, s2 in index_pairs(algebra, k):
             halves = enumerate_M(k, s1, s2, variant)
             if not halves:
@@ -415,47 +398,41 @@ class CellularBasis:
             self.M[(s1, s2)] = halves
             layer = layer_for(algebra, s1, s2)
             self.layers[(s1, s2)] = layer
-            murphy = layer.murphy()
-            for rec in murphy.records:
-                label = CellLabel(s1, s2, rec.label)
-                for P in halves:
-                    for Q in halves:
-                        terms = {}
-                        for g, coeff in rec.element.terms.items():
-                            f, sg1, sg2 = layer.to_glue(g)
-                            d = reconstruct(P, Q, f, sg1, sg2)
-                            terms[d] = terms.get(d, Poly()) + coeff
-                        # reconstruct yields basis diagrams only, as the
-                        # support check below confirms
-                        elem = AlgebraElement(algebra, k)
-                        elem.terms = terms
-                        self.records.append(CellRecord(label, (P, rec.s),
-                                                       (Q, rec.t), elem))
-        support = set()
-        for rec in self.records:
-            support.update(rec.element.terms)
-        # Each (P, Q) block carries a Murphy basis across g -> reconstruct
-        # (P, Q, g), so the records form a basis exactly when reconstruct is
-        # a bijection onto the diagrams: they cover them and are as many.
-        if (len(self.records) != len(self.diagrams)
-                or support != set(self.diagrams)):
-            raise AssertionError("cellular basis (%d records, %d diagrams "
-                                 "covered) does not match dim %d"
-                                 % (len(self.records), len(support),
-                                    len(self.diagrams)))
-        self._positions = {}
-        for i, rec in enumerate(self.records):
-            self._positions[(rec.label, rec.left, rec.right)] = i
+            count += len(halves) ** 2 * len(layer.murphy().records)
+        # As many cells as diagrams; that reconstruct is a bijection onto
+        # them is checked in full by ``verify --suite cellular``.
+        if count != dim_formula(algebra, k):
+            raise AssertionError("cellular basis has %d elements, dim is %d"
+                                 % (count, dim_formula(algebra, k)))
 
-    def position(self, label, left, right):
-        try:
-            return self._positions[(label, left, right)]
-        except KeyError:
-            raise UnknownLabel("no cellular basis element %r" % ((label, left,
-                                                                  right),))
+    def cells(self):
+        """Every (label, left, right): by layer, Murphy record, P, then Q."""
+        return [(CellLabel(s1, s2, rec.label), (P, rec.s), (Q, rec.t))
+                for (s1, s2), layer in self.layers.items()
+                for rec in layer.murphy().records
+                for P in self.M[(s1, s2)] for Q in self.M[(s1, s2)]]
+
+    def element(self, label, left, right):
+        """The cellular basis element named (label, (P, s), (Q, t))."""
+        (P, s), (Q, t) = left, right
+        key = (label.s1, label.s2)
+        layer = self.layers.get(key)
+        i = layer.murphy().position.get((label.glabel, s, t)) if layer else None
+        if i is None or P not in self.M[key] or Q not in self.M[key]:
+            raise UnknownLabel("no cellular basis element %r"
+                               % ((label, left, right),))
+        terms = {}
+        for g, coeff in layer.murphy().records[i].element.terms.items():
+            d = reconstruct(P, Q, *layer.to_glue(g))
+            terms[d] = terms.get(d, Poly()) + coeff
+        # reconstruct yields basis diagrams only, so in_basis is skipped
+        elem = AlgebraElement(self.algebra, self.k)
+        elem.terms = terms
+        return elem
 
     def coords(self, elem):
-        """Exact cellular coordinates of an algebra element (Poly-valued).
+        """Exact cellular coordinates of an algebra element: the nonzero
+        ones, as {(label, left, right): Poly}.
 
         The diagrams with halves (P, Q) span one copy of the group algebra
         of the (s1, s2) layer, so each such block is solved by that layer's
@@ -465,13 +442,14 @@ class CellularBasis:
             P, Q, f, sg1, sg2 = decompose(d)
             g = self.layers[(P.s1, P.s2)].from_glue(f, sg1, sg2)
             blocks.setdefault((P, Q), {})[g] = c
-        out = [Poly()] * len(self.records)
+        out = {}
         for (P, Q), terms in blocks.items():
             s1, s2 = P.s1, P.s2
             murphy = self.layers[(s1, s2)].murphy()
             for rec, c in zip(murphy.records, murphy.coords(GAElement(terms))):
-                label = CellLabel(s1, s2, rec.label)
-                out[self._positions[(label, (P, rec.s), (Q, rec.t))]] = c
+                if not c.is_zero():
+                    label = CellLabel(s1, s2, rec.label)
+                    out[(label, (P, rec.s), (Q, rec.t))] = c
         return out
 
     def label_lt(self, a, b):
@@ -488,7 +466,7 @@ class CellularBasis:
                 for glabel in layer.murphy().labels()]
 
     def left_data(self, label):
-        """Left halves of a label, in record order: tableau-major."""
+        """Left halves of a label, in cell order: tableau-major."""
         layer = self.layers.get((label.s1, label.s2))
         if layer is None:
             return []

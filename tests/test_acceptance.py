@@ -100,17 +100,25 @@ def test_criterion_5_tabular_axiom():
         5, "tabular product axiom, exhaustive k=1 and 200 samples k=2", ok)
 
 
+def _cells_are_a_basis(algebra, k):
+    cb = cellular_basis(algebra, k)
+    diagrams = basis(algebra, k)
+    support = set()
+    for cell in cb.cells():
+        support.update(cb.element(*cell).terms)
+    return len(cb.cells()) == len(diagrams) and support == set(diagrams)
+
+
 def _congruence_holds(algebra, k, pairs):
     cb = cellular_basis(algebra, k)
-    for d, rec in pairs:
-        coords = cb.coords(AlgebraElement.of(algebra, d) * rec.element)
-        for c, rec2 in zip(coords, cb.records):
-            if c.is_zero():
-                continue
-            if rec2.label == rec.label:
-                if rec2.right != rec.right:
+    for d, (label, left, right) in pairs:
+        coords = cb.coords(AlgebraElement.of(algebra, d)
+                           * cb.element(label, left, right))
+        for label2, _, right2 in coords:
+            if label2 == label:
+                if right2 != right:
                     return False
-            elif not cb.label_lt(rec2.label, rec.label):
+            elif not cb.label_lt(label2, label):
                 return False
     return True
 
@@ -119,15 +127,17 @@ def test_criterion_6_cellularity():
     ok = True
     rng = random.Random(0)
     for algebra in BOTH:
-        cb1 = cellular_basis(algebra, 1)   # constructor asserts a basis
+        cb1 = cellular_basis(algebra, 1)   # constructor checks the census
         ok = ok and _congruence_holds(
-            algebra, 1, [(d, rec) for d in basis(algebra, 1)
-                         for rec in cb1.records])
+            algebra, 1, [(d, cell) for d in basis(algebra, 1)
+                         for cell in cb1.cells()])
         cb2 = cellular_basis(algebra, 2)
-        diagrams = basis(algebra, 2)
-        sampled = [(rng.choice(diagrams), rng.choice(cb2.records))
+        diagrams, cells = basis(algebra, 2), cb2.cells()
+        sampled = [(rng.choice(diagrams), rng.choice(cells))
                    for _ in range(150)]
         ok = ok and _congruence_holds(algebra, 2, sampled)
+        ok = ok and _cells_are_a_basis(algebra, 1)
+        ok = ok and _cells_are_a_basis(algebra, 2)
     assert record_criterion(
         6, "cellular basis invertible; cell congruence holds", ok)
 

@@ -1,22 +1,38 @@
 """Command-line interface: verbs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import zrelalg
+from zrelalg import dalg, tabular
 from zrelalg.cli import build_parser, format_label, main, parse_label
-from zrelalg.dalg import AlgebraElement, basis, dim_formula
+from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
 from zrelalg.errors import UsageError
 from zrelalg.ring import poly_matrix_from_csv
-from zrelalg.repn import cell_module
+from zrelalg.repn import cell_module, gram, irreducible_table
 from zrelalg.tabular import CellLabel, cellular_basis
 from zrelalg.zpart import ZStablePartition
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_script(name, *argv):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(zrelalg.__file__).parent.parent))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *argv],
+                          capture_output=True, text=True, env=env)
 
 
 def test_dim_formula_and_enumerate(capsys):
@@ -96,6 +112,62 @@ def test_verify_sampled_k2(capsys):
     assert json.loads(out)["checked"] == 25
 
 
+def test_samples_must_be_positive(capsys):
+    for samples in ("-5", "0", "abc"):
+        code, out, err = run(capsys, "verify", "--algebra", "z2rel", "--k",
+                             "2", "--suite", "assoc", "--samples", samples)
+        assert code == 2 and out == "" and "--samples" in err
+    done = run_script("verification_sweep.py", "--samples", "-3")
+    assert done.returncode == 2 and "checked" not in done.stdout
+
+
+def _patch_everywhere(monkeypatch, fn, replacement):
+    """Replace fn in every zrelalg module that holds it by some name."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("zrelalg"):
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, replacement)
+
+
+def test_cellular_basis_builds_no_element(monkeypatch):
+    """The basis is a view over M and the layers: building it, a Gram
+    matrix and an at-a-point table reconstructs no diagram and enumerates
+    no basis."""
+    def boom(*args):
+        raise AssertionError("called")
+
+    _patch_everywhere(monkeypatch, tabular.reconstruct, boom)
+    _patch_everywhere(monkeypatch, dalg.basis, boom)
+    cellular_basis.cache_clear()
+    try:
+        cbs = {algebra: cellular_basis(algebra, 3) for algebra in ALGEBRAS}
+        label = cbs["signed"].labels()[5]
+        assert gram(label, "signed", 3).nrows == len(
+            cbs["signed"].left_data(label))
+        rows = irreducible_table("partition", 3, char=0,
+                                 x_value=Fraction(5))
+        assert sum(r["dim_W"] ** 2 for r in rows) == 203
+    finally:
+        cellular_basis.cache_clear()
+
+
+def test_verify_cellular_catches_a_non_bijection(monkeypatch, capsys):
+    """Two triples reconstructing to one diagram fail the cellular suite."""
+    reconstruct = tabular.reconstruct
+    first, second = basis("z2rel", 1)[:2]
+
+    def clash(*args):
+        d = reconstruct(*args)
+        return first if d == second else d
+
+    _patch_everywhere(monkeypatch, reconstruct, clash)
+    code, out, _ = run(capsys, "verify", "--algebra", "z2rel", "--k", "1",
+                       "--suite", "cellular")
+    assert code == 1
+    assert any("cellular basis" in f for f in json.loads(out)["failures"])
+
+
 def test_gram_csv(tmp_path, capsys):
     path = tmp_path / "gram.csv"
     code, out, _ = run(capsys, "gram", "--algebra", "z2rel", "--k", "1",
@@ -120,11 +192,13 @@ def test_irreducibles_table(capsys):
 
 
 @pytest.mark.slow
-def test_signed_k3_cells_and_point_table(capsys):
-    cb = cellular_basis("signed", 3)
-    dims = [cell_module(label, "signed", 3).dim for label in cb.labels()]
-    assert sum(d * d for d in dims) == dim_formula("signed", 3) == 5055
-    code, out, _ = run(capsys, "irreducibles", "--algebra", "signed",
+@pytest.mark.parametrize("algebra", ["signed", "z2rel"])
+def test_k3_cells_and_point_table(algebra, capsys):
+    cb = cellular_basis(algebra, 3)
+    dims = [cell_module(label, algebra, 3).dim for label in cb.labels()]
+    assert sum(d * d for d in dims) == dim_formula(algebra, 3) == {
+        "signed": 5055, "z2rel": 6841}[algebra]
+    code, out, _ = run(capsys, "irreducibles", "--algebra", algebra,
                        "--k", "3", "--char", "2147483647", "--x", "12345")
     assert code == 0
     rows = out.strip().splitlines()[1:]
@@ -151,7 +225,7 @@ def test_label_parsing_rejects_bad_input():
             parse_label(text, algebra)
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "dim", "--algebra", "bogus", "--k", "1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "mul", "--k", "1", "/no/such/file", "/none")[0] == 2
@@ -163,6 +237,32 @@ def test_usage_errors_exit_2(capsys):
                   ["--char", "3"]):
         assert run(capsys, "irreducibles", "--algebra", "z2rel", "--k", "1",
                    *extra)[0] == 2
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(AlgebraElement.identity("z2rel", 1).to_json()))
+    bad = []
+    for name, text in [("text.json", "not json"),
+                       ("keys.json", '{"algebra": "z2rel"}'),
+                       ("shape.json", "[]"),
+                       ("vertex.json",
+                        '{"k": 1, "rows": 2, "blocks": [[[1, "e"]]]}')]:
+        bad.append(tmp_path / name)
+        bad[-1].write_text(text)
+    for operand in bad + [tmp_path]:
+        for argv in (["mul", "--k", "1", str(operand), str(good)],
+                     ["decompose", "--k", "1", str(operand)]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and err.startswith("error:")
+    code, _, err = run(capsys, "basis", "--algebra", "z2rel", "--k", "1",
+                       "--out", str(tmp_path))
+    assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["--points", "foo"], ["--char", "4"],
+                                  ["--char", "3", "--points", "1/3"]])
+def test_irreducible_report_usage_errors(argv):
+    done = run_script("irreducible_report.py", "--k", "1", *argv)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "error:" in done.stderr
 
 
 def test_help_exits_cleanly(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zrelalg.ring import (ExactMatrix, ONE, Poly, PrimeField, QQ, Rationals,
-                          ScalarField, ZERO, evaluate, poly_matrix_from_csv)
+                          ScalarField, ZERO, poly_matrix_from_csv)
 
 fractions = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 polys = st.dictionaries(st.integers(0, 6), fractions, max_size=5).map(Poly)

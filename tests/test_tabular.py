@@ -3,12 +3,12 @@
 import pytest
 
 from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
-from zrelalg.errors import Incompatible
+from zrelalg.errors import Incompatible, UnknownLabel
 from zrelalg.groups import Perm
-from zrelalg.ring import ONE, Poly
+from zrelalg.ring import ONE
 from zrelalg.tabular import (CellLabel, HalfDiagram, cellular_basis,
                              decompose, enumerate_M, index_lt, index_pairs,
-                             layer_for, phi, phi_element, reconstruct,
+                             layer_for, phi, reconstruct,
                              variant_for, verify_table_datum)
 from zrelalg.zpart import (E, G, TOP, canonicalize, propagating_data)
 
@@ -104,13 +104,9 @@ def test_phi_none_when_marks_collide_or_miss():
 def test_phi_element_values():
     split, joined = _halves_k1()
     m = HalfDiagram(split, e_marks=[(1,)])
-    layer = layer_for("z2rel", 1, 0)
-    assert phi_element(m, m, layer).terms
+    assert phi(m, m) is not None
     h = HalfDiagram(split)
-    lay0 = layer_for("z2rel", 0, 0)
-    elt = phi_element(h, h, lay0)
-    (g, c), = elt.terms.items()
-    assert c == Poly.x(2)
+    assert phi(h, h)[0] == 2
 
     def zbase(*groups):
         blocks = [[(TOP, i, s) for i in grp for s in (E, G)]
@@ -119,7 +115,7 @@ def test_phi_element_values():
 
     a = HalfDiagram(zbase((1,), (2,), (3,)), z_marks=[(1,)])
     b = HalfDiagram(zbase((1,), (2,), (3,)), z_marks=[(2,)])
-    assert phi_element(a, b, layer_for("z2rel", 0, 1)).is_zero()
+    assert phi(a, b) is None
 
 
 def test_index_pairs_and_order():
@@ -160,13 +156,16 @@ def test_tabular_axiom_sampled_k2(algebra):
 @pytest.mark.parametrize("algebra", ALGEBRAS)
 @pytest.mark.parametrize("k", [1, 2])
 def test_cellular_basis_is_a_basis(algebra, k):
-    cb = cellular_basis(algebra, k)   # constructor checks the bijection
-    assert len(cb.records) == dim_formula(algebra, k)
-    # coordinates of a record are a unit vector
-    for i in range(0, len(cb.records), max(1, len(cb.records) // 10)):
-        coords = cb.coords(cb.records[i].element)
-        for j, c in enumerate(coords):
-            assert c == (ONE if i == j else Poly())
+    cb = cellular_basis(algebra, k)   # constructor checks the census
+    cells = cb.cells()
+    assert len(cells) == dim_formula(algebra, k)
+    support = set()
+    for cell in cells:
+        support.update(cb.element(*cell).terms)
+    assert support == set(basis(algebra, k))
+    # coordinates of a cellular element are a unit vector
+    for i in range(0, len(cells), max(1, len(cells) // 10)):
+        assert cb.coords(cb.element(*cells[i])) == {cells[i]: ONE}
 
 
 @pytest.mark.parametrize("algebra,k", [(a, k) for a in ALGEBRAS
@@ -176,9 +175,8 @@ def test_coords_reassemble_every_diagram(algebra, k):
     for d in basis(algebra, k):
         elem = AlgebraElement.of(algebra, d)
         total = AlgebraElement.zero(algebra, k)
-        for c, rec in zip(cb.coords(elem), cb.records):
-            if not c.is_zero():
-                total = total + rec.element.scale(c)
+        for cell, c in cb.coords(elem).items():
+            total = total + cb.element(*cell).scale(c)
         assert total == elem
 
 
@@ -187,15 +185,24 @@ def test_cell_congruence_exhaustive_k1():
         cb = cellular_basis(algebra, 1)
         for d in basis(algebra, 1):
             a = AlgebraElement.of(algebra, d)
-            for rec in cb.records:
-                coords = cb.coords(a * rec.element)
-                for c, rec2 in zip(coords, cb.records):
-                    if c.is_zero():
-                        continue
-                    if rec2.label == rec.label:
-                        assert rec2.right == rec.right
+            for label, left, right in cb.cells():
+                coords = cb.coords(a * cb.element(label, left, right))
+                for label2, _, right2 in coords:
+                    if label2 == label:
+                        assert right2 == right
                     else:
-                        assert cb.label_lt(rec2.label, rec.label)
+                        assert cb.label_lt(label2, label)
+
+
+def test_element_rejects_unknown_names():
+    cb = cellular_basis("z2rel", 1)
+    label, left, right = cb.cells()[0]
+    other_half = cb.M[(1, 0)][0]
+    for name in [(CellLabel(5, 0, ()), left, right),
+                 (label, left, (right[0], "no such tableau")),
+                 (label, (other_half, left[1]), right)]:
+        with pytest.raises(UnknownLabel):
+            cb.element(*name)
 
 
 def test_label_order_is_strict():
