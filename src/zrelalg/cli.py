@@ -16,7 +16,8 @@ from .dalg import (ALGEBRAS, AlgebraElement, basis as algebra_basis,
                    dim_formula)
 from .errors import UsageError, ZRelError
 from .groups import Perm
-from .repn import gram, gram_bruteforce, irreducible_table, label_sort_key
+from .repn import (cell_module, gram, gram_bruteforce_entry,
+                   irreducible_table)
 from .ring import Poly
 from .tabular import (CellLabel, cellular_basis, decompose, reconstruct,
                       verify_table_datum)
@@ -216,19 +217,22 @@ def _suite_gram_oracle(algebra, k, samples, seed):
     report = {"checked": 0, "failures": []}
     for label in cb.labels():
         g = gram(label, algebra, k)
-        gb = gram_bruteforce(label, algebra, k)
+        basis = cell_module(label, algebra, k).basis
         n = g.nrows
         if k <= 1 or n * n <= samples:
             cells = [(i, j) for i in range(n) for j in range(n)]
         else:
             cells = [(rng.randrange(n), rng.randrange(n))
                      for _ in range(samples)]
+        diagonal = {}
         for i, j in cells:
             report["checked"] += 1
-            if g[i, j] != gb[i, j]:
+            expected = gram_bruteforce_entry(cb, label, basis[i], basis[j],
+                                             diagonal)
+            if g[i, j] != expected:
                 report["failures"].append(
                     "gram mismatch at %r (%d,%d): %s vs %s"
-                    % (label, i, j, g[i, j], gb[i, j]))
+                    % (label, i, j, g[i, j], expected))
     return report
 
 

@@ -15,14 +15,12 @@ Each algebra is a free module on a set of two-row sign-stable diagrams:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import Incompatible, InvalidSize, NotADiagram
-from .groups import Perm, WreathElt
 from .ring import ONE, Poly
-from .zpart import (BOTTOM, E, G, TOP, ZStablePartition, canonicalize,
-                    compose, enumerate_rk, flip_sign, horizontal_counts,
-                    identity_diagram, propagating_data, _set_partitions)
+from .zpart import (ZStablePartition, canonicalize, compose, enumerate_rk,
+                    horizontal_counts, identity_diagram, propagating_data,
+                    _set_partitions)
 
 ALGEBRAS = ("z2rel", "signed", "partition")
 
@@ -234,35 +232,3 @@ def star_diagram(d):
     blocks = [[(1 - r, i, s) for r, i, s in b] for b in d.blocks]
     return canonicalize(blocks, d.k, 2)
 
-
-def top_cell_group(k):
-    """The fully-propagating diagrams, as a list sorted like the basis."""
-    return [d for d in enumerate_rk(k, 2) if propagating_data(d).s1 == k]
-
-
-def diagram_to_wreath(d):
-    """The decorated permutation (f, sigma) of a fully-propagating diagram.
-
-    sigma(i) = j when column i on top connects to column j below;
-    f(i) = 1 exactly when (i, e) is joined to (sigma(i)', g).
-    """
-    if d.rows != 2 or propagating_data(d).s1 != d.k:
-        raise NotADiagram("not a fully-propagating diagram: %r" % (d,))
-    images = [0] * d.k
-    signs = [0] * d.k
-    for i in range(1, d.k + 1):
-        blk = d.block_of((TOP, i, E))
-        (j, s), = {(v[1], v[2]) for v in blk if v[0] == BOTTOM}
-        images[i - 1] = j - 1
-        signs[i - 1] = s
-    return WreathElt(signs, Perm(images))
-
-
-def wreath_to_diagram(w, k):
-    """Inverse of diagram_to_wreath."""
-    blocks = []
-    for i in range(k):
-        b = [(TOP, i + 1, E), (BOTTOM, w.perm(i) + 1, w.signs[i])]
-        blocks.append(b)
-        blocks.append([flip_sign(v) for v in b])
-    return canonicalize(blocks, k, 2)

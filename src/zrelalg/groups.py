@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from .ring import Poly, ONE
-
 
 class Perm:
     """Permutation of {0..n-1}, stored as its image tuple."""
@@ -155,21 +153,17 @@ class ProdElt:
 
 
 class GAElement:
-    """Formal sum of group elements with Poly coefficients."""
+    """Formal sum of group elements; coefficients are kept as given (int,
+    Fraction or Poly), zeros dropped."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for g, c in terms.items():
-                c = c if isinstance(c, Poly) else Poly.const(c)
-                if not c.is_zero():
-                    self.terms[g] = c
+        self.terms = {g: c for g, c in terms.items() if c} if terms else {}
 
     @staticmethod
-    def of(g, coeff=None):
-        return GAElement({g: ONE if coeff is None else coeff})
+    def of(g, coeff=1):
+        return GAElement({g: coeff})
 
     @staticmethod
     def zero():
@@ -181,20 +175,19 @@ class GAElement:
     def __add__(self, other):
         terms = dict(self.terms)
         for g, c in other.terms.items():
-            nc = terms.get(g, Poly()) + c
-            if nc.is_zero():
-                terms.pop(g, None)
-            else:
+            nc = terms.get(g, 0) + c
+            if nc:
                 terms[g] = nc
+            else:
+                terms.pop(g, None)
         out = GAElement()
         out.terms = terms
         return out
 
     def __sub__(self, other):
-        return self + other.scale(Poly.const(-1))
+        return self + other.scale(-1)
 
     def scale(self, coeff):
-        coeff = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
         return GAElement({g: c * coeff for g, c in self.terms.items()})
 
     def __mul__(self, other):

@@ -92,7 +92,7 @@ class MurphyBasis:
         matrix = [[Fraction(0)] * n for _ in range(n)]
         for r, rec in enumerate(self.records):
             for g, c in rec.element.terms.items():
-                matrix[index[g]][r] = c.const_value()
+                matrix[index[g]][r] = c
         inv = ExactMatrix(matrix).inverse_rational().entries
         return {g: {i: inv[i][j] for i in range(n) if inv[i][j]}
                 for g, j in index.items()}
@@ -108,18 +108,22 @@ class MurphyBasis:
     def struct_const(self, label, s, t, delta):
         """phi_delta(s, t): coefficient of m_{s,t} in m_{s,s} delta m_{t,t}.
 
-        Exact expansion; reduction mod lower labels cannot change this
-        coordinate, so no explicit reduction is needed.
+        Summed over the terms a of m_{s,s} and b of m_{t,t}, reading the
+        one coordinate of each a delta b; reduction mod lower labels cannot
+        change it, so no explicit reduction is needed.
         """
         ms = self.records[self.position[(label, s, s)]].element
         mt = self.records[self.position[(label, t, t)]].element
         i = self.position[(label, s, t)]
-        acc = Poly()
-        for g, c in (ms * GAElement.of(delta) * mt).terms.items():
-            q = self._columns[g].get(i)
-            if q:
-                acc = acc + c * q
-        return acc
+        columns = self._columns
+        acc = 0
+        for a, ca in ms.terms.items():
+            ad = a * delta
+            for b, cb in mt.terms.items():
+                q = columns[ad * b].get(i)
+                if q:
+                    acc += ca * cb * q
+        return Poly({0: acc})
 
     def tableaux_for(self, label):
         return list(self._tableaux.get(label, ()))

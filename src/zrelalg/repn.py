@@ -83,17 +83,25 @@ def gram(label, algebra, k):
     return ExactMatrix(entries)
 
 
+def gram_bruteforce_entry(cb, label, S, T, diagonal):
+    """Oracle entry (S, T): the cellular coordinate of C'_{S,T} in
+    C'_{S,S} * C'_{T,T} (Gram congruence, no factorization).
+
+    ``diagonal`` maps a left datum U to C'_{U,U}; missing ones are built
+    and kept there, so each is built once per label."""
+    for U in (S, T):
+        if U not in diagonal:
+            diagonal[U] = cb.element(label, U, U)
+    return cb.coords(diagonal[S] * diagonal[T]).get((label, S, T), ZERO)
+
+
 def gram_bruteforce(label, algebra, k):
-    """Oracle: entry (S, T) = cellular coordinate of C'_{S,T} in
-    C'_{S,S} * C'_{T,T} (Gram congruence, no factorization)."""
+    """Oracle: the whole Gram matrix, entry by gram_bruteforce_entry."""
     cb = cellular_basis(algebra, k)
-    module = cell_module(label, algebra, k)
-    diagonal = [cb.element(label, S, S) for S in module.basis]
-    entries = []
-    for S, c_ss in zip(module.basis, diagonal):
-        entries.append([cb.coords(c_ss * c_tt).get((label, S, T), ZERO)
-                        for T, c_tt in zip(module.basis, diagonal)])
-    return ExactMatrix(entries)
+    basis = cell_module(label, algebra, k).basis
+    diagonal = {}
+    return ExactMatrix([[gram_bruteforce_entry(cb, label, S, T, diagonal)
+                         for T in basis] for S in basis])
 
 
 def radical_and_irreducible(label, algebra, k, scalar_field):

@@ -128,13 +128,6 @@ class Poly:
             raise ArithmeticError("inexact polynomial division")
         return q
 
-    def __call__(self, value):
-        """Evaluate at a rational (or field-element) point via Horner on sparse terms."""
-        total = value * 0
-        for d, v in self.coeffs.items():
-            total = total + v * value**d
-        return total
-
     def to_json(self):
         return {"coeffs": {str(d): str(v) for d, v in sorted(self.coeffs.items())}}
 
@@ -300,21 +293,17 @@ class ScalarField:
         return self.field.p
 
     def eval_poly(self, poly):
+        """The value at x_value, by Horner's rule."""
         f = self.field
         total = f.zero()
-        for d, v in poly.coeffs.items():
-            total = f.add(total, f.mul(f(v), pow_field(f, self.x_value, d)))
+        for d in range(poly.degree, -1, -1):
+            total = f.mul(total, self.x_value)
+            if d in poly.coeffs:
+                total = f.add(total, f(poly.coeffs[d]))
         return total
 
     def __repr__(self):
         return "%r[x=%s]" % (self.field, self.x_value)
-
-
-def pow_field(field, base, exponent):
-    out = field.one()
-    for _ in range(exponent):
-        out = field.mul(out, base)
-    return out
 
 
 class ExactMatrix:
@@ -404,102 +393,88 @@ class ExactMatrix:
                 det = m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
         return rank, det
 
-    def rank_det_field(self, field):
-        """Gaussian elimination over an explicit field; entries must be field scalars."""
+    def _echelon(self, field):
+        """Forward Gaussian elimination over a field; entries must be field
+        scalars.
+
+        Returns (rows, pivots, det): the nonzero rows of a row echelon form,
+        each scaled to a leading one at its pivot column, those columns in
+        order, and the determinant (None unless square).
+        """
+        zero = field.zero()
         m = [list(row) for row in self.entries]
         n, nc = self.nrows, self.ncols
-        rank = 0
+        pivots = []
         det = field.one()
-        row = 0
         for col in range(nc):
+            row = len(pivots)
             if row >= n:
                 break
-            pivot = None
-            for r in range(row, n):
-                if m[r][col] != field.zero():
-                    pivot = r
-                    break
+            pivot = next((r for r in range(row, n) if m[r][col] != zero), None)
             if pivot is None:
                 continue
             if pivot != row:
                 m[row], m[pivot] = m[pivot], m[row]
-                det = field.sub(field.zero(), det)
-            pv = m[row][col]
-            det = field.mul(det, pv)
-            pinv = field.inv(pv)
+                det = field.sub(zero, det)
+            det = field.mul(det, m[row][col])
+            pinv = field.inv(m[row][col])
+            prow = m[row]
+            prow[col:] = [field.mul(pinv, e) for e in prow[col:]]
             for r in range(row + 1, n):
-                if m[r][col] == field.zero():
+                factor = m[r][col]
+                if factor == zero:
                     continue
-                factor = field.mul(m[r][col], pinv)
-                for c in range(col, nc):
-                    m[r][c] = field.sub(m[r][c], field.mul(factor, m[row][c]))
-            rank += 1
-            row += 1
+                m[r][col:] = [field.sub(a, field.mul(factor, b))
+                              for a, b in zip(m[r][col:], prow[col:])]
+            pivots.append(col)
         if n != nc:
             det = None
-        elif rank < n:
-            det = field.zero()
-        return rank, det
+        elif len(pivots) < n:
+            det = zero
+        return m[:len(pivots)], pivots, det
+
+    def rank_det_field(self, field):
+        """Rank and determinant (None unless square) over an explicit field;
+        entries must be field scalars."""
+        _, pivots, det = self._echelon(field)
+        return len(pivots), det
 
     def nullspace_field(self, field):
-        """Basis of the right kernel over a field, as lists of field scalars."""
-        m = [list(row) for row in self.entries]
-        n, nc = self.nrows, self.ncols
-        pivots = []
-        row = 0
-        for col in range(nc):
-            if row >= n:
-                break
-            pivot = None
-            for r in range(row, n):
-                if m[r][col] != field.zero():
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            m[row], m[pivot] = m[pivot], m[row]
-            pinv = field.inv(m[row][col])
-            m[row] = [field.mul(pinv, e) for e in m[row]]
-            for r in range(n):
-                if r != row and m[r][col] != field.zero():
-                    factor = m[r][col]
-                    m[r] = [field.sub(a, field.mul(factor, b))
-                            for a, b in zip(m[r], m[row])]
-            pivots.append(col)
-            row += 1
-        free = [c for c in range(nc) if c not in pivots]
+        """Basis of the right kernel over a field, as lists of field scalars:
+        one vector per non-pivot column, 1 there and 0 at the others."""
+        rows, pivots, _ = self._echelon(field)
+        zero, nc = field.zero(), self.ncols
         basis = []
-        for fc in free:
-            vec = [field.zero()] * nc
+        for fc in sorted(set(range(nc)) - set(pivots)):
+            vec = [zero] * nc
             vec[fc] = field.one()
-            for prow, pcol in enumerate(pivots):
-                vec[pcol] = field.sub(field.zero(), m[prow][fc])
+            # back-substitution over the nonzero entries, all right of pc
+            support = [fc]
+            for row, pc in zip(reversed(rows), reversed(pivots)):
+                if pc < fc:
+                    acc = zero
+                    for c in support:
+                        acc = field.add(acc, field.mul(row[c], vec[c]))
+                    if acc != zero:
+                        vec[pc] = field.sub(zero, acc)
+                        support.append(pc)
             basis.append(vec)
         return basis
 
     def inverse_rational(self):
-        """Inverse of a square matrix with Fraction entries."""
+        """Inverse of a square matrix with Fraction entries: the kernel of
+        [A | -I] over Q has the basis (x_j, e_j) exactly when A is
+        invertible, and then x_j is the j-th column of the inverse."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("not square")
-        m = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if m[r][col]:
-                    pivot = r
-                    break
-            if pivot is None:
-                raise ArithmeticError("singular matrix")
-            m[col], m[pivot] = m[pivot], m[col]
-            pv = m[col][col]
-            m[col] = [e / pv for e in m[col]]
-            for r in range(n):
-                if r != col and m[r][col]:
-                    factor = m[r][col]
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-        return ExactMatrix([row[n:] for row in m])
+        kernel = ExactMatrix(
+            [[Fraction(e) for e in row] + [Fraction(-int(i == j)) for j in range(n)]
+             for i, row in enumerate(self.entries)]).nullspace_field(QQ)
+        if any(v[n:] != [int(i == j) for i in range(n)]
+               for j, v in enumerate(kernel)):
+            raise ArithmeticError("singular matrix")
+        return ExactMatrix([[v[i] for v in kernel] for i in range(n)])
 
     def to_csv(self):
         lines = []

@@ -9,16 +9,16 @@ from math import factorial
 
 from conftest import record_criterion
 
-from zrelalg.dalg import (AlgebraElement, basis, diagram_to_wreath,
-                          dim_formula, top_cell_group, wreath_to_diagram)
+from zrelalg.dalg import AlgebraElement, basis, dim_formula
 from zrelalg.groups import GAElement, Perm, ProdElt, WreathElt
 from zrelalg.murphy import sym_murphy, wreath_murphy
 from zrelalg.repn import (action_matrix, cell_module, gram, gram_bruteforce,
                           gram_rank_symbolic, radical_and_irreducible)
 from zrelalg.ring import Poly, Rationals, ScalarField
-from zrelalg.tabular import (CellLabel, cellular_basis, enumerate_M,
-                             layer_for, variant_for, verify_table_datum)
-from zrelalg.zpart import compose
+from zrelalg.tabular import (CellLabel, cellular_basis, decompose,
+                             enumerate_M, layer_for, reconstruct,
+                             variant_for, verify_table_datum)
+from zrelalg.zpart import compose, propagating_data
 
 BOTH = ("z2rel", "signed")
 
@@ -32,19 +32,25 @@ def test_criterion_1_dimensions():
         1, "dimensions 7/164 and 3/85/5055 by formula and enumeration", ok)
 
 
+def _fully_propagating(k):
+    return [d for d in basis("z2rel", k) if propagating_data(d).s1 == k]
+
+
 def test_criterion_2_top_cell_group():
-    ok = all(len(top_cell_group(k)) == 2 ** k * factorial(k)
+    ok = all(len(_fully_propagating(k)) == 2 ** k * factorial(k)
              for k in (1, 2, 3))
     iso = True
-    tc = top_cell_group(2)
+    tc = _fully_propagating(2)
+    layer = layer_for("z2rel", 2, 0)
+    to_group = {d: layer.from_glue(*decompose(d)[2:]) for d in tc}
     for d1 in tc:
         for d2 in tc:
             d, loops = compose(d1, d2)
             iso = iso and loops == 0 and \
-                diagram_to_wreath(d) == diagram_to_wreath(d1) * \
-                diagram_to_wreath(d2)
+                to_group[d] == to_group[d1] * to_group[d2]
+    (P, Q), = {decompose(d)[:2] for d in tc}
     for d in tc:
-        iso = iso and wreath_to_diagram(diagram_to_wreath(d), 2) == d
+        iso = iso and reconstruct(P, Q, *layer.to_glue(to_group[d])) == d
     assert record_criterion(
         2, "top cell has order 2^k k!; product isomorphism on all 64 pairs",
         ok and iso)

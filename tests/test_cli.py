@@ -205,6 +205,16 @@ def test_k3_cells_and_point_table(algebra, capsys):
     assert sorted(int(r.split()[1]) for r in rows) == sorted(dims)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("algebra, checked",
+                         [("signed", 308), ("z2rel", 406), ("partition", 86)])
+def test_k3_gram_oracle_sampled(algebra, checked, capsys):
+    code, out, _ = run(capsys, "verify", "--algebra", algebra, "--k", "3",
+                       "--suite", "gram-oracle", "--samples", "20")
+    assert code == 0
+    assert json.loads(out)["checked"] == checked
+
+
 def test_label_parsing_roundtrip():
     for algebra, text in [("z2rel", "0,0,0,-,-,-"),
                           ("z2rel", "3,1,1,1,-,1"),

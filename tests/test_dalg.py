@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zrelalg.dalg import (ALGEBRAS, AlgebraElement, basis, diagram_to_wreath,
-                          dim_formula, in_basis, star_diagram, top_cell_group,
-                          wreath_to_diagram)
+from zrelalg.dalg import (ALGEBRAS, AlgebraElement, basis, dim_formula,
+                          in_basis, star_diagram)
 from zrelalg.errors import Incompatible, InvalidSize
-from zrelalg.groups import WreathElt
+from zrelalg.groups import ProdElt
 from zrelalg.ring import Poly
+from zrelalg.tabular import decompose, layer_for, reconstruct
 from zrelalg.zpart import (compose, enumerate_rk, horizontal_counts,
                            identity_diagram, propagating_data)
 
@@ -119,26 +119,33 @@ def test_partition_parameter_is_x_squared():
     assert compose(e, e) == (e, 2)
 
 
+def _top_cell(k):
+    """The fully-propagating diagrams, their one pair of halves, and the
+    top layer's bijection d -> group element read from decompose."""
+    layer = layer_for("z2rel", k, 0)
+    tc = [d for d in basis("z2rel", k) if propagating_data(d).s1 == k]
+    (halves,) = {decompose(d)[:2] for d in tc}
+    return layer, halves, {d: layer.from_glue(*decompose(d)[2:]) for d in tc}
+
+
 def test_top_cell_group_bijection():
     for k in (1, 2):
-        tc = top_cell_group(k)
-        assert len(tc) == 2 ** k * [1, 1, 2][k]
+        layer, (P, Q), to_group = _top_cell(k)
+        assert len(to_group) == 2 ** k * [1, 1, 2][k]
         seen = set()
-        for d in tc:
-            w = diagram_to_wreath(d)
-            assert wreath_to_diagram(w, k) == d
+        for d, w in to_group.items():
+            assert reconstruct(P, Q, *layer.to_glue(w)) == d
             seen.add(w)
-        assert seen == set(WreathElt.all(k))
+        assert seen == set(ProdElt.all(k, 0))
 
 
 def test_top_cell_bijection_is_multiplicative():
-    tc = top_cell_group(2)
-    for d1 in tc:
-        for d2 in tc:
+    _, _, to_group = _top_cell(2)
+    for d1 in to_group:
+        for d2 in to_group:
             d, loops = compose(d1, d2)
             assert loops == 0
-            assert diagram_to_wreath(d) == \
-                diagram_to_wreath(d1) * diagram_to_wreath(d2)
+            assert to_group[d] == to_group[d1] * to_group[d2]
 
 
 def test_constructor_validation():

@@ -173,6 +173,24 @@ def test_partition_degenerates_only_at_small_delta(k):
     assert rest.is_const()
 
 
+@pytest.mark.parametrize("algebra, k",
+                         [(a, k) for a in ALGEBRAS for k in (1, 2)]
+                         + [("partition", 3)])
+def test_field_det_is_bareiss_det_at_points(algebra, k):
+    """The Gram determinant from elimination at a point (x = 0, 1, 2 over
+    Q, x = 12345 mod 2^31 - 1) is the Bareiss determinant evaluated there,
+    and the rank is full exactly when it is nonzero."""
+    points = ([ScalarField.rationals(x) for x in (0, 1, 2)]
+              + [ScalarField.prime(2 ** 31 - 1, 12345)])
+    for label in cellular_basis(algebra, k).labels():
+        g = gram(label, algebra, k)
+        _, det = g.rank_det_symbolic()
+        for sf in points:
+            rank, value = g.evaluate(sf).rank_det_field(sf.field)
+            assert value == sf.eval_poly(det)
+            assert (rank == g.nrows) == (value != 0)
+
+
 def test_irreducible_table_modular():
     rows = irreducible_table("z2rel", 1, char=3, x_value=Fraction(1))
     assert sum(1 for r in rows if r["dim_D"] < r["dim_W"]) >= 1

@@ -80,13 +80,21 @@ def test_symbolic_vs_field_rank(rows):
     assert det_s.const_value() == det_f
 
 
-@given(st.lists(st.lists(fractions, min_size=3, max_size=3),
-                min_size=3, max_size=3))
+def matrices(entries, shapes):
+    return st.sampled_from(shapes).flatmap(lambda shape: st.lists(
+        st.lists(entries, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]))
+
+
+@given(matrices(fractions, [(3, 3), (3, 5), (5, 3)]))
 def test_nullspace_annihilates(rows):
     m = ExactMatrix(rows)
-    for vec in m.nullspace_field(QQ):
+    kernel = m.nullspace_field(QQ)
+    for vec in kernel:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
+    rank, _ = m.rank_det_field(QQ)
+    assert rank + len(kernel) == m.ncols
 
 
 def test_inverse_rational():
@@ -95,6 +103,47 @@ def test_inverse_rational():
     prod = [[sum(m.entries[i][l] * inv.entries[l][j] for l in range(2))
              for j in range(2)] for i in range(2)]
     assert prod == [[1, 0], [0, 1]]
+    with pytest.raises(ArithmeticError):
+        ExactMatrix([[Fraction(1), Fraction(2)],
+                     [Fraction(2), Fraction(4)]]).inverse_rational()
+    with pytest.raises(ValueError):
+        ExactMatrix([[Fraction(1), Fraction(2)]]).inverse_rational()
+
+
+# Small entries, zero half the time, so that singular and rank-deficient
+# matrices are common.
+sparse_fractions = st.sampled_from(
+    [0, 0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]).map(Fraction)
+
+
+@settings(deadline=None)
+@given(matrices(sparse_fractions,
+                [(r, c) for r in range(1, 5) for c in range(1, 5)]))
+def test_field_elimination_against_sympy(rows):
+    """rank, det, kernel and inverse over Q against sympy, which shares
+    no code with the elimination here."""
+    sympy = pytest.importorskip("sympy")
+
+    def frac(x):
+        return Fraction(int(x.p), int(x.q))
+
+    m = ExactMatrix(rows)
+    ref = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator)
+                         for e in row] for row in rows])
+    rank, det = m.rank_det_field(QQ)
+    assert rank == ref.rank()
+    assert m.nullspace_field(QQ) == [[frac(x) for x in v]
+                                     for v in ref.nullspace()]
+    if m.nrows != m.ncols:
+        assert det is None
+        return
+    assert det == frac(ref.det())
+    if det:
+        assert m.inverse_rational().entries == [
+            [frac(x) for x in ref.inv().row(i)] for i in range(m.nrows)]
+    else:
+        with pytest.raises(ArithmeticError):
+            m.inverse_rational()
 
 
 def test_csv_roundtrip():

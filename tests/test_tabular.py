@@ -1,6 +1,9 @@
 """Half-diagram factorization, phi-map, tabular axiom, cellular basis."""
 
+from functools import cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
 from zrelalg.errors import Incompatible, UnknownLabel
@@ -35,6 +38,19 @@ def test_decompose_reconstruct_roundtrip(algebra, k):
         pd = propagating_data(d)
         assert (top.s1, top.s2) == (bot.s1, bot.s2) == (pd.s1, pd.s2)
         assert reconstruct(top, bot, f, s1, s2) == d
+
+
+@cache
+def _basis_k3(algebra):
+    return basis(algebra, 3)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_decompose_reconstruct_roundtrip_k3(algebra, data):
+    d = data.draw(st.sampled_from(_basis_k3(algebra)))
+    assert reconstruct(*decompose(d)) == d
 
 
 def test_decompose_is_injective():
