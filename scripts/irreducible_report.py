@@ -55,7 +55,8 @@ def main():
     parser.add_argument("--char", type=int, default=0,
                         help="0 or an odd prime")
     parser.add_argument("--points", type=_points, default="0,1",
-                        help="comma-separated rational evaluation points")
+                        help="comma-separated rational evaluation points; "
+                             "write negative ones as --points=-1/2,0")
     args = parser.parse_args()
     try:
         run(Config(k=args.k, points=args.points, char=args.char))

@@ -1,0 +1,103 @@
+"""Print one CRC-32 line per output family, so that a refactor can be
+checked to leave every output unchanged with ``diff``.
+
+Families (public API only):
+
+* ``gram-csv``: the CSV of every Gram matrix of the three algebras, k <= 3;
+* ``irreducibles``: stdout and exit code of ``zrelalg irreducibles``,
+  symbolic and at ``--x=0|1|2|-1/2`` over Q and ``--char 7 --x 3`` for
+  k <= 2, and ``--k 3 --char 2147483647 --x 12345`` for signed and z2rel;
+* ``rank-det-field`` and ``nullspace-field``: ``rank_det_field`` and
+  ``nullspace_field`` of every Gram matrix at those points, with scalars
+  printed as ``str(Fraction(v))``;
+* ``murphy-coords``: ``MurphyBasis.coords(GAElement.of(g))`` for every
+  group element g of every Murphy layer the three algebras use at k <= 3.
+
+Usage: ``PYTHONPATH=src python scripts/output_digest.py``, once on each
+tree, then ``diff`` the two outputs.
+"""
+
+import contextlib
+import io
+import zlib
+from fractions import Fraction
+
+from zrelalg import cli
+from zrelalg.dalg import ALGEBRAS
+from zrelalg.groups import GAElement
+from zrelalg.repn import gram
+from zrelalg.ring import ScalarField
+from zrelalg.tabular import cellular_basis
+
+BIG_PRIME = 2147483647
+Q_POINTS = ("0", "1", "2", "-1/2")
+
+
+def _points(algebra, k):
+    """(CLI arguments, ScalarField) for every point checked at this size."""
+    if k <= 2:
+        out = [(["--x=%s" % x], ScalarField.rationals(Fraction(x)))
+               for x in Q_POINTS]
+        out.append((["--char", "7", "--x", "3"], ScalarField.prime(7, 3)))
+        return out
+    if algebra != "partition":
+        return [(["--char", str(BIG_PRIME), "--x", "12345"],
+                 ScalarField.prime(BIG_PRIME, 12345))]
+    return []
+
+
+def _scalar(v):
+    return str(Fraction(v))
+
+
+def _irreducibles(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["irreducibles"] + argv)
+    return "%s\nexit %d\n%s" % (" ".join(argv), code, buf.getvalue())
+
+
+def families():
+    out = {name: [] for name in ("gram-csv", "irreducibles", "rank-det-field",
+                                 "nullspace-field", "murphy-coords")}
+    layers = {}
+    for algebra in ALGEBRAS:
+        for k in (1, 2, 3):
+            cb = cellular_basis(algebra, k)
+            layers.update((layer, None) for layer in cb.layers.values())
+            points = _points(algebra, k)
+            common = ["--algebra", algebra, "--k", str(k)]
+            if k <= 2:
+                out["irreducibles"].append(_irreducibles(common))
+            for argv, _ in points:
+                out["irreducibles"].append(_irreducibles(common + argv))
+            for label in cb.labels():
+                g = gram(label, algebra, k)
+                head = "%s %d %r" % (algebra, k, label)
+                out["gram-csv"].append(head + "\n" + g.to_csv())
+                for _, sf in points:
+                    m = g.evaluate(sf)
+                    rank, det = m.rank_det_field(sf.field)
+                    out["rank-det-field"].append(
+                        "%s %r %d %s" % (head, sf, rank, _scalar(det)))
+                    kernel = m.nullspace_field(sf.field)
+                    out["nullspace-field"].append(
+                        "%s %r %s" % (head, sf, [[_scalar(v) for v in vec]
+                                                 for vec in kernel]))
+    for layer in layers:
+        mb = layer.murphy()
+        for g in mb.elements:
+            out["murphy-coords"].append(
+                "%r %r %s" % (layer, g, [str(c) for c in
+                                         mb.coords(GAElement.of(g))]))
+    return out
+
+
+def main():
+    for name, texts in families().items():
+        crc = zlib.crc32("\n".join(texts).encode())
+        print("%-16s %08x %d" % (name, crc, len(texts)))
+
+
+if __name__ == "__main__":
+    main()

@@ -341,7 +341,8 @@ def build_parser():
                    help="field characteristic: 0 or an odd prime")
     p.add_argument("--x", type=_rational,
                    help="evaluation point for x (rational); required "
-                        "when --char is not 0")
+                        "when --char is not 0; write a negative one as "
+                        "--x=-1/2")
     p.set_defaults(func=cmd_irreducibles)
 
     return parser

@@ -15,6 +15,7 @@ Each algebra is a free module on a set of two-row sign-stable diagrams:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import Incompatible, InvalidSize, NotADiagram
 from .ring import ONE, Poly
@@ -50,8 +51,12 @@ def in_basis(algebra, d):
             and pd.s1 + pd.s2 + he_b + hz_b <= d.k - 1)
 
 
+@cache
 def basis(algebra, k):
-    """The diagram basis, in the canonical deterministic order."""
+    """The diagram basis, in the canonical deterministic order.
+
+    Enumerated once per (algebra, k): every call returns the same list,
+    which callers must not mutate."""
     _check_algebra(algebra)
     return [d for d in enumerate_rk(k, 2) if in_basis(algebra, d)]
 

@@ -80,6 +80,7 @@ class MurphyBasis:
                              % (len(records), len(self.elements)))
         self.position = {}
         self._tableaux = {}             # label -> {s: None}, in record order
+        self._struct_consts = {}        # (label, s, t, delta) -> Poly
         for i, rec in enumerate(records):
             self.position[(rec.label, rec.s, rec.t)] = i
             self._tableaux.setdefault(rec.label, {})[rec.s] = None
@@ -89,7 +90,7 @@ class MurphyBasis:
         """g -> {record index: coefficient of g in the dual basis}."""
         n = len(self.records)
         index = {g: j for j, g in enumerate(self.elements)}
-        matrix = [[Fraction(0)] * n for _ in range(n)]
+        matrix = [[0] * n for _ in range(n)]
         for r, rec in enumerate(self.records):
             for g, c in rec.element.terms.items():
                 matrix[index[g]][r] = c
@@ -110,20 +111,24 @@ class MurphyBasis:
 
         Summed over the terms a of m_{s,s} and b of m_{t,t}, reading the
         one coordinate of each a delta b; reduction mod lower labels cannot
-        change it, so no explicit reduction is needed.
+        change it, so no explicit reduction is needed.  Memoized: a Gram
+        matrix asks for the same (label, s, t, delta) many times.
         """
-        ms = self.records[self.position[(label, s, s)]].element
-        mt = self.records[self.position[(label, t, t)]].element
-        i = self.position[(label, s, t)]
-        columns = self._columns
-        acc = 0
-        for a, ca in ms.terms.items():
-            ad = a * delta
-            for b, cb in mt.terms.items():
-                q = columns[ad * b].get(i)
-                if q:
-                    acc += ca * cb * q
-        return Poly({0: acc})
+        key = (label, s, t, delta)
+        if key not in self._struct_consts:
+            ms = self.records[self.position[(label, s, s)]].element
+            mt = self.records[self.position[(label, t, t)]].element
+            i = self.position[(label, s, t)]
+            columns = self._columns
+            acc = 0
+            for a, ca in ms.terms.items():
+                ad = a * delta
+                for b, cb in mt.terms.items():
+                    q = columns[ad * b].get(i)
+                    if q:
+                        acc += ca * cb * q
+            self._struct_consts[key] = Poly({0: acc})
+        return self._struct_consts[key]
 
     def tableaux_for(self, label):
         return list(self._tableaux.get(label, ()))

@@ -16,7 +16,6 @@ from .errors import (Incompatible, InvalidPoint, UnknownLabel,
                      UnsupportedCharacteristic)
 from .ring import (ExactMatrix, Poly, PrimeField, Rationals, ScalarField,
                    ZERO)
-from .tableaux import bishape_sort_key, shape_sort_key
 from .tabular import cellular_basis, phi
 
 
@@ -140,15 +139,6 @@ def label_p_restricted(label, p):
             and is_p_restricted(mu, p))
 
 
-def label_sort_key(label):
-    glabel = label.glabel
-    if _is_plain_shape(glabel):
-        gkey = shape_sort_key(glabel)
-    else:
-        gkey = bishape_sort_key(glabel[0]) + shape_sort_key(glabel[1])
-    return (label.r, label.s1 + label.s2, label.s1, gkey)
-
-
 def _scalar_field(char, x_value):
     """The field of characteristic char with x evaluated at x_value."""
     if x_value is None:
@@ -178,7 +168,7 @@ def irreducible_table(algebra, k, char=0, x_value=None):
     sf = None if symbolic else _scalar_field(char, x_value)
     cb = cellular_basis(algebra, k)
     rows = []
-    for label in sorted(cb.labels(), key=label_sort_key):
+    for label in cb.labels():
         g = gram(label, algebra, k)
         nonzero = any(not e.is_zero() for row in g.entries for e in row)
         entry = {"label": label, "dim_W": g.nrows, "nonzero": nonzero}

@@ -1,7 +1,9 @@
 """Exact coefficient arithmetic: rational polynomials in x, scalar fields, exact matrices.
 
-Everything here is pure value arithmetic over ``fractions.Fraction`` -- no
-floating point anywhere.  Polynomials are sparse maps degree -> coefficient.
+Exact scalars are plain ``int`` and ``fractions.Fraction`` values, kept as
+given -- no floating point anywhere.  Polynomials are sparse maps degree ->
+coefficient.  A field is a ``reduce`` (the identity on Q, ``% p`` on F_p)
+and an ``inv``; its elements use Python's own operators.
 Symbolic rank/determinant use fraction-free (Bareiss) elimination so entries
 stay polynomial throughout.
 """
@@ -13,22 +15,17 @@ from fractions import Fraction
 
 
 class Poly:
-    """Univariate polynomial over Q in the parameter x, normalized (no zero coeffs)."""
+    """Univariate polynomial over Q in the parameter x: coefficients (int or
+    Fraction) are kept as given, zeros dropped."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for deg, val in coeffs.items():
-                val = Fraction(val)
-                if val:
-                    c[int(deg)] = val
-        self.coeffs = c
+        self.coeffs = {d: v for d, v in coeffs.items() if v} if coeffs else {}
 
     @staticmethod
     def const(value):
-        return Poly({0: Fraction(value)})
+        return Poly({0: value})
 
     @staticmethod
     def x(power=1):
@@ -48,7 +45,7 @@ class Poly:
     def const_value(self):
         if not self.is_const():
             raise ValueError("not a constant polynomial")
-        return self.coeffs.get(0, Fraction(0))
+        return self.coeffs.get(0, 0)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -68,7 +65,7 @@ class Poly:
             other = Poly.const(other)
         c = dict(self.coeffs)
         for d, v in other.coeffs.items():
-            c[d] = c.get(d, Fraction(0)) + v
+            c[d] = c.get(d, 0) + v
         return Poly(c)
 
     __radd__ = __add__
@@ -93,7 +90,7 @@ class Poly:
         for d1, v1 in self.coeffs.items():
             for d2, v2 in other.coeffs.items():
                 d = d1 + d2
-                c[d] = c.get(d, Fraction(0)) + v1 * v2
+                c[d] = c.get(d, 0) + v1 * v2
         return Poly(c)
 
     __rmul__ = __mul__
@@ -110,11 +107,11 @@ class Poly:
             drem = max(rem)
             if drem < dother:
                 break
-            factor = rem[drem] / lead
+            factor = Fraction(rem[drem]) / lead
             quo[drem - dother] = factor
             for d, v in other.coeffs.items():
                 dd = d + drem - dother
-                nv = rem.get(dd, Fraction(0)) - factor * v
+                nv = rem.get(dd, 0) - factor * v
                 if nv:
                     rem[dd] = nv
                 elif dd in rem:
@@ -178,7 +175,7 @@ class Poly:
                 deg = int(pow_part[1:]) if pow_part.startswith("^") else 1
             else:
                 coef, deg = term, 0
-            coeffs[deg] = coeffs.get(deg, Fraction(0)) + Fraction(coef)
+            coeffs[deg] = coeffs.get(deg, 0) + Fraction(coef)
         return Poly(coeffs)
 
 
@@ -194,25 +191,11 @@ class Rationals:
     def __call__(self, value):
         return Fraction(value)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
+    def reduce(self, a):
+        return a
 
     def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError
-        return 1 / Fraction(a)
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
+        return Fraction(1, a)
 
     def __repr__(self):
         return "QQ"
@@ -240,25 +223,13 @@ class PrimeField:
             raise ZeroDivisionError("denominator divisible by %d" % self.p)
         return num * pow(den, -1, self.p) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
+    def reduce(self, a):
+        return a % self.p
 
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError
         return pow(a, -1, self.p)
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def __repr__(self):
         return "GF(%d)" % self.p
@@ -282,7 +253,7 @@ class ScalarField:
 
     @staticmethod
     def rationals(x_value):
-        return ScalarField(QQ, Fraction(x_value))
+        return ScalarField(QQ, x_value)
 
     @staticmethod
     def prime(p, x_value):
@@ -295,12 +266,12 @@ class ScalarField:
     def eval_poly(self, poly):
         """The value at x_value, by Horner's rule."""
         f = self.field
-        total = f.zero()
+        total = 0
         for d in range(poly.degree, -1, -1):
-            total = f.mul(total, self.x_value)
+            total *= self.x_value
             if d in poly.coeffs:
-                total = f.add(total, f(poly.coeffs[d]))
-        return total
+                total += f(poly.coeffs[d])
+        return f.reduce(total)
 
     def __repr__(self):
         return "%r[x=%s]" % (self.field, self.x_value)
@@ -395,42 +366,42 @@ class ExactMatrix:
 
     def _echelon(self, field):
         """Forward Gaussian elimination over a field; entries must be field
-        scalars.
+        scalars, reduced (so that a zero is falsy).
 
         Returns (rows, pivots, det): the nonzero rows of a row echelon form,
         each scaled to a leading one at its pivot column, those columns in
         order, and the determinant (None unless square).
         """
-        zero = field.zero()
+        reduce = field.reduce
         m = [list(row) for row in self.entries]
         n, nc = self.nrows, self.ncols
         pivots = []
-        det = field.one()
+        det = 1
         for col in range(nc):
             row = len(pivots)
             if row >= n:
                 break
-            pivot = next((r for r in range(row, n) if m[r][col] != zero), None)
+            pivot = next((r for r in range(row, n) if m[r][col]), None)
             if pivot is None:
                 continue
             if pivot != row:
                 m[row], m[pivot] = m[pivot], m[row]
-                det = field.sub(zero, det)
-            det = field.mul(det, m[row][col])
+                det = -det
+            det = reduce(det * m[row][col])
             pinv = field.inv(m[row][col])
             prow = m[row]
-            prow[col:] = [field.mul(pinv, e) for e in prow[col:]]
+            prow[col:] = [reduce(pinv * e) for e in prow[col:]]
             for r in range(row + 1, n):
                 factor = m[r][col]
-                if factor == zero:
+                if not factor:
                     continue
-                m[r][col:] = [field.sub(a, field.mul(factor, b))
+                m[r][col:] = [reduce(a - factor * b)
                               for a, b in zip(m[r][col:], prow[col:])]
             pivots.append(col)
         if n != nc:
             det = None
         elif len(pivots) < n:
-            det = zero
+            det = 0
         return m[:len(pivots)], pivots, det
 
     def rank_det_field(self, field):
@@ -443,33 +414,31 @@ class ExactMatrix:
         """Basis of the right kernel over a field, as lists of field scalars:
         one vector per non-pivot column, 1 there and 0 at the others."""
         rows, pivots, _ = self._echelon(field)
-        zero, nc = field.zero(), self.ncols
+        nc = self.ncols
         basis = []
         for fc in sorted(set(range(nc)) - set(pivots)):
-            vec = [zero] * nc
-            vec[fc] = field.one()
+            vec = [0] * nc
+            vec[fc] = 1
             # back-substitution over the nonzero entries, all right of pc
             support = [fc]
             for row, pc in zip(reversed(rows), reversed(pivots)):
                 if pc < fc:
-                    acc = zero
-                    for c in support:
-                        acc = field.add(acc, field.mul(row[c], vec[c]))
-                    if acc != zero:
-                        vec[pc] = field.sub(zero, acc)
+                    acc = field.reduce(-sum(row[c] * vec[c] for c in support))
+                    if acc:
+                        vec[pc] = acc
                         support.append(pc)
             basis.append(vec)
         return basis
 
     def inverse_rational(self):
-        """Inverse of a square matrix with Fraction entries: the kernel of
+        """Inverse of a square matrix with rational entries: the kernel of
         [A | -I] over Q has the basis (x_j, e_j) exactly when A is
         invertible, and then x_j is the j-th column of the inverse."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("not square")
         kernel = ExactMatrix(
-            [[Fraction(e) for e in row] + [Fraction(-int(i == j)) for j in range(n)]
+            [row + [-int(i == j) for j in range(n)]
              for i, row in enumerate(self.entries)]).nullspace_field(QQ)
         if any(v[n:] != [int(i == j) for i in range(n)]
                for j, v in enumerate(kernel)):

@@ -275,6 +275,17 @@ def test_irreducible_report_usage_errors(argv):
     assert "Traceback" not in done.stderr and "error:" in done.stderr
 
 
+def test_negative_point_in_equals_form(capsys):
+    # argparse reads a separate "-1/2" as an option, hence the = form
+    argv = ["irreducibles", "--algebra", "z2rel", "--k", "1"]
+    assert run(capsys, *argv, "--x", "-1/2")[0] == 2
+    code, out, _ = run(capsys, *argv, "--x=-1/2")
+    assert code == 0 and len(out.strip().splitlines()) == 5
+    done = run_script("irreducible_report.py", "--k", "1",
+                      "--points=-1/2,0")
+    assert done.returncode == 0 and "x=-1/2" in done.stdout
+
+
 def test_help_exits_cleanly(capsys):
     assert run(capsys, "--help")[0] == 0
 

@@ -10,9 +10,10 @@ from zrelalg.errors import (Incompatible, InvalidPoint, UnknownLabel,
 from zrelalg.repn import (action_matrix, cell_module, gram, gram_bruteforce,
                           gram_rank_symbolic, irreducible_table,
                           is_p_restricted, label_p_restricted,
-                          label_sort_key, radical_and_irreducible)
+                          radical_and_irreducible)
 from zrelalg.ring import ExactMatrix, Poly, PrimeField, Rationals, ScalarField
 from zrelalg.tabular import CellLabel, cellular_basis
+from zrelalg.zpart import compose
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
@@ -195,9 +196,8 @@ def test_irreducible_table_modular():
     rows = irreducible_table("z2rel", 1, char=3, x_value=Fraction(1))
     assert sum(1 for r in rows if r["dim_D"] < r["dim_W"]) >= 1
     assert all("p_restricted" in r for r in rows)
-    # sort order is deterministic
-    keys = [label_sort_key(r["label"]) for r in rows]
-    assert keys == sorted(keys)
+    # rows follow the cellular basis's label order
+    assert [r["label"] for r in rows] == cellular_basis("z2rel", 1).labels()
     with pytest.raises(InvalidPoint):
         irreducible_table("z2rel", 1, char=3)
     with pytest.raises(InvalidPoint):
@@ -212,3 +212,45 @@ def test_gram_bruteforce_matches_factorized_sampled_k2():
         g = gram(label, "signed", 2)
         gb = gram_bruteforce(label, "signed", 2)
         assert g.entries == gb.entries
+
+
+# Sum of dim D(mu)^2 at x = -2, ..., 3 (partition k = 3: at x = 1, 2).
+TRACE_FORM_RANKS = {
+    ("z2rel", 1): (7, 7, 3, 4, 7, 7),
+    ("z2rel", 2): (164, 131, 47, 89, 122, 164),
+    ("signed", 1): (3, 3, 2, 3, 3, 3),
+    ("signed", 2): (78, 85, 37, 50, 78, 85),
+    ("partition", 1): (2, 2, 1, 2, 2, 2),
+    ("partition", 2): (15, 12, 6, 12, 15, 15),
+    ("partition", 3): (159, 192),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("algebra, k", sorted(TRACE_FORM_RANKS))
+def test_trace_form_rank_is_sum_of_irreducible_squares(algebra, k):
+    """A cell-free oracle.  In characteristic 0 the radical of the trace
+    form tau(a, b) = Tr_reg(ab) is the Jacobson radical, and a cellular
+    algebra is split, so rank tau = dim A / rad A = sum dim D(mu)^2 at every
+    rational x (Curtis-Reiner, Methods of Representation Theory I, sections
+    3 and 5).  The form uses only zpart.compose: d_i d_j = x^l_ij d, and
+    Tr_reg(d) sums x^l over the basis diagrams e with d e = x^l e.
+
+    z2rel and signed k = 3 are out of reach: 25M compose calls and a
+    5055 x 5055 elimination over Q.
+    """
+    diagrams = basis(algebra, k)
+    products = [[compose(a, b) for b in diagrams] for a in diagrams]
+    fixed_loops = {}    # d -> the l of every basis e with d e = x^l e
+    for row in products:
+        for d, _ in row:
+            if d not in fixed_loops:
+                fixed_loops[d] = [l for e in diagrams
+                                  for de, l in [compose(d, e)] if de == e]
+    points = (1, 2) if k == 3 else range(-2, 4)
+    for x, expected in zip(points, TRACE_FORM_RANKS[(algebra, k)]):
+        tau = [[x ** l * sum(x ** m for m in fixed_loops[d]) for d, l in row]
+               for row in products]
+        rank, _ = ExactMatrix(tau).rank_det_field(Rationals())
+        rows = irreducible_table(algebra, k, char=0, x_value=Fraction(x))
+        assert rank == sum(r["dim_D"] ** 2 for r in rows) == expected
