@@ -11,7 +11,9 @@ Families (public API only):
   ``nullspace_field`` of every Gram matrix at those points, with scalars
   printed as ``str(Fraction(v))``;
 * ``murphy-coords``: ``MurphyBasis.coords(GAElement.of(g))`` for every
-  group element g of every Murphy layer the three algebras use at k <= 3.
+  group element g of every Murphy layer the three algebras use at k <= 3;
+* ``symbolic-det``: ``rank_det_symbolic`` of every Gram matrix, k <= 3,
+  with the determinant printed by ``str``.
 
 Usage: ``PYTHONPATH=src python scripts/output_digest.py``, once on each
 tree, then ``diff`` the two outputs.
@@ -59,7 +61,8 @@ def _irreducibles(argv):
 
 def families():
     out = {name: [] for name in ("gram-csv", "irreducibles", "rank-det-field",
-                                 "nullspace-field", "murphy-coords")}
+                                 "nullspace-field", "murphy-coords",
+                                 "symbolic-det")}
     layers = {}
     for algebra in ALGEBRAS:
         for k in (1, 2, 3):
@@ -75,6 +78,8 @@ def families():
                 g = gram(label, algebra, k)
                 head = "%s %d %r" % (algebra, k, label)
                 out["gram-csv"].append(head + "\n" + g.to_csv())
+                rank, det = g.rank_det_symbolic()
+                out["symbolic-det"].append("%s %d %s" % (head, rank, det))
                 for _, sf in points:
                     m = g.evaluate(sf)
                     rank, det = m.rank_det_field(sf.field)

@@ -15,10 +15,8 @@ from fractions import Fraction
 from .dalg import (ALGEBRAS, AlgebraElement, basis as algebra_basis,
                    dim_formula)
 from .errors import UsageError, ZRelError
-from .groups import Perm
 from .repn import (cell_module, gram, gram_bruteforce_entry,
                    irreducible_table)
-from .ring import Poly
 from .tabular import (CellLabel, cellular_basis, decompose, reconstruct,
                       verify_table_datum)
 from .zpart import ZStablePartition

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dalg import AlgebraElement, dim_formula
 from .errors import (Incompatible, InvalidPoint, UnknownLabel,
                      UnsupportedCharacteristic)
 from .ring import (ExactMatrix, Poly, PrimeField, Rationals, ScalarField,

@@ -4,14 +4,19 @@ Exact scalars are plain ``int`` and ``fractions.Fraction`` values, kept as
 given -- no floating point anywhere.  Polynomials are sparse maps degree ->
 coefficient.  A field is a ``reduce`` (the identity on Q, ``% p`` on F_p)
 and an ``inv``; its elements use Python's own operators.
-Symbolic rank/determinant use fraction-free (Bareiss) elimination so entries
-stay polynomial throughout.
+A square symbolic determinant is computed multimodularly: evaluated at
+deg + 1 points modulo word-size primes, Newton-interpolated and combined by
+the Chinese remainder theorem up to a deterministic coefficient bound (von
+zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5).  Fraction-free
+(Bareiss) elimination is the fallback for non-square or singular input and
+the test oracle.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm, prod
 
 
 class Poly:
@@ -207,11 +212,43 @@ class Rationals:
         return hash("QQ")
 
 
+# Miller-Rabin on the first twelve primes as bases decides primality of
+# every n below this bound (Sorenson & Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Deterministic primality for n < _MR_BOUND; ValueError above it."""
+    if n >= _MR_BOUND:
+        raise ValueError("cannot certify primality of %d (at least %d)"
+                         % (n, _MR_BOUND))
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The field F_p for an odd prime p; elements are ints in [0, p)."""
 
     def __init__(self, p):
-        if p < 3 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p < 3 or not is_prime(p):
             raise ValueError("p must be an odd prime, got %r" % p)
         self.p = p
 
@@ -242,6 +279,37 @@ class PrimeField:
 
 
 QQ = Rationals()
+
+_CRT_PRIMES = []
+
+
+def _crt_prime(i):
+    """The i-th prime below 2^60, counting down; found on first use."""
+    while len(_CRT_PRIMES) <= i:
+        q = (_CRT_PRIMES[-1] if _CRT_PRIMES else 2**60 + 1) - 2
+        while not is_prime(q):
+            q -= 2
+        _CRT_PRIMES.append(q)
+    return _CRT_PRIMES[i]
+
+
+def _interpolate(values, p):
+    """Coefficients mod p, lowest first, of the polynomial of degree below
+    len(values) that takes values[i] at x = i: Newton's divided differences,
+    then the Newton form expanded by Horner's rule."""
+    c = list(values)
+    n = len(c)
+    for k in range(1, n):
+        inv = pow(k, -1, p)
+        for j in range(n - 1, k - 1, -1):
+            c[j] = (c[j] - c[j - 1]) * inv % p
+    poly = [c[-1]]
+    for k in range(n - 2, -1, -1):
+        # poly * (x - k) + c[k]
+        poly = ([(c[k] - k * poly[0]) % p]
+                + [(a - k * b) % p for a, b in zip(poly, poly[1:])]
+                + [poly[-1]])
+    return poly
 
 
 class ScalarField:
@@ -324,7 +392,75 @@ class ExactMatrix:
         return ExactMatrix(out)
 
     def rank_det_symbolic(self):
-        """Fraction-free Bareiss elimination on Poly entries.
+        """(rank over Q(x), determinant as Poly when square else None) of a
+        matrix with Poly or rational entries.
+
+        A square determinant is computed multimodularly; a nonzero one
+        certifies full rank.  Non-square or singular input goes to Bareiss.
+        """
+        if self.nrows == self.ncols:
+            det = self._det_multimodular()
+            if det:
+                return self.nrows, det
+        return self._bareiss()
+
+    def _det_multimodular(self):
+        """Determinant of a square matrix of Poly or rational entries.
+
+        Each row is scaled by the lcm of its coefficient denominators into
+        integer polynomials g_ij.  The determinant has degree at most
+        D = min(sum_i max_j deg g_ij, sum_j max_i deg g_ij), and each of its
+        coefficients is at most B = prod_i sum_j |g_ij|_1 in absolute value
+        (the permanent of the entries' 1-norms bounds it).  Modulo each
+        prime, det is evaluated at x = 0..D and Newton-interpolated; primes
+        are combined by CRT until their product exceeds 2B, then lifted to
+        the symmetric range and divided by the row scale.
+        """
+        polys = [[(e if isinstance(e, Poly) else Poly.const(e)).coeffs
+                  for e in row] for row in self.entries]
+        degrees = [[max(c, default=0) for c in row] for row in polys]
+        degree_bound = min(sum(map(max, degrees)),
+                           sum(map(max, zip(*degrees))))
+        top = max(map(max, degrees), default=0)
+        rows, scale = [], 1
+        for row in polys:
+            den = lcm(*(v.denominator for c in row for v in c.values()))
+            rows.append([[(d, int(v * den)) for d, v in c.items()]
+                         for c in row])
+            scale *= den
+        coeff_bound = prod(sum(abs(v) for terms in row for _, v in terms)
+                           for row in rows)
+        coeffs, modulus, i = [0] * (degree_bound + 1), 1, 0
+        while modulus <= 2 * coeff_bound:
+            p = _crt_prime(i)
+            i += 1
+            field = PrimeField(p)
+            rows_p = [[[(d, v % p) for d, v in terms] for terms in row]
+                      for row in rows]
+            values = []
+            for x in range(degree_bound + 1):
+                powers = [1]
+                for _ in range(top):
+                    powers.append(powers[-1] * x % p)
+                m = ExactMatrix([[sum(v * powers[d] for d, v in terms) % p
+                                  for terms in row] for row in rows_p])
+                values.append(m._echelon(field)[2])
+            residues = _interpolate(values, p)
+            lift = pow(modulus, -1, p)
+            coeffs = [a + modulus * ((b - a) * lift % p)
+                      for a, b in zip(coeffs, residues)]
+            modulus *= p
+        out = {}
+        for d, c in enumerate(coeffs):
+            if c > modulus // 2:
+                c -= modulus
+            q = Fraction(c, scale)
+            out[d] = q.numerator if q.denominator == 1 else q
+        return Poly(out)
+
+    def _bareiss(self):
+        """Fraction-free Bareiss elimination on Poly entries: the fallback
+        of ``rank_det_symbolic`` and its test oracle.
 
         Returns (rank over Q(x), determinant as Poly when square else None).
         """

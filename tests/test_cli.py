@@ -206,6 +206,24 @@ def test_k3_cells_and_point_table(algebra, capsys):
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("algebra, dim", [("z2rel", 6841), ("signed", 5055)])
+def test_k3_symbolic_table(algebra, dim, capsys):
+    code, out, _ = run(capsys, "irreducibles", "--algebra", algebra,
+                       "--k", "3")
+    assert code == 0
+    rows = [r.split() for r in out.strip().splitlines()[1:]]
+    assert sum(int(r[1]) ** 2 for r in rows) == dim
+    assert all(r[1] == r[2] for r in rows)
+
+
+def test_char_above_2_53(capsys):
+    # 2^61 - 1 is prime; trial division up to its square root never ended
+    code, out, _ = run(capsys, "irreducibles", "--algebra", "z2rel", "--k",
+                       "1", "--char", str(2 ** 61 - 1), "--x", "1")
+    assert code == 0 and len(out.strip().splitlines()) == 5
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("algebra, checked",
                          [("signed", 308), ("z2rel", 406), ("partition", 86)])
 def test_k3_gram_oracle_sampled(algebra, checked, capsys):
@@ -244,7 +262,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     for extra in (["--char", "4", "--x", "1"], ["--char", "abc"],
                   ["--char", "2", "--x", "1"], ["--x", "foo"],
                   ["--x", "1/0"], ["--char", "3", "--x", "1/3"],
-                  ["--char", "3"]):
+                  ["--char", "3"],
+                  ["--char", str(10 ** 400 + 1), "--x", "1"]):
         assert run(capsys, "irreducibles", "--algebra", "z2rel", "--k", "1",
                    *extra)[0] == 2
     good = tmp_path / "good.json"

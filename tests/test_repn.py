@@ -179,7 +179,7 @@ def test_partition_degenerates_only_at_small_delta(k):
                          + [("partition", 3)])
 def test_field_det_is_bareiss_det_at_points(algebra, k):
     """The Gram determinant from elimination at a point (x = 0, 1, 2 over
-    Q, x = 12345 mod 2^31 - 1) is the Bareiss determinant evaluated there,
+    Q, x = 12345 mod 2^31 - 1) is the symbolic determinant evaluated there,
     and the rank is full exactly when it is nonzero."""
     points = ([ScalarField.rationals(x) for x in (0, 1, 2)]
               + [ScalarField.prime(2 ** 31 - 1, 12345)])
@@ -190,6 +190,37 @@ def test_field_det_is_bareiss_det_at_points(algebra, k):
             rank, value = g.evaluate(sf).rank_det_field(sf.field)
             assert value == sf.eval_poly(det)
             assert (rank == g.nrows) == (value != 0)
+
+
+@pytest.mark.slow
+def test_k3_symbolic_det_is_bareiss():
+    """Every z2rel and signed k = 3 Gram determinant with at most 28 rows
+    is identical to the Bareiss determinant (about 8 s)."""
+    for algebra in ("z2rel", "signed"):
+        for label in cellular_basis(algebra, 3).labels():
+            g = gram(label, algebra, 3)
+            if g.nrows > 28:
+                continue
+            rank, det = g.rank_det_symbolic()
+            expected = g._bareiss()
+            assert (rank, det) == expected
+            assert str(det) == str(expected[1])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_k3_symbolic_det_at_points_mod_p(algebra):
+    """Every k = 3 Gram determinant (n up to 37) is nonzero and agrees with
+    elimination mod 2^31 - 1 at three points; the determinant's own primes
+    lie just below 2^60, so this check shares no modulus with it."""
+    points = [ScalarField.prime(2 ** 31 - 1, x) for x in (3, 12345, 2 ** 30)]
+    for label in cellular_basis(algebra, 3).labels():
+        g = gram(label, algebra, 3)
+        rank, det = g.rank_det_symbolic()
+        assert rank == g.nrows
+        for sf in points:
+            _, value = g.evaluate(sf).rank_det_field(sf.field)
+            assert value == sf.eval_poly(det)
 
 
 def test_irreducible_table_modular():

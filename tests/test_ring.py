@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from zrelalg import ring
 from zrelalg.ring import (ExactMatrix, ONE, Poly, PrimeField, QQ, Rationals,
                           ScalarField, ZERO, poly_matrix_from_csv)
 
@@ -57,6 +58,14 @@ def test_prime_field_validation():
         PrimeField(2)
     with pytest.raises(ValueError):
         PrimeField(9)
+    # a Carmichael number and strong pseudoprimes to bases 2 and 2, 3, 5, 7
+    for composite in (561, 2047, 3215031751):
+        with pytest.raises(ValueError):
+            PrimeField(composite)
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    # past the bound where Miller-Rabin on bases 2..37 is proven exact
+    with pytest.raises(ValueError):
+        PrimeField(10 ** 400 + 1)
     f = PrimeField(5)
     assert f.reduce(f(3) * f.inv(f(3))) == 1
     assert f(Fraction(1, 2)) == 3
@@ -181,3 +190,65 @@ def test_rank_det_dispatcher():
     m = ExactMatrix([[Poly.const(1), Poly.const(0)],
                      [Poly.const(0), Poly.const(0)]])
     assert m.rank_det_symbolic() == (1, ZERO)
+
+
+# Coefficients from small fractions up to 2^70, so that one prime below 2^60
+# often cannot hold the determinant's coefficients.
+big_coeffs = st.one_of(fractions, st.integers(-2 ** 70, 2 ** 70),
+                       st.fractions(max_denominator=10 ** 6))
+multi_term_polys = st.dictionaries(st.integers(0, 3), big_coeffs,
+                                   max_size=3).map(Poly)
+
+
+@st.composite
+def poly_matrices(draw):
+    """Square and non-square matrices of multi-term Polys, a fifth of the
+    square ones made identically singular (last row = f * first row)."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.integers(0, 2)) == 0:
+        ncols = nrows
+    rows = draw(matrices(multi_term_polys, [(nrows, ncols)]))
+    if nrows == ncols and draw(st.integers(0, 4)) == 0:
+        factor = draw(multi_term_polys)
+        rows[-1] = [factor * e for e in rows[0]]
+    return rows
+
+
+@settings(deadline=None)
+@given(poly_matrices())
+@example([[Poly({0: -(2 ** 100 + 7), 2: Fraction(3, 5)})]])
+@example([[Poly({1: Fraction(1, 3), 0: 2}), Poly({1: 4})],
+          [Poly({1: 2, 0: 4}), Poly({2: 8})]])
+@example([[Poly({2: 1}), Poly({1: 1})], [Poly({1: 1}), Poly({0: 1})]])
+@example([[Poly({1: 1}), Poly({0: 2}), Poly()]])
+def test_rank_det_symbolic_is_bareiss(rows):
+    """The multimodular determinant equals Bareiss exactly, whole
+    coefficients come back as ints, and singular or non-square input
+    keeps Bareiss's rank."""
+    m = ExactMatrix(rows)
+    rank, det = m.rank_det_symbolic()
+    expected = m._bareiss()
+    assert (rank, det) == expected
+    if det is not None:
+        assert str(det) == str(expected[1])
+        assert all(type(v) is int or v.denominator > 1
+                   for v in det.coeffs.values())
+
+
+def test_multimodular_det_at_its_bounds(monkeypatch):
+    """A diagonal matrix meets both bounds: its degree is the degree bound
+    and its coefficients nearly reach the coefficient bound, so one prime
+    or one point fewer, or no symmetric lift, gives a wrong determinant."""
+    primes = []
+
+    def spy(i):
+        primes.append(i)
+        return crt_prime(i)
+
+    crt_prime = ring._crt_prime
+    monkeypatch.setattr(ring, "_crt_prime", spy)
+    a = Poly({3: -(2 ** 70 + 1), 0: 5})
+    b = Poly({2: -(2 ** 65 + 3), 1: Fraction(7, 2)})
+    m = ExactMatrix([[a, ZERO], [ZERO, b]])
+    assert m._det_multimodular() == a * b
+    assert len(set(primes)) >= 2
