@@ -212,9 +212,11 @@ class Rationals:
         return hash("QQ")
 
 
-# Miller-Rabin on the first twelve primes as bases decides primality of
-# every n below this bound (Sorenson & Webster, Math. Comp. 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on the first thirteen primes as bases decides primality of
+# every n below this bound, psi_13 (Sorenson & Webster, Math. Comp. 2017;
+# OEIS A014233).  The first twelve bases alone are exact only below psi_12,
+# which is itself a strong pseudoprime to all twelve.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
@@ -253,6 +255,8 @@ class PrimeField:
         self.p = p
 
     def __call__(self, value):
+        if type(value) is int:
+            return value % self.p
         value = Fraction(value)
         num = value.numerator % self.p
         den = value.denominator % self.p
@@ -318,6 +322,7 @@ class ScalarField:
     def __init__(self, field, x_value):
         self.field = field
         self.x_value = field(x_value)
+        self._powers = [field(1)]
 
     @staticmethod
     def rationals(x_value):
@@ -332,13 +337,14 @@ class ScalarField:
         return self.field.p
 
     def eval_poly(self, poly):
-        """The value at x_value, by Horner's rule."""
-        f = self.field
+        """The value at x_value, term by term from a table of the powers of
+        x_value (grown on demand), so a sparse entry c*x^l costs one product."""
+        f, powers = self.field, self._powers
         total = 0
-        for d in range(poly.degree, -1, -1):
-            total *= self.x_value
-            if d in poly.coeffs:
-                total += f(poly.coeffs[d])
+        for d, c in poly.coeffs.items():
+            while len(powers) <= d:
+                powers.append(f.reduce(powers[-1] * self.x_value))
+            total += f(c) * powers[d]
         return f.reduce(total)
 
     def __repr__(self):
@@ -421,30 +427,22 @@ class ExactMatrix:
         degrees = [[max(c, default=0) for c in row] for row in polys]
         degree_bound = min(sum(map(max, degrees)),
                            sum(map(max, zip(*degrees))))
-        top = max(map(max, degrees), default=0)
         rows, scale = [], 1
         for row in polys:
             den = lcm(*(v.denominator for c in row for v in c.values()))
-            rows.append([[(d, int(v * den)) for d, v in c.items()]
+            rows.append([Poly({d: int(v * den) for d, v in c.items()})
                          for c in row])
             scale *= den
-        coeff_bound = prod(sum(abs(v) for terms in row for _, v in terms)
+        coeff_bound = prod(sum(abs(v) for e in row for v in e.coeffs.values())
                            for row in rows)
+        scaled = ExactMatrix(rows)
         coeffs, modulus, i = [0] * (degree_bound + 1), 1, 0
         while modulus <= 2 * coeff_bound:
             p = _crt_prime(i)
             i += 1
             field = PrimeField(p)
-            rows_p = [[[(d, v % p) for d, v in terms] for terms in row]
-                      for row in rows]
-            values = []
-            for x in range(degree_bound + 1):
-                powers = [1]
-                for _ in range(top):
-                    powers.append(powers[-1] * x % p)
-                m = ExactMatrix([[sum(v * powers[d] for d, v in terms) % p
-                                  for terms in row] for row in rows_p])
-                values.append(m._echelon(field)[2])
+            values = [scaled.evaluate(ScalarField(field, x))._echelon(field)[2]
+                      for x in range(degree_bound + 1)]
             residues = _interpolate(values, p)
             lift = pow(modulus, -1, p)
             coeffs = [a + modulus * ((b - a) * lift % p)

@@ -263,7 +263,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                   ["--char", "2", "--x", "1"], ["--x", "foo"],
                   ["--x", "1/0"], ["--char", "3", "--x", "1/3"],
                   ["--char", "3"],
-                  ["--char", str(10 ** 400 + 1), "--x", "1"]):
+                  ["--char", str(10 ** 400 + 1), "--x", "1"],
+                  ["--char", "318665857834031151167461", "--x", "1"]):
         assert run(capsys, "irreducibles", "--algebra", "z2rel", "--k", "1",
                    *extra)[0] == 2
     good = tmp_path / "good.json"

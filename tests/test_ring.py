@@ -58,12 +58,13 @@ def test_prime_field_validation():
         PrimeField(2)
     with pytest.raises(ValueError):
         PrimeField(9)
-    # a Carmichael number and strong pseudoprimes to bases 2 and 2, 3, 5, 7
-    for composite in (561, 2047, 3215031751):
+    # a Carmichael number, strong pseudoprimes to bases 2 and 2, 3, 5, 7, and
+    # psi_12, a strong pseudoprime to every prime base 2..37
+    for composite in (561, 2047, 3215031751, 318665857834031151167461):
         with pytest.raises(ValueError):
             PrimeField(composite)
     assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
-    # past the bound where Miller-Rabin on bases 2..37 is proven exact
+    # past the bound where Miller-Rabin on bases 2..41 is proven exact
     with pytest.raises(ValueError):
         PrimeField(10 ** 400 + 1)
     f = PrimeField(5)
