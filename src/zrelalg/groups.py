@@ -31,7 +31,8 @@ class Perm:
         return self.images[i]
 
     def __mul__(self, other):
-        return Perm(other.images[j] for j in self.images)
+        images = other.images
+        return Perm([images[j] for j in self.images])
 
     def inv(self):
         out = [0] * len(self.images)
@@ -77,8 +78,9 @@ class WreathElt:
         return len(self.signs)
 
     def __mul__(self, other):
-        signs = tuple(f ^ other.signs[self.perm(i)]
-                      for i, f in enumerate(self.signs))
+        other_signs = other.signs
+        signs = [f ^ other_signs[j]
+                 for f, j in zip(self.signs, self.perm.images)]
         return WreathElt(signs, self.perm * other.perm)
 
     def inv(self):

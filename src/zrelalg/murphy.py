@@ -8,6 +8,13 @@ whose label strictly dominates, so "reduce mod lower" discards exactly
 those.  Division by 2 enters through the idempotents (1 +/- g)/2, which is
 why coefficient fields of characteristic 2 are rejected downstream.
 
+Coordinates come from solving the change of basis block by block, on
+first use.  A symmetric group is one block.  A signed-permutation group
+splits along the sign idempotents E_f = prod_i (1 +/- g_i)/2: every record
+lies in one block E_f Q[G] E_f', a coset of S_a x S_{n-a}, so no system is
+larger than a!(n-a)! (Dipper-James-Murphy at q = 1).  A product group's
+coordinates are the tensor products of its factors' coordinates.
+
 The builders are memoized, so each group has one basis, shared by every
 layer and algebra that uses it.
 """
@@ -17,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 
 from .groups import GAElement, Perm, ProdElt, WreathElt
 from .ring import ExactMatrix, Poly
@@ -63,18 +71,122 @@ def _row_stabilizer(tab):
     return perms
 
 
+def _block_solve(keys, block_of, record_coords):
+    """key -> {record index: coefficient}: each vector of an intermediate
+    basis written in the records, given the records' coordinates in it.
+
+    ``block_of`` partitions the keys.  Each record must lie in one block
+    and each block must hold as many records as keys; each block is then
+    inverted on its own.
+    """
+    block_keys = {}
+    for key in keys:
+        block_keys.setdefault(block_of(key), []).append(key)
+    block_records = {}
+    for r, coords in enumerate(record_coords):
+        blocks = {block_of(key) for key in coords}
+        if len(blocks) != 1:
+            raise ArithmeticError("record %d spans %d blocks"
+                                  % (r, len(blocks)))
+        block_records.setdefault(blocks.pop(), []).append(r)
+    out = {}
+    for block, bkeys in block_keys.items():
+        rs = block_records.get(block, [])
+        if len(rs) != len(bkeys):
+            raise ArithmeticError("block %r holds %d records for %d keys"
+                                  % (block, len(rs), len(bkeys)))
+        row = {key: j for j, key in enumerate(bkeys)}
+        matrix = [[0] * len(rs) for _ in bkeys]
+        for c, r in enumerate(rs):
+            for key, v in record_coords[r].items():
+                matrix[row[key]][c] = v
+        inv = ExactMatrix(matrix).inverse_rational().entries
+        for j, key in enumerate(bkeys):
+            out[key] = {r: inv[c][j] for c, r in enumerate(rs) if inv[c][j]}
+    return out
+
+
+def _one_block(mb):
+    """Columns of a basis solved as a single block (the symmetric groups)."""
+    return _block_solve(mb.elements, lambda g: None,
+                        [rec.element.terms for rec in mb.records])
+
+
+def _walsh(vec):
+    """In place: vec[f] <- sum_h (-1)^{popcount(f & h)} vec[h]."""
+    half = 1
+    while half < len(vec):
+        for i in range(0, len(vec), 2 * half):
+            for j in range(i, i + half):
+                a, b = vec[j], vec[j + half]
+                vec[j], vec[j + half] = a + b, a - b
+        half *= 2
+
+
+def _sign_mask(signs):
+    return sum(bit << i for i, bit in enumerate(signs))
+
+
+def _sign_blocks(mb):
+    """Columns of a signed-permutation basis, solved in the blocks of the
+    sign idempotents.
+
+    With t_h = (h, id) and p_sigma = (0, sigma), t_h = sum_f chi_f(h) E_f
+    for chi_f(h) = (-1)^{f.h}, so a record sum c_{h,sigma} t_h p_sigma has
+    coordinate sum_h c_{h,sigma} chi_f(h) on E_f p_sigma: a Walsh-Hadamard
+    transform along the signs.  E_f p_sigma = p_sigma E_f' with
+    f'(sigma(i)) = f(i), so the keys (f, sigma) fall in blocks (f, f').
+    """
+    n = mb.elements[0].n
+    size = 1 << n
+
+    def block_of(key):
+        f, sigma = key
+        return f, sum(((f >> i) & 1) << j for i, j in enumerate(sigma.images))
+
+    record_coords = []
+    for rec in mb.records:
+        terms = rec.element.terms
+        den = lcm(*(c.denominator for c in terms.values()))
+        by_perm = {}
+        for g, c in terms.items():
+            vec = by_perm.setdefault(g.perm, [0] * size)
+            vec[_sign_mask(g.signs)] = c.numerator * (den // c.denominator)
+        coords = {}
+        for sigma, vec in by_perm.items():
+            _walsh(vec)
+            for f, v in enumerate(vec):
+                if v:
+                    coords[(f, sigma)] = Fraction(v, den)
+        record_coords.append(coords)
+    keys = [(f, sigma) for f in range(size) for sigma in Perm.all(n)]
+    block_columns = _block_solve(keys, block_of, record_coords)
+    columns = {}
+    for g in mb.elements:
+        h = _sign_mask(g.signs)
+        col = {}
+        for f in range(size):
+            negate = (f & h).bit_count() & 1
+            for r, q in block_columns[(f, g.perm)].items():
+                col[r] = -q if negate else q
+        columns[g] = col
+    return columns
+
+
 class MurphyBasis:
     """A full cellular basis of one group algebra, with exact coordinates.
 
-    Records are indexed once by (label, s, t); the inverse of the change of
-    basis is computed on first use and kept as sparse columns, so a
-    coordinate costs only the terms it reads.
+    Records are indexed once by (label, s, t).  ``solve(basis)`` gives the
+    inverse of the change of basis as sparse columns (by default one block
+    inverted whole); it is called on first use, so a coordinate costs only
+    the terms it reads.
     """
 
-    def __init__(self, records, elements, label_lt):
+    def __init__(self, records, elements, label_lt, solve=_one_block):
         self.records = records
         self.elements = list(elements)
         self.label_lt = label_lt        # strict "cell-lower" predicate
+        self._solve = solve
         if len(records) != len(self.elements):
             raise ValueError("record count %d != group order %d"
                              % (len(records), len(self.elements)))
@@ -88,15 +200,7 @@ class MurphyBasis:
     @cached_property
     def _columns(self):
         """g -> {record index: coefficient of g in the dual basis}."""
-        n = len(self.records)
-        index = {g: j for j, g in enumerate(self.elements)}
-        matrix = [[0] * n for _ in range(n)]
-        for r, rec in enumerate(self.records):
-            for g, c in rec.element.terms.items():
-                matrix[index[g]][r] = c
-        inv = ExactMatrix(matrix).inverse_rational().entries
-        return {g: {i: inv[i][j] for i in range(n) if inv[i][j]}
-                for g, j in index.items()}
+        return self._solve(self)
 
     def coords(self, ga):
         """Exact coordinates of a group-algebra element in this basis (Poly)."""
@@ -196,7 +300,7 @@ def wreath_murphy(n):
                        * GAElement.of(words[t]))
                 records.append(MurphyRecord(bishape, s, t, elt))
     return MurphyBasis(records, sorted(WreathElt.all(n)),
-                       bishape_strictly_dominates)
+                       bishape_strictly_dominates, _sign_blocks)
 
 
 @cache
@@ -220,7 +324,17 @@ def product_murphy(s1, s2):
             return bishape_strictly_dominates(x[0], y[0])
         return strictly_dominates(x[1], y[1])
 
-    return MurphyBasis(records, sorted(ProdElt.all(s1, s2)), label_lt)
+    def tensor_columns(mb):
+        # record index iw * |S_s2| + is, as the records are listed above
+        width = len(sb.records)
+        scols = sb._columns
+        return {g: {iw * width + i: cw * cs
+                    for iw, cw in wb._columns[g.wreath].items()
+                    for i, cs in scols[g.perm].items()}
+                for g in mb.elements}
+
+    return MurphyBasis(records, sorted(ProdElt.all(s1, s2)), label_lt,
+                       tensor_columns)
 
 
 @dataclass(frozen=True)

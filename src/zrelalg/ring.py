@@ -2,8 +2,10 @@
 
 Exact scalars are plain ``int`` and ``fractions.Fraction`` values, kept as
 given -- no floating point anywhere.  Polynomials are sparse maps degree ->
-coefficient.  A field is a ``reduce`` (the identity on Q, ``% p`` on F_p)
-and an ``inv``; its elements use Python's own operators.
+coefficient.  A field is a ``reduce`` (the identity on Q, ``% p`` on F_p),
+an ``inv`` and its characteristic ``p``; its elements use Python's own
+operators.  Elimination's inner row update reduces inline by ``% p``, and
+not at all over Q.
 A square symbolic determinant is computed multimodularly: evaluated at
 deg + 1 points modulo word-size primes, Newton-interpolated and combined by
 the Chinese remainder theorem up to a deterministic coefficient bound (von
@@ -507,6 +509,7 @@ class ExactMatrix:
         order, and the determinant (None unless square).
         """
         reduce = field.reduce
+        p = field.p                     # 0 on Q, where reduce is the identity
         m = [list(row) for row in self.entries]
         n, nc = self.nrows, self.ncols
         pivots = []
@@ -529,8 +532,12 @@ class ExactMatrix:
                 factor = m[r][col]
                 if not factor:
                     continue
-                m[r][col:] = [reduce(a - factor * b)
-                              for a, b in zip(m[r][col:], prow[col:])]
+                if p:
+                    m[r][col:] = [(a - factor * b) % p
+                                  for a, b in zip(m[r][col:], prow[col:])]
+                else:
+                    m[r][col:] = [a - factor * b
+                                  for a, b in zip(m[r][col:], prow[col:])]
             pivots.append(col)
         if n != nc:
             det = None

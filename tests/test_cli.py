@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -214,6 +215,19 @@ def test_k3_symbolic_table(algebra, dim, capsys):
     rows = [r.split() for r in out.strip().splitlines()[1:]]
     assert sum(int(r[1]) ** 2 for r in rows) == dim
     assert all(r[1] == r[2] for r in rows)
+
+
+@pytest.mark.slow
+def test_k4_signed_point_table(capsys):
+    # k = 4 at a point: 55 cells, n up to 244; the CRC pins the whole table
+    code, out, _ = run(capsys, "irreducibles", "--algebra", "signed", "--k",
+                       "4", "--char", "2147483647", "--x", "12345")
+    assert code == 0
+    rows = [r.split() for r in out.strip().splitlines()[1:]]
+    assert len(rows) == 55
+    assert sum(int(r[1]) ** 2 for r in rows) == dim_formula("signed", 4)
+    assert dim_formula("signed", 4) == 378732
+    assert "%08x" % zlib.crc32(out.encode()) == "6ab6b8f3"
 
 
 def test_char_above_2_53(capsys):

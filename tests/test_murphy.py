@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zrelalg.groups import GAElement, Perm, ProdElt, WreathElt
-from zrelalg.murphy import (SymLayer, WreathSymLayer, product_murphy,
+from zrelalg.murphy import (MurphyBasis, MurphyRecord, SymLayer,
+                            WreathSymLayer, _sign_blocks, product_murphy,
                             sym_murphy, wreath_murphy)
-from zrelalg.ring import ONE, Poly
+from zrelalg.ring import ONE, ExactMatrix, Poly
 from zrelalg.tabular import layer_for
 
 
@@ -23,7 +24,7 @@ def test_sym_basis_size(n):
         assert count == len(tabs) ** 2
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_wreath_basis_size(n):
     mb = wreath_murphy(n)
     assert len(mb.records) == 2 ** n * factorial(n)
@@ -45,7 +46,62 @@ def _unit_vector_check(mb):
 def test_coords_are_exact_inverse():
     _unit_vector_check(sym_murphy(3))
     _unit_vector_check(wreath_murphy(2))
+    _unit_vector_check(wreath_murphy(3))
     _unit_vector_check(product_murphy(1, 1))
+    _unit_vector_check(product_murphy(3, 0))
+
+
+@pytest.mark.slow
+def test_wreath_4_coords_are_exact_inverse():
+    # a square basis: coords(record_i) = e_i for every i is the inverse
+    _unit_vector_check(wreath_murphy(4))
+
+
+def _dense_columns(mb):
+    """Oracle: the whole change of basis inverted as one |G| x |G| matrix."""
+    n = len(mb.records)
+    index = {g: j for j, g in enumerate(mb.elements)}
+    matrix = [[0] * n for _ in range(n)]
+    for r, rec in enumerate(mb.records):
+        for g, c in rec.element.terms.items():
+            matrix[index[g]][r] = c
+    inv = ExactMatrix(matrix).inverse_rational().entries
+    return {g: {i: inv[i][j] for i in range(n) if inv[i][j]}
+            for g, j in index.items()}
+
+
+ORACLE_BASES = ([(wreath_murphy, (n,)) for n in (1, 2, 3)]
+                + [(product_murphy, (s1, s2)) for s1 in range(4)
+                   for s2 in range(4 - s1)]
+                + [(sym_murphy, (n,)) for n in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("build, args", ORACLE_BASES,
+                         ids=["%s(%s)" % (build.__name__,
+                                          ",".join(map(str, args)))
+                              for build, args in ORACLE_BASES])
+def test_columns_are_dense_inverse(build, args):
+    mb = build(*args)
+    assert mb._columns == _dense_columns(mb)
+
+
+def test_sign_blocks_reject_bad_bases():
+    one = WreathElt.identity(1)
+    g = WreathElt.sign_gen(1, 0)
+
+    def basis(*elements):
+        records = [MurphyRecord(i, None, None, e)
+                   for i, e in enumerate(elements)]
+        return MurphyBasis(records, [one, g], lambda a, b: False,
+                           _sign_blocks)
+
+    # the group basis itself: 1 = E_+ + E_- spans both sign blocks
+    with pytest.raises(ArithmeticError):
+        basis(GAElement.of(one), GAElement.of(g))._columns
+    # two records in the block of E_+, none in that of E_-
+    plus = GAElement({one: 1, g: 1})
+    with pytest.raises(ArithmeticError):
+        basis(plus, plus.scale(2))._columns
 
 
 def _check_cellularity(mb, group_elements):
