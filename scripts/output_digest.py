@@ -11,7 +11,10 @@ Families (public API only):
   ``nullspace_field`` of every Gram matrix at those points, with scalars
   printed as ``str(Fraction(v))``;
 * ``murphy-coords``: ``MurphyBasis.coords(GAElement.of(g))`` for every
-  group element g of every Murphy layer the three algebras use at k <= 3;
+  group element g of every Murphy layer the three algebras use at k <= 3,
+  keyed by the glue ``layer.to_glue(g)`` as tuples of ints and listed in
+  sorted glue order, so that the line does not depend on how group
+  elements are represented;
 * ``symbolic-det``: ``rank_det_symbolic`` of every Gram matrix, k <= 3,
   with the determinant printed by ``str``.
 
@@ -91,10 +94,13 @@ def families():
                                                  for vec in kernel]))
     for layer in layers:
         mb = layer.murphy()
+        lines = {}
         for g in mb.elements:
-            out["murphy-coords"].append(
-                "%r %r %s" % (layer, g, [str(c) for c in
-                                         mb.coords(GAElement.of(g))]))
+            f, sigma1, sigma2 = layer.to_glue(g)
+            glue = (tuple(f), sigma1.images, sigma2.images)
+            lines[glue] = "%r %r %s" % (layer, glue, [
+                str(c) for c in mb.coords(GAElement.of(g))])
+        out["murphy-coords"].extend(lines[glue] for glue in sorted(lines))
     return out
 
 

@@ -16,7 +16,7 @@ from .dalg import (ALGEBRAS, AlgebraElement, basis as algebra_basis,
                    dim_formula)
 from .errors import UsageError, ZRelError
 from .repn import (cell_module, gram, gram_bruteforce_entry,
-                   irreducible_table)
+                   irreducible_table, is_plain_shape)
 from .tabular import (CellLabel, cellular_basis, decompose, reconstruct,
                       verify_table_datum)
 from .zpart import ZStablePartition
@@ -63,7 +63,7 @@ def format_label(label):
     def shape(s):
         return ".".join(str(p) for p in s) if s else "-"
 
-    if not label.glabel or isinstance(label.glabel[0], int):
+    if is_plain_shape(label.glabel):
         return "%d,%d,%d,%s,-,-" % (label.r, label.s1, label.s2,
                                     shape(label.glabel))
     (l1, l2), mu = label.glabel

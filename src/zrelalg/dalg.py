@@ -20,8 +20,8 @@ from functools import cache
 from .errors import Incompatible, InvalidSize, NotADiagram
 from .ring import ONE, Poly
 from .zpart import (ZStablePartition, canonicalize, compose, enumerate_rk,
-                    horizontal_counts, identity_diagram, propagating_data,
-                    _set_partitions)
+                    horizontal_counts, identity_diagram, is_sign_constant,
+                    propagating_data, _set_partitions)
 
 ALGEBRAS = ("z2rel", "signed", "partition")
 
@@ -40,7 +40,7 @@ def in_basis(algebra, d):
     if algebra == "z2rel":
         return True
     if algebra == "partition":
-        return all(len({v[2] for v in b}) == 1 for b in d.blocks)
+        return is_sign_constant(d.blocks)
     pd = propagating_data(d)
     if pd.s1 == d.k:
         return True

@@ -1,4 +1,10 @@
-"""Permutations, sign-decorated permutations, and their group algebras.
+"""Permutations, signed permutations, and their group algebras.
+
+A signed permutation is a permutation of 2n points that commutes with the
+sign swap (2i 2i+1) of every letter i: the hyperoctahedral group Z2 wr S_n
+is the centralizer of that fixed-point-free involution.  A product with a
+symmetric group S_m permutes m further points.  So every group element of
+the package is a ``Perm``, and every product is ``Perm.__mul__``.
 
 Composition is left-to-right throughout the package: ``(p * q)(i) =
 q(p(i))``.  This matches stacking of diagrams (top diagram applied first),
@@ -57,101 +63,37 @@ class Perm:
         return [Perm(p) for p in permutations(range(n))]
 
 
-class WreathElt:
-    """Element (f, sigma) of the group of signed permutations on n letters.
+def signed_perm(signs, sigma, rest=None):
+    """The element (f, sigma) of Z2 wr S_n, times rest in S_m, as one
+    permutation of 2n + m points.
 
-    Product: (f, s) * (f', s') = (i -> f(i) xor f'(s(i)), s then s').
+    Point 2i + s is letter i with sign s, sent to 2 sigma(i) + (s xor
+    f(i)); point 2n + j is sent to 2n + rest(j).  The product of two such
+    permutations encodes (f, s) * (f', s') = (i -> f(i) xor f'(s(i)),
+    s then s').
     """
-
-    __slots__ = ("signs", "perm")
-
-    def __init__(self, signs, perm):
-        self.signs = tuple(signs)
-        self.perm = perm
-
-    @staticmethod
-    def identity(n):
-        return WreathElt((0,) * n, Perm.identity(n))
-
-    @property
-    def n(self):
-        return len(self.signs)
-
-    def __mul__(self, other):
-        other_signs = other.signs
-        signs = [f ^ other_signs[j]
-                 for f, j in zip(self.signs, self.perm.images)]
-        return WreathElt(signs, self.perm * other.perm)
-
-    def inv(self):
-        pinv = self.perm.inv()
-        return WreathElt(tuple(self.signs[pinv(i)] for i in range(self.n)), pinv)
-
-    def __eq__(self, other):
-        return (isinstance(other, WreathElt) and self.signs == other.signs
-                and self.perm == other.perm)
-
-    def __hash__(self):
-        return hash(("wreath", self.signs, self.perm.images))
-
-    def __lt__(self, other):
-        return (self.signs, self.perm.images) < (other.signs, other.perm.images)
-
-    def __repr__(self):
-        return "WreathElt(%r, %r)" % (self.signs, self.perm.images)
-
-    @staticmethod
-    def all(n):
-        return [WreathElt(signs, p)
-                for signs in product((0, 1), repeat=n) for p in Perm.all(n)]
-
-    @staticmethod
-    def sign_gen(n, i):
-        signs = [0] * n
-        signs[i] = 1
-        return WreathElt(signs, Perm.identity(n))
-
-    @staticmethod
-    def from_perm(p):
-        return WreathElt((0,) * p.n, p)
+    images = [v for j, f in zip(sigma.images, signs)
+              for v in (2 * j + f, 2 * j + 1 - f)]
+    if rest is not None:
+        offset = len(images)
+        images.extend(offset + j for j in rest.images)
+    return Perm(images)
 
 
-class ProdElt:
-    """Element of (signed permutations on s1) x (permutations on s2)."""
+def split_signed(g, n):
+    """(signs, sigma, rest) of a permutation built by ``signed_perm`` with
+    n signed letters."""
+    images = g.images
+    heads = images[0:2 * n:2]
+    return (tuple(v & 1 for v in heads), Perm([v >> 1 for v in heads]),
+            Perm([v - 2 * n for v in images[2 * n:]]))
 
-    __slots__ = ("wreath", "perm")
 
-    def __init__(self, wreath, perm):
-        self.wreath = wreath
-        self.perm = perm
-
-    @staticmethod
-    def identity(s1, s2):
-        return ProdElt(WreathElt.identity(s1), Perm.identity(s2))
-
-    def __mul__(self, other):
-        return ProdElt(self.wreath * other.wreath, self.perm * other.perm)
-
-    def inv(self):
-        return ProdElt(self.wreath.inv(), self.perm.inv())
-
-    def __eq__(self, other):
-        return (isinstance(other, ProdElt) and self.wreath == other.wreath
-                and self.perm == other.perm)
-
-    def __hash__(self):
-        return hash(("prod", self.wreath, self.perm))
-
-    def __lt__(self, other):
-        return ((self.wreath.signs, self.wreath.perm.images, self.perm.images)
-                < (other.wreath.signs, other.wreath.perm.images, other.perm.images))
-
-    def __repr__(self):
-        return "ProdElt(%r, %r)" % (self.wreath, self.perm)
-
-    @staticmethod
-    def all(s1, s2):
-        return [ProdElt(w, p) for w in WreathElt.all(s1) for p in Perm.all(s2)]
+def signed_perms(n, m=0):
+    """Every element of (Z2 wr S_n) x S_m, ordered by (signs, sigma, rest)."""
+    return [signed_perm(f, sigma, rest)
+            for f in product((0, 1), repeat=n) for sigma in Perm.all(n)
+            for rest in Perm.all(m)]
 
 
 class GAElement:

@@ -2,6 +2,11 @@
 groups, and their product -- the group-algebra layer sitting on top of each
 propagating index of the diagram algebras.
 
+Every group element is a ``Perm`` (see groups.py): a signed permutation
+of n letters permutes 2n points, and an element of the product group
+permutes 2 s1 + s2.  Both builders list records d(s)^{-1} . core . d(t)
+through one loop; they differ only in the core and the words d.
+
 A basis record is (label, s, t, element).  The cell order puts the MORE
 dominant label LOWER: products of basis elements only ever produce terms
 whose label strictly dominates, so "reduce mod lower" discards exactly
@@ -26,7 +31,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
 
-from .groups import GAElement, Perm, ProdElt, WreathElt
+from .groups import GAElement, Perm, signed_perm, signed_perms, split_signed
 from .ring import ExactMatrix, Poly
 from .tableaux import (all_bishapes, all_shapes, bishape_sort_key,
                        bishape_strictly_dominates, canonical_tableau,
@@ -137,7 +142,7 @@ def _sign_blocks(mb):
     transform along the signs.  E_f p_sigma = p_sigma E_f' with
     f'(sigma(i)) = f(i), so the keys (f, sigma) fall in blocks (f, f').
     """
-    n = mb.elements[0].n
+    n = mb.elements[0].n // 2
     size = 1 << n
 
     def block_of(key):
@@ -150,8 +155,9 @@ def _sign_blocks(mb):
         den = lcm(*(c.denominator for c in terms.values()))
         by_perm = {}
         for g, c in terms.items():
-            vec = by_perm.setdefault(g.perm, [0] * size)
-            vec[_sign_mask(g.signs)] = c.numerator * (den // c.denominator)
+            signs, sigma, _ = split_signed(g, n)
+            vec = by_perm.setdefault(sigma, [0] * size)
+            vec[_sign_mask(signs)] = c.numerator * (den // c.denominator)
         coords = {}
         for sigma, vec in by_perm.items():
             _walsh(vec)
@@ -163,11 +169,12 @@ def _sign_blocks(mb):
     block_columns = _block_solve(keys, block_of, record_coords)
     columns = {}
     for g in mb.elements:
-        h = _sign_mask(g.signs)
+        signs, sigma, _ = split_signed(g, n)
+        h = _sign_mask(signs)
         col = {}
         for f in range(size):
             negate = (f & h).bit_count() & 1
-            for r, q in block_columns[(f, g.perm)].items():
+            for r, q in block_columns[(f, sigma)].items():
                 col[r] = -q if negate else q
         columns[g] = col
     return columns
@@ -241,29 +248,32 @@ class MurphyBasis:
         return list(self._tableaux)
 
 
+def _cell_records(labels, cell):
+    """Records m_{s,t} = d(s)^{-1} . core . d(t) of every label, with
+    ``cell(label)`` giving (core, {tableau: word d}) in tableau order."""
+    records = []
+    for label in labels:
+        core, words = cell(label)
+        for s, ws in words.items():
+            left = GAElement.of(ws.inv()) * core
+            for t, wt in words.items():
+                records.append(MurphyRecord(label, s, t,
+                                            left * GAElement.of(wt)))
+    return records
+
+
 @cache
 def sym_murphy(n):
     """Murphy basis of the symmetric group algebra on n letters."""
-    records = []
-    for shape in sorted(all_shapes(n), key=shape_sort_key):
+    def cell(shape):
         canon = canonical_tableau(shape)
-        x = GAElement({p: 1 for p in _row_stabilizer(canon)})
-        tabs = standard_tableaux(shape)
-        words = {tab: _word_to_perm(n, tableau_entries(canon), tableau_entries(tab))
-                 for tab in tabs}
-        for s in tabs:
-            for t in tabs:
-                elt = (GAElement.of(words[s].inv()) * x
-                       * GAElement.of(words[t]))
-                records.append(MurphyRecord(shape, s, t, elt))
-    return MurphyBasis(records, sorted(Perm.all(n)), strictly_dominates)
+        core = GAElement({p: 1 for p in _row_stabilizer(canon)})
+        return core, {tab: _word_to_perm(n, tableau_entries(canon),
+                                         tableau_entries(tab))
+                      for tab in standard_tableaux(shape)}
 
-
-def _half_idempotent(n, i, sign):
-    g = WreathElt.sign_gen(n, i)
-    e = GAElement({WreathElt.identity(n): Fraction(1, 2),
-                   g: Fraction(1, 2) if sign > 0 else Fraction(-1, 2)})
-    return e
+    records = _cell_records(sorted(all_shapes(n), key=shape_sort_key), cell)
+    return MurphyBasis(records, Perm.all(n), strictly_dominates)
 
 
 @cache
@@ -272,49 +282,51 @@ def wreath_murphy(n):
 
     m^{(l1,l2)}_{s,t} = d(s)^{-1} . prod(e+ over the first block) .
     prod(e- over the second block) . x_{l1} x_{l2} . d(t), with blocks the
-    canonical positions of the two components.
+    canonical positions of the two components and e+/- = (1 +/- g_i)/2 for
+    the sign swap g_i = (2i 2i+1).
     """
-    records = []
-    for bishape in sorted(all_bishapes(n), key=bishape_sort_key):
+    unsigned = (0,) * n
+    one = Perm.identity(2 * n)
+    half = Fraction(1, 2)
+
+    def cell(bishape):
         l1, l2 = bishape
         a = sum(l1)
         canon1 = canonical_tableau(l1, list(range(1, a + 1)))
         canon2 = canonical_tableau(l2, list(range(a + 1, n + 1)))
-        core = GAElement({WreathElt.identity(n): 1})
-        for i in range(a):
-            core = core * _half_idempotent(n, i, +1)
-        for i in range(a, n):
-            core = core * _half_idempotent(n, i, -1)
-        stab = GAElement({WreathElt.from_perm(p): 1
-                          for p in _row_stabilizer(canon1 + canon2)})
-        core = core * stab
-        canon_entries = tableau_entries(canon1) + tableau_entries(canon2)
-        bitabs = standard_bitableaux(bishape)
-        words = {}
-        for bt in bitabs:
-            dst = tableau_entries(bt[0]) + tableau_entries(bt[1])
-            words[bt] = WreathElt.from_perm(_word_to_perm(n, canon_entries, dst))
-        for s in bitabs:
-            for t in bitabs:
-                elt = (GAElement.of(words[s].inv()) * core
-                       * GAElement.of(words[t]))
-                records.append(MurphyRecord(bishape, s, t, elt))
-    return MurphyBasis(records, sorted(WreathElt.all(n)),
-                       bishape_strictly_dominates, _sign_blocks)
+        core = GAElement.of(one)
+        for i in range(n):
+            swap = Perm([j ^ 1 if j >> 1 == i else j for j in range(2 * n)])
+            core = core * GAElement({one: half, swap: half if i < a else -half})
+        core = core * GAElement({signed_perm(unsigned, p): 1
+                                 for p in _row_stabilizer(canon1 + canon2)})
+        canon = tableau_entries(canon1) + tableau_entries(canon2)
+        return core, {bt: signed_perm(unsigned, _word_to_perm(
+            n, canon, tableau_entries(bt[0]) + tableau_entries(bt[1])))
+            for bt in standard_bitableaux(bishape)}
+
+    records = _cell_records(sorted(all_bishapes(n), key=bishape_sort_key),
+                            cell)
+    return MurphyBasis(records, signed_perms(n), bishape_strictly_dominates,
+                       _sign_blocks)
 
 
 @cache
 def product_murphy(s1, s2):
-    """Tensor basis of (signed perms on s1) x (perms on s2)."""
+    """Tensor basis of (signed perms on s1) x (perms on s2): a term
+    concatenates the images of one term of each factor, the second shifted
+    past the 2 s1 signed points."""
     wb = wreath_murphy(s1)
     sb = sym_murphy(s2)
+    offset = 2 * s1
     records = []
     for wrec in wb.records:
         for srec in sb.records:
             terms = {}
             for gw, cw in wrec.element.terms.items():
                 for gs, cs in srec.element.terms.items():
-                    terms[ProdElt(gw, gs)] = cw * cs
+                    g = Perm(gw.images + tuple(offset + j for j in gs.images))
+                    terms[g] = cw * cs
             records.append(MurphyRecord((wrec.label, srec.label),
                                         (wrec.s, srec.s), (wrec.t, srec.t),
                                         GAElement(terms)))
@@ -327,13 +339,17 @@ def product_murphy(s1, s2):
     def tensor_columns(mb):
         # record index iw * |S_s2| + is, as the records are listed above
         width = len(sb.records)
-        scols = sb._columns
-        return {g: {iw * width + i: cw * cs
-                    for iw, cw in wb._columns[g.wreath].items()
-                    for i, cs in scols[g.perm].items()}
-                for g in mb.elements}
+        wcols, scols = wb._columns, sb._columns
+        out = {}
+        for g in mb.elements:
+            images = g.images
+            srest = Perm([j - offset for j in images[offset:]])
+            out[g] = {iw * width + i: cw * cs
+                      for iw, cw in wcols[Perm(images[:offset])].items()
+                      for i, cs in scols[srest].items()}
+        return out
 
-    return MurphyBasis(records, sorted(ProdElt.all(s1, s2)), label_lt,
+    return MurphyBasis(records, signed_perms(s1, s2), label_lt,
                        tensor_columns)
 
 
@@ -345,10 +361,10 @@ class WreathSymLayer:
     s2: int
 
     def from_glue(self, f, sigma1, sigma2):
-        return ProdElt(WreathElt(f, sigma1), sigma2)
+        return signed_perm(f, sigma1, sigma2)
 
     def to_glue(self, g):
-        return (g.wreath.signs, g.wreath.perm, g.perm)
+        return split_signed(g, self.s1)
 
     def murphy(self):
         return product_murphy(self.s1, self.s2)

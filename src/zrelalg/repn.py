@@ -123,7 +123,7 @@ def is_p_restricted(shape, p):
     return all(a - b < p for a, b in zip(parts, parts[1:]))
 
 
-def _is_plain_shape(glabel):
+def is_plain_shape(glabel):
     """Partition-algebra labels are plain shapes (tuples of ints); the
     other two algebras carry ((bipartition), partition) pairs."""
     return not glabel or isinstance(glabel[0], int)
@@ -131,7 +131,7 @@ def _is_plain_shape(glabel):
 
 def label_p_restricted(label, p):
     glabel = label.glabel
-    if _is_plain_shape(glabel):
+    if is_plain_shape(glabel):
         return is_p_restricted(glabel, p)
     (l1, l2), mu = glabel
     return (is_p_restricted(l1, p) and is_p_restricted(l2, p)

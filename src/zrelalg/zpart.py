@@ -155,6 +155,12 @@ def is_z2_stable(blocks):
     return all(frozenset(flip_sign(v) for v in b) in block_set for b in block_set)
 
 
+def is_sign_constant(blocks):
+    """True iff every block holds vertices of one sign only: the doubled
+    partition diagrams."""
+    return all(len({v[2] for v in b}) == 1 for b in blocks)
+
+
 def _set_partitions(items):
     """All set partitions of a list, deterministically (first item first block)."""
     if not items:

@@ -10,7 +10,7 @@ from math import factorial
 from conftest import record_criterion
 
 from zrelalg.dalg import AlgebraElement, basis, dim_formula
-from zrelalg.groups import GAElement, Perm, ProdElt, WreathElt
+from zrelalg.groups import GAElement, Perm, signed_perms
 from zrelalg.murphy import sym_murphy, wreath_murphy
 from zrelalg.repn import (action_matrix, cell_module, gram, gram_bruteforce,
                           gram_rank_symbolic, radical_and_irreducible)
@@ -241,10 +241,10 @@ def test_criterion_10_murphy_layer():
 
     for n in (1, 2):
         ok = ok and cellular(sym_murphy(n), Perm.all(n))
-        ok = ok and cellular(wreath_murphy(n), WreathElt.all(n))
+        ok = ok and cellular(wreath_murphy(n), signed_perms(n))
     rng = random.Random(0)
     ok = ok and cellular(sym_murphy(3), Perm.all(3))
-    sample = [rng.choice(WreathElt.all(3)) for _ in range(6)]
+    sample = [rng.choice(signed_perms(3)) for _ in range(6)]
     ok = ok and cellular(wreath_murphy(3), sample)
     assert record_criterion(
         10, "Murphy layers: sum dims^2 = n! and 2^n n!; cellular axioms",

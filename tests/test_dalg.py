@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from zrelalg.dalg import (ALGEBRAS, AlgebraElement, basis, dim_formula,
                           in_basis, star_diagram)
 from zrelalg.errors import Incompatible, InvalidSize
-from zrelalg.groups import ProdElt
+from zrelalg.groups import signed_perms
 from zrelalg.ring import Poly
 from zrelalg.tabular import decompose, layer_for, reconstruct
 from zrelalg.zpart import (compose, enumerate_rk, horizontal_counts,
@@ -136,7 +136,7 @@ def test_top_cell_group_bijection():
         for d, w in to_group.items():
             assert reconstruct(P, Q, *layer.to_glue(w)) == d
             seen.add(w)
-        assert seen == set(ProdElt.all(k, 0))
+        assert seen == set(signed_perms(k))
 
 
 def test_top_cell_bijection_is_multiplicative():

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from zrelalg.groups import GAElement, Perm, ProdElt, WreathElt
+from zrelalg.groups import (GAElement, Perm, signed_perm, signed_perms,
+                            split_signed)
 from zrelalg.ring import Poly
 
 perms3 = st.sampled_from(Perm.all(3))
-wreath2 = st.sampled_from(WreathElt.all(2))
-prods = st.sampled_from(ProdElt.all(2, 1))
+signs3 = st.tuples(*[st.integers(0, 1)] * 3)
+wreath2 = st.sampled_from(signed_perms(2))
+prods = st.sampled_from(signed_perms(2, 1))
 
 
 @given(perms3, perms3)
@@ -27,32 +29,61 @@ def test_perm_group_axioms(p, q, r):
     assert p.inv().inv() == p
 
 
-def _wreath_as_map(w):
+def _wreath_as_map(signs, sigma):
     """Independent model: a signed permutation acts on pairs (i, sign) by
-    (i, s) -> (perm(i), s xor f(i)), applied left first in products."""
-    return {(i, s): (w.perm(i), s ^ w.signs[i])
-            for i in range(w.n) for s in (0, 1)}
+    (i, s) -> (sigma(i), s xor f(i)), applied left first in products."""
+    return {(i, s): (sigma(i), s ^ signs[i])
+            for i in range(len(signs)) for s in (0, 1)}
 
 
-@given(wreath2, wreath2)
-def test_wreath_product_matches_action_model(a, b):
-    fa, fb = _wreath_as_map(a), _wreath_as_map(b)
+@given(signs3, perms3, signs3, perms3)
+def test_wreath_product_matches_action_model(f, s, f2, s2):
+    fa, fb = _wreath_as_map(f, s), _wreath_as_map(f2, s2)
     composed = {x: fb[fa[x]] for x in fa}
-    assert _wreath_as_map(a * b) == composed
+    g = signed_perm(f, s) * signed_perm(f2, s2)
+    assert _wreath_as_map(*split_signed(g, 3)[:2]) == composed
+    # the encoding: point 2i + s is the pair (i, s)
+    assert {(p // 2, p % 2): (q // 2, q % 2)
+            for p, q in enumerate(g.images)} == composed
+
+
+@given(signs3, perms3, signs3, perms3)
+def test_signed_perm_keeps_the_wreath_product_rule(f, s, f2, s2):
+    # (f, s) * (f', s') = (i -> f(i) xor f'(s(i)), s then s')
+    product = tuple(f[i] ^ f2[s(i)] for i in range(3))
+    assert signed_perm(f, s) * signed_perm(f2, s2) == signed_perm(product,
+                                                                  s * s2)
+
+
+@given(signs3, perms3, perms3)
+def test_split_signed_inverts_signed_perm(f, sigma, rest):
+    assert split_signed(signed_perm(f, sigma, rest), 3) == (f, sigma, rest)
+    assert split_signed(signed_perm(f, sigma), 3) == (f, sigma, Perm(()))
+
+
+def test_signed_perms_are_the_centralizer_of_the_sign_swaps():
+    # oracle: Z2 wr S_n is the centralizer in S_2n of prod_i (2i 2i+1)
+    for n in range(4):
+        swaps = Perm([i ^ 1 for i in range(2 * n)])
+        centralizer = {p for p in Perm.all(2 * n) if p * swaps == swaps * p}
+        elements = signed_perms(n)
+        assert len(elements) == len(set(elements))
+        assert set(elements) == centralizer
 
 
 @given(wreath2)
 def test_wreath_inverse(a):
-    e = WreathElt.identity(2)
+    e = Perm.identity(4)
     assert a * a.inv() == a.inv() * a == e
 
 
 @given(prods, prods, prods)
 def test_prod_group_axioms(a, b, c):
-    e = ProdElt.identity(2, 1)
+    e = Perm.identity(5)
     assert (a * b) * c == a * (b * c)
     assert a * e == a
     assert a * a.inv() == e
+    assert a * b in set(signed_perms(2, 1))
 
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -83,5 +114,5 @@ def test_scale_and_of():
 
 def test_perm_constructors():
     assert len(set(Perm.all(4))) == 24
-    assert len(set(WreathElt.all(2))) == 8
-    assert len(set(ProdElt.all(2, 2))) == 16
+    assert len(set(signed_perms(2))) == 8
+    assert len(set(signed_perms(2, 2))) == 16

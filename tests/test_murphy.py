@@ -1,12 +1,13 @@
 """Murphy-type cellular bases of the group layers."""
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zrelalg.groups import GAElement, Perm, ProdElt, WreathElt
+from zrelalg.groups import GAElement, Perm, signed_perms
 from zrelalg.murphy import (MurphyBasis, MurphyRecord, SymLayer,
                             WreathSymLayer, _sign_blocks, product_murphy,
                             sym_murphy, wreath_murphy)
@@ -70,9 +71,9 @@ def _dense_columns(mb):
             for g, j in index.items()}
 
 
+PRODUCT_SIZES = [(s1, s2) for s1 in range(4) for s2 in range(4 - s1)]
 ORACLE_BASES = ([(wreath_murphy, (n,)) for n in (1, 2, 3)]
-                + [(product_murphy, (s1, s2)) for s1 in range(4)
-                   for s2 in range(4 - s1)]
+                + [(product_murphy, size) for size in PRODUCT_SIZES]
                 + [(sym_murphy, (n,)) for n in (1, 2, 3, 4)])
 
 
@@ -86,8 +87,7 @@ def test_columns_are_dense_inverse(build, args):
 
 
 def test_sign_blocks_reject_bad_bases():
-    one = WreathElt.identity(1)
-    g = WreathElt.sign_gen(1, 0)
+    one, g = Perm((0, 1)), Perm((1, 0))
 
     def basis(*elements):
         records = [MurphyRecord(i, None, None, e)
@@ -127,13 +127,13 @@ def test_sym_murphy_is_cellular():
 
 
 def test_wreath_murphy_is_cellular():
-    _check_cellularity(wreath_murphy(1), WreathElt.all(1))
-    _check_cellularity(wreath_murphy(2), WreathElt.all(2))
+    _check_cellularity(wreath_murphy(1), signed_perms(1))
+    _check_cellularity(wreath_murphy(2), signed_perms(2))
 
 
 def test_product_murphy_is_cellular():
-    _check_cellularity(product_murphy(1, 1), ProdElt.all(1, 1))
-    _check_cellularity(product_murphy(2, 1), ProdElt.all(2, 1))
+    _check_cellularity(product_murphy(1, 1), signed_perms(1, 1))
+    _check_cellularity(product_murphy(2, 1), signed_perms(2, 1))
 
 
 def test_struct_const_hand_example():
@@ -174,9 +174,9 @@ def test_wreath_idempotent_layers():
     mb = wreath_murphy(1)
     for label in mb.labels():
         (t,) = mb.tableaux_for(label)
-        assert mb.struct_const(label, t, t, WreathElt.identity(1)) == ONE
-    # the sign generator acts by +1 on one label and -1 on the other
-    g = WreathElt.sign_gen(1, 0)
+        assert mb.struct_const(label, t, t, Perm.identity(2)) == ONE
+    # the sign swap acts by +1 on one label and -1 on the other
+    g = Perm((1, 0))
     consts = sorted(mb.struct_const(label, mb.tableaux_for(label)[0],
                                     mb.tableaux_for(label)[0], g).const_value()
                     for label in mb.labels())
@@ -186,6 +186,7 @@ def test_wreath_idempotent_layers():
 def test_layer_objects():
     layer = WreathSymLayer(2, 1)
     g = layer.from_glue((1, 0), Perm((1, 0)), Perm((0,)))
+    assert g == Perm((3, 2, 0, 1, 4))
     assert layer.to_glue(g) == ((1, 0), Perm((1, 0)), Perm((0,)))
     assert len(layer.murphy().records) == 8
     # one Murphy basis per group, shared by the z2rel and signed layers
@@ -199,6 +200,18 @@ def test_layer_objects():
     assert sym.to_glue(p) == ((0, 0), Perm((1, 0)), Perm(()))
     with pytest.raises(ValueError):
         sym.from_glue((1, 0), Perm((1, 0)), Perm(()))
+
+
+@pytest.mark.parametrize("s1, s2", PRODUCT_SIZES,
+                         ids=["%d,%d" % size for size in PRODUCT_SIZES])
+def test_glue_round_trip(s1, s2):
+    layer = WreathSymLayer(s1, s2)
+    elements = product_murphy(s1, s2).elements
+    glues = [layer.to_glue(g) for g in elements]
+    assert glues == [(f, sigma, rest)
+                     for f in product((0, 1), repeat=s1)
+                     for sigma in Perm.all(s1) for rest in Perm.all(s2)]
+    assert [layer.from_glue(*glue) for glue in glues] == elements
 
 
 @given(st.sampled_from(Perm.all(3)), st.sampled_from(Perm.all(3)))
