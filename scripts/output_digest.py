@@ -16,7 +16,10 @@ Families (public API only):
   sorted glue order, so that the line does not depend on how group
   elements are represented;
 * ``symbolic-det``: ``rank_det_symbolic`` of every Gram matrix, k <= 3,
-  with the determinant printed by ``str``.
+  with the determinant printed by ``str``;
+* ``phi``: ``tabular.phi(P, Q)`` for every pair of halves of every
+  (s1, s2) of the three algebras, k <= 3, as l, f and the image tuples of
+  both permutations (or None).
 
 Usage: ``PYTHONPATH=src python scripts/output_digest.py``, once on each
 tree, then ``diff`` the two outputs.
@@ -32,7 +35,7 @@ from zrelalg.dalg import ALGEBRAS
 from zrelalg.groups import GAElement
 from zrelalg.repn import gram
 from zrelalg.ring import ScalarField
-from zrelalg.tabular import cellular_basis
+from zrelalg.tabular import cellular_basis, phi
 
 BIG_PRIME = 2147483647
 Q_POINTS = ("0", "1", "2", "-1/2")
@@ -65,13 +68,22 @@ def _irreducibles(argv):
 def families():
     out = {name: [] for name in ("gram-csv", "irreducibles", "rank-det-field",
                                  "nullspace-field", "murphy-coords",
-                                 "symbolic-det")}
+                                 "symbolic-det", "phi")}
     layers = {}
     for algebra in ALGEBRAS:
         for k in (1, 2, 3):
             cb = cellular_basis(algebra, k)
             layers.update((layer, None) for layer in cb.layers.values())
             points = _points(algebra, k)
+            for halves in cb.M.values():
+                for P in halves:
+                    for Q in halves:
+                        res = phi(P, Q)
+                        if res is not None:
+                            l, f, sigma1, sigma2 = res
+                            res = (l, f, sigma1.images, sigma2.images)
+                        out["phi"].append("%s %d %r %r %r"
+                                          % (algebra, k, P, Q, res))
             common = ["--algebra", algebra, "--k", str(k)]
             if k <= 2:
                 out["irreducibles"].append(_irreducibles(common))

@@ -65,16 +65,22 @@ def gram(label, algebra, k):
     module = cell_module(label, algebra, k)
     layer = cb.layers[(label.s1, label.s2)]
     murphy = layer.murphy()
+    halves = cb.M[(label.s1, label.s2)]
+    glue = {}        # (P, Q) -> (l, delta), or None where phi fails
+    for P in halves:
+        for Q in halves:
+            res = phi(P, Q)
+            glue[(P, Q)] = (None if res is None
+                            else (res[0], layer.from_glue(*res[1:])))
     entries = []
     for (P, s) in module.basis:
         row = []
         for (Q, t) in module.basis:
-            res = phi(P, Q)
-            if res is None:
+            pair = glue[(P, Q)]
+            if pair is None:
                 row.append(Poly())
                 continue
-            l, f, sg1, sg2 = res
-            delta = layer.from_glue(f, sg1, sg2)
+            l, delta = pair
             coeff = murphy.struct_const(label.glabel, s, t, delta)
             row.append(coeff * Poly.x(l))
         entries.append(row)

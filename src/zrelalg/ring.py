@@ -417,11 +417,14 @@ class ExactMatrix:
 
         Each row is scaled by the lcm of its coefficient denominators into
         integer polynomials g_ij.  The determinant has degree at most
-        D = min(sum_i max_j deg g_ij, sum_j max_i deg g_ij), and each of its
-        coefficients is at most B = prod_i sum_j |g_ij|_1 in absolute value
-        (the permanent of the entries' 1-norms bounds it).  Modulo each
-        prime, det is evaluated at x = 0..D and Newton-interpolated; primes
-        are combined by CRT until their product exceeds 2B, then lifted to
+        D = min(sum_i max_j deg g_ij, sum_j max_i deg g_ij).  Its
+        coefficients are at most H = prod_i (sum_j |g_ij|_1^2)^(1/2) in
+        absolute value (Hadamard-Cauchy): on |z| = 1, |g_ij(z)| <= |g_ij|_1,
+        so Hadamard's inequality gives |det G(z)| <= H; by Cauchy's
+        estimate every coefficient of det G is at most max_{|z|=1} |det G|.
+        Modulo each prime, det is evaluated at x = 0..D and
+        Newton-interpolated; primes are combined by CRT until their product
+        exceeds 2H (compared squared, so in exact integers), then lifted to
         the symmetric range and divided by the row scale.
         """
         polys = [[(e if isinstance(e, Poly) else Poly.const(e)).coeffs
@@ -435,11 +438,11 @@ class ExactMatrix:
             rows.append([Poly({d: int(v * den) for d, v in c.items()})
                          for c in row])
             scale *= den
-        coeff_bound = prod(sum(abs(v) for e in row for v in e.coeffs.values())
-                           for row in rows)
+        bound_sq = prod(sum(sum(abs(v) for v in e.coeffs.values()) ** 2
+                            for e in row) for row in rows)
         scaled = ExactMatrix(rows)
         coeffs, modulus, i = [0] * (degree_bound + 1), 1, 0
-        while modulus <= 2 * coeff_bound:
+        while modulus * modulus <= 4 * bound_sq:
             p = _crt_prime(i)
             i += 1
             field = PrimeField(p)

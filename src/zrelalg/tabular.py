@@ -35,7 +35,7 @@ class HalfDiagram:
     coordinates refer to.
     """
 
-    __slots__ = ("base", "e_marks", "z_marks", "_hash")
+    __slots__ = ("base", "e_marks", "z_marks", "_hash", "_block_ids")
 
     def __init__(self, base, e_marks=(), z_marks=()):
         if base.rows != 1:
@@ -54,6 +54,28 @@ class HalfDiagram:
                 raise Incompatible("support %r is not a symmetric class of %r"
                                    % (m, base))
         self._hash = hash((base, self.e_marks, self.z_marks))
+        self._block_ids = None
+
+    def block_ids(self):
+        """(block_of, number of blocks, marks) with blocks numbered as in
+        ``base.blocks``: block_of[2(i-1) + s] is the block of vertex
+        (TOP, i, s), and marks lists the marked blocks as (block, kind,
+        mark index, tag) -- an e-mark's e-block and g-block with tags "e"
+        and "g", a z-mark's one block with tag None."""
+        if self._block_ids is None:
+            block_of = [0] * (2 * self.base.k)
+            for b, block in enumerate(self.base.blocks):
+                for _, i, s in block:
+                    block_of[2 * i - 2 + s] = b
+            marks = []
+            for i, m in enumerate(self.e_marks):
+                v = 2 * m[0] - 2
+                marks.append((block_of[v + E], "e", i, "e"))
+                marks.append((block_of[v + G], "e", i, "g"))
+            for i, m in enumerate(self.z_marks):
+                marks.append((block_of[2 * m[0] - 2 + E], "z", i, None))
+            self._block_ids = (block_of, len(self.base.blocks), tuple(marks))
+        return self._block_ids
 
     @property
     def k(self):
@@ -216,24 +238,33 @@ def phi(top, bottom):
     Returns (l, f, sigma1, sigma2) when the marked blocks of the two
     halves pair off bijectively inside the join -- one from each side per
     join class -- and None otherwise.  l counts the join classes meeting
-    no marked block of either half.
+    no marked block of either half.  The join is a union-find on block
+    numbers: top blocks first, then bottom blocks shifted by their count,
+    linked along each shared vertex.
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
-    root = join(top.base.blocks + bottom.base.blocks)
-    marked = []
-    for half in (top, bottom):
-        owner = {}     # join class -> (kind, mark index, which block)
-        for i, m in enumerate(half.e_marks):
-            for tag, sign in (("e", E), ("g", G)):
-                owner[root[(TOP, m[0], sign)]] = ("e", i, tag)
-        for i, m in enumerate(half.z_marks):
-            owner[root[(TOP, m[0], E)]] = ("z", i, None)
-        if len(owner) != 2 * half.s1 + half.s2:
-            return None
-        marked.append(owner)
-    top_marked, bot_marked = marked
-    if set(top_marked) != set(bot_marked):
+    top_of, nt, top_marks = top.block_ids()
+    bot_of, nb, bot_marks = bottom.block_ids()
+    parent = list(range(nt + nb))
+    for a, b in zip(top_of, bot_of):
+        b += nt
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+    root = []
+    for a in range(nt + nb):
+        while parent[a] != a:
+            a = parent[a]
+        root.append(a)
+    top_marked = {root[b]: (kind, i, tag) for b, kind, i, tag in top_marks}
+    bot_marked = {root[nt + b]: (kind, i, tag)
+                  for b, kind, i, tag in bot_marks}
+    if (len(top_marked) != len(top_marks) or len(bot_marked) != len(bot_marks)
+            or top_marked.keys() != bot_marked.keys()):
         return None
     s1, s2 = top.s1, top.s2
     images1 = [None] * s1
@@ -251,7 +282,7 @@ def phi(top, bottom):
             images2[i] = j
     if None in images1 or None in images2:
         return None
-    l = len(set(root.values()) - set(top_marked))
+    l = len(set(root)) - len(top_marked)
     return (l, tuple(signs), Perm(images1), Perm(images2))
 
 

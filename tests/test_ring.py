@@ -253,3 +253,27 @@ def test_multimodular_det_at_its_bounds(monkeypatch):
     m = ExactMatrix([[a, ZERO], [ZERO, b]])
     assert m._det_multimodular() == a * b
     assert len(set(primes)) >= 2
+
+
+def test_multimodular_det_at_the_hadamard_bound(monkeypatch):
+    """60x times the Sylvester Hadamard matrix H_8 meets the Hadamard
+    bound: |det| = 60^8 * 8^4 = H exactly, and it lies between p0/2 and
+    p0 for the first CRT prime p0, so one prime cannot lift it."""
+    primes = []
+
+    def spy(i):
+        primes.append(i)
+        return crt_prime(i)
+
+    crt_prime = ring._crt_prime
+    p0 = crt_prime(0)
+    assert p0 // 2 < 60 ** 8 * 8 ** 4 < p0
+    monkeypatch.setattr(ring, "_crt_prime", spy)
+    x60 = Poly({1: 60})
+    h8 = [[x60 if bin(i & j).count("1") % 2 == 0 else -x60
+            for j in range(8)] for i in range(8)]
+    m = ExactMatrix(h8)
+    det = m._det_multimodular()
+    assert det == m._bareiss()[1]
+    assert abs(det.coeffs[8]) == 60 ** 8 * 8 ** 4
+    assert len(set(primes)) == 2

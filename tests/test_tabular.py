@@ -1,5 +1,6 @@
 """Half-diagram factorization, phi-map, tabular axiom, cellular basis."""
 
+import random
 from functools import cache
 
 import pytest
@@ -13,7 +14,7 @@ from zrelalg.tabular import (CellLabel, HalfDiagram, cellular_basis,
                              decompose, enumerate_M, index_lt, index_pairs,
                              layer_for, phi, reconstruct,
                              variant_for, verify_table_datum)
-from zrelalg.zpart import (E, G, TOP, canonicalize, propagating_data)
+from zrelalg.zpart import (E, G, TOP, canonicalize, join, propagating_data)
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
@@ -132,6 +133,84 @@ def test_phi_element_values():
     a = HalfDiagram(zbase((1,), (2,), (3,)), z_marks=[(1,)])
     b = HalfDiagram(zbase((1,), (2,), (3,)), z_marks=[(2,)])
     assert phi(a, b) is None
+
+
+def _phi_by_join(top, bottom):
+    """Oracle for ``phi``: the join of the two halves as a union-find on
+    signed vertices (``zpart.join``), marks owned by join class."""
+    root = join(top.base.blocks + bottom.base.blocks)
+    marked = []
+    for half in (top, bottom):
+        owner = {}     # join class -> (kind, mark index, which block)
+        for i, m in enumerate(half.e_marks):
+            for tag, sign in (("e", E), ("g", G)):
+                owner[root[(TOP, m[0], sign)]] = ("e", i, tag)
+        for i, m in enumerate(half.z_marks):
+            owner[root[(TOP, m[0], E)]] = ("z", i, None)
+        if len(owner) != 2 * half.s1 + half.s2:
+            return None
+        marked.append(owner)
+    top_marked, bot_marked = marked
+    if set(top_marked) != set(bot_marked):
+        return None
+    s1, s2 = top.s1, top.s2
+    images1 = [None] * s1
+    signs = [0] * s1
+    images2 = [None] * s2
+    for cls, (kind, i, tag) in top_marked.items():
+        bkind, j, btag = bot_marked[cls]
+        if kind != bkind:
+            return None
+        if kind == "e":
+            if tag == "e":
+                images1[i] = j
+                signs[i] = 1 if btag == "g" else 0
+        else:
+            images2[i] = j
+    if None in images1 or None in images2:
+        return None
+    l = len(set(root.values()) - set(top_marked))
+    return (l, tuple(signs), Perm(images1), Perm(images2))
+
+
+def _phi_values(res):
+    """phi's result with both Perms replaced by their image tuples."""
+    if res is None:
+        return None
+    l, f, sigma1, sigma2 = res
+    return (l, f, sigma1.images, sigma2.images)
+
+
+def _half_sets(algebra, k):
+    variant = variant_for(algebra)
+    return [halves for s1, s2 in index_pairs(algebra, k)
+            if (halves := enumerate_M(k, s1, s2, variant))]
+
+
+def test_phi_equals_join_oracle_every_pair_k_le_3():
+    pairs = 0
+    for algebra in ALGEBRAS:
+        for k in (1, 2, 3):
+            for halves in _half_sets(algebra, k):
+                for P in halves:
+                    for Q in halves:
+                        assert (_phi_values(phi(P, Q))
+                                == _phi_values(_phi_by_join(P, Q))), (P, Q)
+                        pairs += 1
+    assert pairs == 7188
+
+
+def test_phi_equals_join_oracle_sampled_signed_k4():
+    rng = random.Random(4)
+    sets = _half_sets("signed", 4)
+    glued = 0
+    for _ in range(3000):
+        halves = rng.choice(sets)
+        P, Q = rng.choice(halves), rng.choice(halves)
+        res = phi(P, Q)
+        assert _phi_values(res) == _phi_values(_phi_by_join(P, Q)), (P, Q)
+        glued += res is not None
+    assert 0 < glued < 3000
 
 
 def test_index_pairs_and_order():
