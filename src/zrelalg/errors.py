@@ -21,10 +21,6 @@ class NotADiagram(ZRelError):
     """A two-row diagram was required."""
 
 
-class UnknownBlock(ZRelError):
-    """The block does not belong to the partition."""
-
-
 class SizeMismatch(ZRelError):
     """Diagram sizes differ."""
 

@@ -76,20 +76,20 @@ def _row_stabilizer(tab):
     return perms
 
 
-def _block_solve(keys, block_of, record_coords):
+def _block_solve(keys, block_key, record_coords):
     """key -> {record index: coefficient}: each vector of an intermediate
     basis written in the records, given the records' coordinates in it.
 
-    ``block_of`` partitions the keys.  Each record must lie in one block
+    ``block_key`` partitions the keys.  Each record must lie in one block
     and each block must hold as many records as keys; each block is then
     inverted on its own.
     """
     block_keys = {}
     for key in keys:
-        block_keys.setdefault(block_of(key), []).append(key)
+        block_keys.setdefault(block_key(key), []).append(key)
     block_records = {}
     for r, coords in enumerate(record_coords):
-        blocks = {block_of(key) for key in coords}
+        blocks = {block_key(key) for key in coords}
         if len(blocks) != 1:
             raise ArithmeticError("record %d spans %d blocks"
                                   % (r, len(blocks)))
@@ -145,7 +145,7 @@ def _sign_blocks(mb):
     n = mb.elements[0].n // 2
     size = 1 << n
 
-    def block_of(key):
+    def block_key(key):
         f, sigma = key
         return f, sum(((f >> i) & 1) << j for i, j in enumerate(sigma.images))
 
@@ -166,7 +166,7 @@ def _sign_blocks(mb):
                     coords[(f, sigma)] = Fraction(v, den)
         record_coords.append(coords)
     keys = [(f, sigma) for f in range(size) for sigma in Perm.all(n)]
-    block_columns = _block_solve(keys, block_of, record_coords)
+    block_columns = _block_solve(keys, block_key, record_coords)
     columns = {}
     for g in mb.elements:
         signs, sigma, _ = split_signed(g, n)

@@ -21,9 +21,9 @@ from .errors import Incompatible, NotADiagram, UnknownLabel
 from .groups import GAElement, Perm
 from .murphy import SymLayer, WreathSymLayer
 from .ring import Poly
-from .zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, canonicalize,
-                    enumerate_rk, is_sign_constant, join, propagating_data,
-                    restrict)
+from .zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, block_index,
+                    canonicalize, classes, enumerate_rk, is_sign_constant,
+                    propagating_data, restrict, roots)
 
 
 class HalfDiagram:
@@ -57,24 +57,21 @@ class HalfDiagram:
         self._block_ids = None
 
     def block_ids(self):
-        """(block_of, number of blocks, marks) with blocks numbered as in
-        ``base.blocks``: block_of[2(i-1) + s] is the block of vertex
-        (TOP, i, s), and marks lists the marked blocks as (block, kind,
-        mark index, tag) -- an e-mark's e-block and g-block with tags "e"
-        and "g", a z-mark's one block with tag None."""
+        """(index, number of blocks, marks) with blocks numbered as in
+        ``base.blocks``: index = ``block_index(base)``, so index[2(i-1) + s]
+        is the block of vertex (TOP, i, s), and marks lists the marked
+        blocks as (block, kind, mark index, tag) -- an e-mark's e-block and
+        g-block with tags "e" and "g", a z-mark's one block with tag None."""
         if self._block_ids is None:
-            block_of = [0] * (2 * self.base.k)
-            for b, block in enumerate(self.base.blocks):
-                for _, i, s in block:
-                    block_of[2 * i - 2 + s] = b
+            index = block_index(self.base)
             marks = []
             for i, m in enumerate(self.e_marks):
                 v = 2 * m[0] - 2
-                marks.append((block_of[v + E], "e", i, "e"))
-                marks.append((block_of[v + G], "e", i, "g"))
+                marks.append((index[v + E], "e", i, "e"))
+                marks.append((index[v + G], "e", i, "g"))
             for i, m in enumerate(self.z_marks):
-                marks.append((block_of[2 * m[0] - 2 + E], "z", i, None))
-            self._block_ids = (block_of, len(self.base.blocks), tuple(marks))
+                marks.append((index[2 * m[0] - 2 + E], "z", i, None))
+            self._block_ids = (index, len(self.base.blocks), tuple(marks))
         return self._block_ids
 
     @property
@@ -194,14 +191,15 @@ def decompose(d):
     bot_half = HalfDiagram(bot, [b for _, b in e_through],
                            [b for _, b in z_through])
     s1, s2 = len(e_through), len(z_through)
+    index = block_index(d)
     images1 = [0] * s1
     signs = [0] * s1
     for tsup, bsup in e_through:
         i = top_half.e_marks.index(tsup)
         j = bot_half.e_marks.index(bsup)
         images1[i] = j
-        blk = d.block_of((TOP, tsup[0], E))
-        signs[i] = 1 if (BOTTOM, bsup[0], G) in blk else 0
+        signs[i] = int(index[2 * tsup[0] - 2 + E]
+                       == index[2 * d.k + 2 * bsup[0] - 2 + G])
     images2 = [0] * s2
     for tsup, bsup in z_through:
         images2[top_half.z_marks.index(tsup)] = bot_half.z_marks.index(bsup)
@@ -209,57 +207,49 @@ def decompose(d):
 
 
 def reconstruct(top, bottom, f, sigma1, sigma2):
-    """Inverse of decompose: glue marks along (f, sigma1, sigma2)."""
+    """Inverse of decompose: glue marks along (f, sigma1, sigma2).
+
+    The glue is a union-find on block numbers, top blocks first, then
+    bottom blocks shifted by their count: the i-th top couple mark's
+    e-block is linked to the e-block (f(i) = 0) or the g-block (f(i) = 1)
+    of bottom couple mark sigma1(i), its g-block to the other one, and the
+    l-th top symmetric mark to bottom symmetric mark sigma2(l).
+    """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
-    # a mark's e-block (z-block) holds its minimal vertex with sign e, its
-    # g-block the same vertex with sign g
-    glue = []
-    for i, tsup in enumerate(top.e_marks):
-        bsup = bottom.e_marks[sigma1(i)]
-        glue.append(((TOP, tsup[0], E), (BOTTOM, bsup[0], f[i])))
-        glue.append(((TOP, tsup[0], G), (BOTTOM, bsup[0], 1 - f[i])))
-    for l, tsup in enumerate(top.z_marks):
-        bsup = bottom.z_marks[sigma2(l)]
-        glue.append(((TOP, tsup[0], E), (BOTTOM, bsup[0], E)))
-    root = join(top.base.blocks
-                + tuple([(BOTTOM, i, s) for _, i, s in b]
-                        for b in bottom.base.blocks)
-                + tuple(glue))
-    classes = {}
-    for v, r in root.items():
-        classes.setdefault(r, []).append(v)
-    return canonicalize(list(classes.values()), top.k, 2)
+    _, nt, top_marks = top.block_ids()
+    _, nb, bot_marks = bottom.block_ids()
+    s1 = top.s1
+    links = []
+    for i in range(s1):
+        j = 2 * sigma1(i)
+        links.append((top_marks[2 * i][0], nt + bot_marks[j + f[i]][0]))
+        links.append((top_marks[2 * i + 1][0],
+                      nt + bot_marks[j + 1 - f[i]][0]))
+    for l in range(top.s2):
+        links.append((top_marks[2 * s1 + l][0],
+                      nt + bot_marks[2 * s1 + sigma2(l)][0]))
+    blocks = top.base.blocks + tuple([(BOTTOM, i, s) for _, i, s in b]
+                                     for b in bottom.base.blocks)
+    return canonicalize([[v for b in cls for v in blocks[b]]
+                         for cls in classes(nt + nb, links)], top.k, 2)
 
 
 def phi(top, bottom):
     """Glue two halves along their shared row.
 
+    The glue is ``zpart.roots`` on block numbers, top blocks first, then
+    bottom blocks shifted by their count, linked along each shared vertex.
     Returns (l, f, sigma1, sigma2) when the marked blocks of the two
-    halves pair off bijectively inside the join -- one from each side per
-    join class -- and None otherwise.  l counts the join classes meeting
-    no marked block of either half.  The join is a union-find on block
-    numbers: top blocks first, then bottom blocks shifted by their count,
-    linked along each shared vertex.
+    halves pair off bijectively in the glued classes -- one from each side
+    per class -- and None otherwise.  l counts the glued classes meeting
+    no marked block of either half.
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
     top_of, nt, top_marks = top.block_ids()
     bot_of, nb, bot_marks = bottom.block_ids()
-    parent = list(range(nt + nb))
-    for a, b in zip(top_of, bot_of):
-        b += nt
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-    root = []
-    for a in range(nt + nb):
-        while parent[a] != a:
-            a = parent[a]
-        root.append(a)
+    root = roots(nt + nb, zip(top_of, [nt + b for b in bot_of]))
     top_marked = {root[b]: (kind, i, tag) for b, kind, i, tag in top_marks}
     bot_marked = {root[nt + b]: (kind, i, tag)
                   for b, kind, i, tag in bot_marks}

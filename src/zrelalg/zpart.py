@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import (InvalidSize, MalformedPartition, NotADiagram,
-                     NotZ2Stable, SizeMismatch, UnknownBlock)
+                     NotZ2Stable, SizeMismatch)
 
 TOP, BOTTOM = 0, 1
 E, G = 0, 1
@@ -65,12 +65,6 @@ class ZStablePartition:
         def vname(v):
             return "%d%s%s" % (v[1], "'" if v[0] == BOTTOM else "", "eg"[v[2]])
         return "{" + " | ".join(" ".join(vname(v) for v in b) for b in self.blocks) + "}"
-
-    def block_of(self, vertex):
-        for b in self.blocks:
-            if vertex in b:
-                return b
-        raise UnknownBlock("vertex %r not covered" % (vertex,))
 
     def components(self):
         """Connected components of the unsigned quotient, with their block structure."""
@@ -229,42 +223,58 @@ def enumerate_rk_bruteforce(k, rows):
     return out
 
 
-def join(groups):
-    """Union-find: {vertex: root}, two vertices sharing a root exactly when
-    a chain of the given groups links them.  Every vertex must lie in some
-    group; a vertex may lie in several."""
-    parent = {}
+def block_index(d):
+    """The block of every vertex, as a list: entry 2k*row + 2(i-1) + s is
+    the index in ``d.blocks`` of the block holding vertex (row, i, s)."""
+    k2 = 2 * d.k
+    out = [0] * (k2 * d.rows)
+    for b, block in enumerate(d.blocks):
+        for row, i, s in block:
+            out[k2 * row + 2 * i - 2 + s] = b
+    return out
 
-    def find(a):
+
+def roots(n, links):
+    """Union-find on 0..n-1: the list of each element's class root once
+    every pair (a, b) of links is joined."""
+    parent = list(range(n))
+    for a, b in links:
         while parent[a] != a:
-            parent[a] = parent[parent[a]]
             a = parent[a]
-        return a
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+    root = []
+    for a in range(n):
+        while parent[a] != a:
+            a = parent[a]
+        root.append(a)
+    return root
 
-    for group in groups:
-        root = None
-        for v in group:
-            r = find(parent.setdefault(v, v))
-            if root is None:
-                root = r
-            elif r != root:
-                parent[r] = root
-    return {v: find(v) for v in parent}
+
+def classes(n, links):
+    """The classes of ``roots(n, links)`` as ascending index lists,
+    ordered by least index."""
+    out = {}
+    for a, r in enumerate(roots(n, links)):
+        out.setdefault(r, []).append(a)
+    return out.values()
 
 
 def _analyze_components(d):
-    root = join([(row, i) for row, i, _ in b] for b in d.blocks)
-    groups = {}
-    for pos, r in root.items():
-        groups.setdefault(r, ([], []))[0].append(pos)
-    for b in d.blocks:
-        groups[root[b[0][:2]]][1].append(b)
+    # Linking the two sign copies of every position leaves one class per
+    # quotient component.  Classes come in order of least block, blocks
+    # are sorted by least vertex, so the components come out sorted by
+    # support and each one's blocks sorted.
+    index = block_index(d)
     comps = []
-    for positions, cblocks in groups.values():
-        positions.sort()
+    for cls in classes(len(d.blocks), zip(index[E::2], index[G::2])):
+        cblocks = tuple(d.blocks[b] for b in cls)
+        support = tuple(sorted((row, i) for block in cblocks
+                               for row, i, s in block if s == E))
         kind = Z2CLASS if len(cblocks) == 1 else EPAIR
-        comps.append(Component(tuple(positions), tuple(sorted(cblocks)), kind))
-    comps.sort(key=lambda c: c.support)
+        comps.append(Component(support, cblocks, kind))
     return tuple(comps)
 
 
@@ -300,38 +310,32 @@ def restrict(d, which):
     return canonicalize(blocks, d.k, 1)
 
 
-def compose(d1, d2, middle_info=False):
+def compose(d1, d2):
     """Glue d1 above d2 (bottom of d1 identified with top of d2).
 
-    Returns (outer diagram, l) with l the number of glued blocks lying
-    wholly in the identified middle row.  With middle_info=True, also
-    returns the list of merged middle-level classes for oracle use.
+    Returns (outer diagram, l) with l the number of glued classes lying
+    wholly in the identified middle row.  The glue is a union-find on
+    block indices: d1's blocks, then d2's shifted by their count, linked
+    along every middle vertex.
     """
     if d1.rows != 2 or d2.rows != 2:
         raise NotADiagram("compose needs two-row diagrams")
     if d1.k != d2.k:
         raise SizeMismatch("k=%d vs k=%d" % (d1.k, d2.k))
-    k = d1.k
-    # levels: 0 = top of d1, 1 = shared middle, 2 = bottom of d2
-    root = join(d1.blocks + tuple([(lvl + 1, i, s) for lvl, i, s in b]
-                                  for b in d2.blocks))
-    classes = {}
-    for v, r in root.items():
-        classes.setdefault(r, []).append(v)
+    k2 = 2 * d1.k
+    n1 = len(d1.blocks)
+    links = zip(block_index(d1)[k2:], [n1 + b for b in block_index(d2)[:k2]])
+    outer = ([[v for v in b if v[0] == TOP] for b in d1.blocks]
+             + [[v for v in b if v[0] == BOTTOM] for b in d2.blocks])
     outer_blocks = []
     loops = 0
-    middle = []
-    for cls in classes.values():
-        outer = [(TOP if lvl == 0 else BOTTOM, i, s) for lvl, i, s in cls if lvl != 1]
-        if outer:
-            outer_blocks.append(outer)
+    for cls in classes(n1 + len(d2.blocks), links):
+        vertices = [v for b in cls for v in outer[b]]
+        if vertices:
+            outer_blocks.append(vertices)
         else:
             loops += 1
-            middle.append(tuple(sorted(cls)))
-    result = canonicalize(outer_blocks, k, 2)
-    if middle_info:
-        return result, loops, sorted(middle)
-    return result, loops
+    return canonicalize(outer_blocks, d1.k, 2), loops
 
 
 def horizontal_counts(d):

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, formats, exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import zrelalg
-from zrelalg import dalg, tabular
+from zrelalg import cli, dalg, tabular
 from zrelalg.cli import build_parser, format_label, main, parse_label
 from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
 from zrelalg.errors import UsageError
@@ -104,6 +105,16 @@ def test_verify_suites_pass_k1(suite, capsys):
     assert report["failures"] == []
     assert report["checked"] > 0
     assert "elapsed_ms" in report
+
+
+def test_verify_elapsed_ms_ignores_wall_clock_steps(monkeypatch, capsys):
+    # a wall clock stepping backwards must not give a negative time
+    clock = itertools.count(10 ** 6, -1)
+    monkeypatch.setattr(cli.time, "time", lambda: next(clock))
+    code, out, _ = run(capsys, "verify", "--algebra", "signed", "--k", "1",
+                       "--suite", "roundtrip")
+    assert code == 0
+    assert json.loads(out)["elapsed_ms"] >= 0
 
 
 def test_verify_sampled_k2(capsys):

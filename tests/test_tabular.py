@@ -14,7 +14,7 @@ from zrelalg.tabular import (CellLabel, HalfDiagram, cellular_basis,
                              decompose, enumerate_M, index_lt, index_pairs,
                              layer_for, phi, reconstruct,
                              variant_for, verify_table_datum)
-from zrelalg.zpart import (E, G, TOP, canonicalize, join, propagating_data)
+from zrelalg.zpart import E, G, TOP, canonicalize, propagating_data
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
@@ -135,10 +135,33 @@ def test_phi_element_values():
     assert phi(a, b) is None
 
 
+def _join(groups):
+    """Union-find oracle: {vertex: root}, two vertices sharing a root
+    exactly when a chain of the given groups links them.  Every vertex must
+    lie in some group; a vertex may lie in several."""
+    parent = {}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for group in groups:
+        root = None
+        for v in group:
+            r = find(parent.setdefault(v, v))
+            if root is None:
+                root = r
+            elif r != root:
+                parent[r] = root
+    return {v: find(v) for v in parent}
+
+
 def _phi_by_join(top, bottom):
     """Oracle for ``phi``: the join of the two halves as a union-find on
-    signed vertices (``zpart.join``), marks owned by join class."""
-    root = join(top.base.blocks + bottom.base.blocks)
+    signed vertices (``_join``), marks owned by join class."""
+    root = _join(top.base.blocks + bottom.base.blocks)
     marked = []
     for half in (top, bottom):
         owner = {}     # join class -> (kind, mark index, which block)

@@ -1,12 +1,16 @@
 """Sign-stable set partitions: structure, enumeration, composition."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_tabular import _join
 
+from zrelalg.dalg import ALGEBRAS, basis
 from zrelalg.errors import MalformedPartition, NotZ2Stable
-from zrelalg.zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, ZStablePartition,
-                           canonicalize, compose, enumerate_rk,
-                           enumerate_rk_bruteforce, flip_sign,
+from zrelalg.zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, Component,
+                           ZStablePartition, canonicalize, compose,
+                           enumerate_rk, enumerate_rk_bruteforce, flip_sign,
                            horizontal_counts, identity_diagram, is_z2_stable,
                            propagating_data, quotient, restrict, vertex_set)
 
@@ -94,15 +98,65 @@ def test_compose_loop_example():
     assert allone in k1 and top_only in k1
     assert compose(allone, allone) == (allone, 0)
     assert compose(top_only, top_only) == (top_only, 1)
-    d, loops, middle = compose(top_only, top_only, middle_info=True)
-    assert loops == len(middle) == 1
 
 
-@given(_diagrams(2, 2), _diagrams(2, 2))
-def test_middle_info_consistent(d1, d2):
-    d, loops, middle = compose(d1, d2, middle_info=True)
-    assert loops == len(middle)
-    assert compose(d1, d2) == (d, loops)
+def _compose_by_join(d1, d2):
+    """Oracle for ``compose``: a union-find on signed vertices, d2 shifted
+    one level down so that its top row is d1's bottom row."""
+    root = _join(d1.blocks + tuple([(lvl + 1, i, s) for lvl, i, s in b]
+                                   for b in d2.blocks))
+    classes = {}
+    for v, r in root.items():
+        classes.setdefault(r, []).append(v)
+    outer_blocks = []
+    loops = 0
+    for cls in classes.values():
+        outer = [(TOP if lvl == 0 else BOTTOM, i, s)
+                 for lvl, i, s in cls if lvl != 1]
+        if outer:
+            outer_blocks.append(outer)
+        else:
+            loops += 1
+    return canonicalize(outer_blocks, d1.k, 2), loops
+
+
+def _components_by_join(d):
+    """Oracle for ``components``: a union-find on unsigned positions."""
+    root = _join([(row, i) for row, i, _ in b] for b in d.blocks)
+    groups = {}
+    for pos, r in root.items():
+        groups.setdefault(r, ([], []))[0].append(pos)
+    for b in d.blocks:
+        groups[root[b[0][:2]]][1].append(b)
+    comps = []
+    for positions, cblocks in groups.values():
+        kind = Z2CLASS if len(cblocks) == 1 else EPAIR
+        comps.append(Component(tuple(sorted(positions)),
+                               tuple(sorted(cblocks)), kind))
+    comps.sort(key=lambda c: c.support)
+    return tuple(comps)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_compose_equals_join_oracle(algebra):
+    pairs = [(d1, d2) for k in (1, 2)
+             for d1 in basis(algebra, k) for d2 in basis(algebra, k)]
+    rng = random.Random(3)
+    k3 = basis(algebra, 3)
+    pairs += [(rng.choice(k3), rng.choice(k3)) for _ in range(2000)]
+    loops = 0
+    for d1, d2 in pairs:
+        res = compose(d1, d2)
+        assert res == _compose_by_join(d1, d2), (d1, d2)
+        loops += res[1]
+    assert loops > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_components_equal_join_oracle(k, rows):
+    for d in enumerate_rk(k, rows):
+        assert d.components() == _components_by_join(d), d
 
 
 def test_propagating_and_horizontal_hand_examples():
