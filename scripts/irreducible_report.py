@@ -7,8 +7,6 @@ rationals -- so rank drops of the Gram forms are visible side by side.
 
 import argparse
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 from zrelalg.cli import _rational, format_label
 from zrelalg.dalg import ALGEBRAS
@@ -16,23 +14,14 @@ from zrelalg.errors import ZRelError
 from zrelalg.repn import irreducible_table
 
 
-@dataclass
-class Config:
-    algebras: tuple = ALGEBRAS
-    k: int = 1
-    points: tuple = (Fraction(0), Fraction(1))
-    char: int = 0
-
-
-def run(config):
-    for algebra in config.algebras:
-        print("== %s, k=%d ==" % (algebra, config.k))
-        generic = irreducible_table(algebra, config.k)
+def run(k, points, char):
+    for algebra in ALGEBRAS:
+        print("== %s, k=%d ==" % (algebra, k))
+        generic = irreducible_table(algebra, k)
         tables = [("generic", generic)]
-        for x in config.points:
-            tables.append(("x=%s" % x,
-                           irreducible_table(algebra, config.k,
-                                             char=config.char, x_value=x)))
+        for x in points:
+            tables.append(("x=%s" % x, irreducible_table(
+                algebra, k, char=char, x_value=x)))
         labels = [row["label"] for row in generic]
         print("%-16s %6s %s" % ("label", "dim_W",
                                 " ".join("%8s" % name
@@ -59,7 +48,7 @@ def main():
                              "write negative ones as --points=-1/2,0")
     args = parser.parse_args()
     try:
-        run(Config(k=args.k, points=args.points, char=args.char))
+        run(args.k, args.points, args.char)
     except ZRelError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

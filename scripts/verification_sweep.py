@@ -9,34 +9,24 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from zrelalg.cli import _SUITES, positive_int
 from zrelalg.dalg import ALGEBRAS
 
 
-@dataclass
-class Config:
-    algebras: tuple = ALGEBRAS
-    ks: tuple = (1, 2)
-    samples: int = 200
-    seed: int = 0
-    suites: tuple = tuple(sorted(_SUITES))
-
-
-def run(config):
+def run(max_k, samples, seed):
+    """Print one line per (algebra, k, suite); return the failure count."""
     failures = 0
-    for algebra in config.algebras:
-        for k in config.ks:
-            for suite in config.suites:
-                t0 = time.time()
-                report = _SUITES[suite](algebra, k, config.samples,
-                                        config.seed)
+    for algebra in ALGEBRAS:
+        for k in range(1, max_k + 1):
+            for suite in sorted(_SUITES):
+                t0 = time.perf_counter()
+                report = _SUITES[suite](algebra, k, samples, seed)
                 status = "ok" if not report["failures"] else "FAIL"
                 failures += len(report["failures"])
                 print("%-10s k=%d %-12s %-4s checked=%-5d %.2fs"
                       % (algebra, k, suite, status, report["checked"],
-                         time.time() - t0))
+                         time.perf_counter() - t0))
                 for line in report["failures"][:5]:
                     print("    " + line)
     return failures
@@ -50,9 +40,7 @@ def main():
     parser.add_argument("--json", action="store_true",
                         help="emit a one-line JSON summary at the end")
     args = parser.parse_args()
-    config = Config(ks=tuple(range(1, args.max_k + 1)),
-                    samples=args.samples, seed=args.seed)
-    failures = run(config)
+    failures = run(args.max_k, args.samples, args.seed)
     if args.json:
         print(json.dumps({"failures": failures}))
     sys.exit(0 if failures == 0 else 1)

@@ -272,12 +272,16 @@ def cmd_irreducibles(args):
     header = ["label", "dim_W", "dim_D", "nonzero"]
     if char != 0:
         header.append("p_restricted")
+    if args.x is None:
+        header.append("det")
     table = [header]
     for row in rows:
         cells = [format_label(row["label"]), str(row["dim_W"]),
                  str(row["dim_D"]), "yes" if row["nonzero"] else "no"]
         if char != 0:
             cells.append("yes" if row["p_restricted"] else "no")
+        if args.x is None:
+            cells.append(str(row["det"]))
         table.append(cells)
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     for r in table:

@@ -42,13 +42,16 @@ def in_basis(algebra, d):
     if algebra == "partition":
         return is_sign_constant(d.blocks)
     pd = propagating_data(d)
-    if pd.s1 == d.k:
-        return True
-    if pd.s1 > d.k - 1 or pd.s2 > d.k - 1:
-        return False
     he_t, hz_t, he_b, hz_b = horizontal_counts(d)
-    return (pd.s1 + pd.s2 + he_t + hz_t <= d.k - 1
-            and pd.s1 + pd.s2 + he_b + hz_b <= d.k - 1)
+    return (signed_row_ok(d.k, pd.s1, pd.s2, he_t, hz_t)
+            and signed_row_ok(d.k, pd.s1, pd.s2, he_b, hz_b))
+
+
+def signed_row_ok(k, s1, s2, he, hz):
+    """The signed algebra's condition on one row with s1 + s2 through
+    classes, he one-row couples of unsigned size >= 2 and hz one-row
+    symmetric classes: fully propagating, or s1 + s2 + he + hz <= k - 1."""
+    return s1 == k or s1 + s2 + he + hz <= k - 1
 
 
 @cache

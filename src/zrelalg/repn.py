@@ -1,21 +1,20 @@
 """Cell modules, Gram matrices, radicals and irreducible dimensions.
 
 The cell module for a label fixes the right half of the cellular basis and
-lets the algebra act on the left halves; its bilinear form factors through
-the phi-map on pairs of halves times structure constants of the Murphy
-layer.  Radical = kernel of the Gram matrix; dim of the irreducible head =
-Gram rank.
+lets the algebra act on the left halves; its bilinear form is x^l times
+structure constants of the Murphy layer, with (l, delta) read from the
+cellular basis's glue table of pairs of halves.  Radical = kernel of the
+Gram matrix; dim of the irreducible head = Gram rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (Incompatible, InvalidPoint, UnknownLabel,
-                     UnsupportedCharacteristic)
+from .errors import Incompatible, InvalidPoint, UnsupportedCharacteristic
 from .ring import (ExactMatrix, Poly, PrimeField, Rationals, ScalarField,
                    ZERO)
-from .tabular import cellular_basis, phi
+from .tabular import cellular_basis
 
 
 @dataclass(frozen=True)
@@ -31,10 +30,7 @@ class CellModule:
 
 
 def cell_module(label, algebra, k):
-    cb = cellular_basis(algebra, k)
-    data = cb.left_data(label)
-    if not data:
-        raise UnknownLabel("no cell module with label %r" % (label,))
+    data = cellular_basis(algebra, k).left_data(label)
     return CellModule(algebra, k, label, tuple(data))
 
 
@@ -59,31 +55,21 @@ def action_matrix(a, module):
 
 
 def gram(label, algebra, k):
-    """Gram matrix by the factorized formula: entry (S, T) is
-    x^l(P glued to P') times the Murphy structure constant of the glue."""
+    """Gram matrix by the factorized formula: entry ((P, s), (Q, t)) is
+    x^l times the Murphy structure constant at (s, t; delta), where
+    (l, delta) is the glue of P and Q in ``CellularBasis.glue``."""
     cb = cellular_basis(algebra, k)
-    module = cell_module(label, algebra, k)
-    layer = cb.layers[(label.s1, label.s2)]
-    murphy = layer.murphy()
-    halves = cb.M[(label.s1, label.s2)]
-    glue = {}        # (P, Q) -> (l, delta), or None where phi fails
-    for P in halves:
-        for Q in halves:
-            res = phi(P, Q)
-            glue[(P, Q)] = (None if res is None
-                            else (res[0], layer.from_glue(*res[1:])))
+    tableaux = cb.tableaux(label)
+    murphy = cb.layers[(label.s1, label.s2)].murphy()
+    table = cb.glue(label.s1, label.s2)
     entries = []
-    for (P, s) in module.basis:
-        row = []
-        for (Q, t) in module.basis:
-            pair = glue[(P, Q)]
-            if pair is None:
-                row.append(Poly())
-                continue
-            l, delta = pair
-            coeff = murphy.struct_const(label.glabel, s, t, delta)
-            row.append(coeff * Poly.x(l))
-        entries.append(row)
+    for s in tableaux:
+        for row in table:
+            entries.append([
+                ZERO if pair is None else
+                murphy.struct_const(label.glabel, s, t, pair[1])
+                * Poly.x(pair[0])
+                for t in tableaux for pair in row])
     return ExactMatrix(entries)
 
 
@@ -116,11 +102,6 @@ def radical_and_irreducible(label, algebra, k, scalar_field):
     g = gram(label, algebra, k)
     rank, _ = g.evaluate(scalar_field).rank_det_field(scalar_field.field)
     return (g.nrows - rank, rank)
-
-
-def gram_rank_symbolic(label, algebra, k):
-    """(rank, det) of the Gram matrix over the rational function field."""
-    return gram(label, algebra, k).rank_det_symbolic()
 
 
 def is_p_restricted(shape, p):
@@ -166,8 +147,9 @@ def irreducible_table(algebra, k, char=0, x_value=None):
     char 0 with x_value None works symbolically over the rational function
     field; otherwise the Gram matrix is evaluated at the given x in QQ or
     the prime field, and a prime char without x_value is an error.  Rows:
-    label, dim W, dim D, whether the form is nonzero (label in the
-    semisimple-support set), and det (symbolic runs only).
+    label, dim W, dim D, whether the form is nonzero (dim D > 0, over the
+    field the table works in), det (symbolic runs only) and p_restricted
+    (prime char only).
     """
     symbolic = char == 0 and x_value is None
     sf = None if symbolic else _scalar_field(char, x_value)
@@ -175,16 +157,14 @@ def irreducible_table(algebra, k, char=0, x_value=None):
     rows = []
     for label in cb.labels():
         g = gram(label, algebra, k)
-        nonzero = any(not e.is_zero() for row in g.entries for e in row)
-        entry = {"label": label, "dim_W": g.nrows, "nonzero": nonzero}
+        entry = {"label": label, "dim_W": g.nrows}
         if symbolic:
-            rank, det = g.rank_det_symbolic()
-            entry["dim_D"] = rank
-            entry["det"] = det
+            rank, entry["det"] = g.rank_det_symbolic()
         else:
             rank, _ = g.evaluate(sf).rank_det_field(sf.field)
-            entry["dim_D"] = rank
             if char != 0:
                 entry["p_restricted"] = label_p_restricted(label, char)
+        entry["dim_D"] = rank
+        entry["nonzero"] = rank > 0
         rows.append(entry)
     return rows

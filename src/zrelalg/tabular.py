@@ -16,7 +16,7 @@ from functools import cache
 from itertools import combinations
 
 from .dalg import (AlgebraElement, _check_algebra, basis as algebra_basis,
-                   dim_formula)
+                   dim_formula, signed_row_ok)
 from .errors import Incompatible, NotADiagram, UnknownLabel
 from .groups import GAElement, Perm
 from .murphy import SymLayer, WreathSymLayer
@@ -122,23 +122,18 @@ def variant_for(algebra):
 def _admit_half(half, k, variant):
     if variant == "plain":
         return True
-    comps = half.base.components()
     if variant == "partition":
         return half.s2 == 0 and is_sign_constant(half.base.blocks)
     marked = set(half.e_marks) | set(half.z_marks)
-    r1 = r2 = 0
-    for c in comps:
-        supp = tuple(i for _, i in c.support)
-        if supp in marked:
+    he = hz = 0
+    for c in half.base.components():
+        if tuple(i for _, i in c.support) in marked:
             continue
-        if c.kind == EPAIR:
-            r1 += 1
-        else:
-            r2 += 1
-    total = half.s1 + half.s2 + r1 + r2
-    if total <= k - 1:
-        return True
-    return total == k and (half.s1 == k or r1 != 0)
+        if c.kind != EPAIR:
+            hz += 1
+        elif len(c.support) >= 2:
+            he += 1
+    return signed_row_ok(k, half.s1, half.s2, he, hz)
 
 
 def enumerate_M(k, s1, s2, variant="plain"):
@@ -407,6 +402,7 @@ class CellularBasis:
         variant = variant_for(algebra)
         self.M = {}
         self.layers = {}
+        self._glue = {}             # (s1, s2) -> glue table, on first use
         count = 0
         for s1, s2 in index_pairs(algebra, k):
             halves = enumerate_M(k, s1, s2, variant)
@@ -469,6 +465,29 @@ class CellularBasis:
                     out[(label, (P, rec.s), (Q, rec.t))] = c
         return out
 
+    def glue(self, s1, s2):
+        """The glue table of layer (s1, s2), built on first use: row i,
+        column j is (l, delta) for the halves M[(s1, s2)][i] and [j], from
+        phi with delta = layer.from_glue(f, sigma1, sigma2), or None where
+        phi fails.  Each distinct (l, delta) is stored once and shared."""
+        table = self._glue.get((s1, s2))
+        if table is None:
+            halves = self.M[(s1, s2)]
+            layer = self.layers[(s1, s2)]
+            shared = {}
+            table = []
+            for P in halves:
+                row = []
+                for Q in halves:
+                    res = phi(P, Q)
+                    if res is not None:
+                        pair = (res[0], layer.from_glue(*res[1:]))
+                        res = shared.setdefault(pair, pair)
+                    row.append(res)
+                table.append(row)
+            self._glue[(s1, s2)] = table
+        return table
+
     def label_lt(self, a, b):
         """Strict cell order; lower labels are discarded by reduction."""
         if (a.s1, a.s2) != (b.s1, b.s2):
@@ -482,12 +501,19 @@ class CellularBasis:
                 for (s1, s2), layer in self.layers.items()
                 for glabel in layer.murphy().labels()]
 
-    def left_data(self, label):
-        """Left halves of a label, in cell order: tableau-major."""
+    def tableaux(self, label):
+        """The label's tableaux in cell order; UnknownLabel when the label
+        has no cell module (its layer or its group label is missing)."""
         layer = self.layers.get((label.s1, label.s2))
-        if layer is None:
-            return []
-        return [(P, s) for s in layer.murphy().tableaux_for(label.glabel)
+        found = layer.murphy().tableaux_for(label.glabel) if layer else []
+        if not found:
+            raise UnknownLabel("no cell module with label %r" % (label,))
+        return found
+
+    def left_data(self, label):
+        """Left data of a label, in cell order: tableau-major; raises
+        UnknownLabel as ``tableaux`` does."""
+        return [(P, s) for s in self.tableaux(label)
                 for P in self.M[(label.s1, label.s2)]]
 
 

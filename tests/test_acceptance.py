@@ -13,7 +13,7 @@ from zrelalg.dalg import AlgebraElement, basis, dim_formula
 from zrelalg.groups import GAElement, Perm, signed_perms
 from zrelalg.murphy import sym_murphy, wreath_murphy
 from zrelalg.repn import (action_matrix, cell_module, gram, gram_bruteforce,
-                          gram_rank_symbolic, radical_and_irreducible)
+                          radical_and_irreducible)
 from zrelalg.ring import Poly, Rationals, ScalarField
 from zrelalg.tabular import (CellLabel, cellular_basis, decompose,
                              enumerate_M, layer_for, reconstruct,
@@ -174,7 +174,7 @@ def test_criterion_8_semisimple_census():
         for k in (1, 2):
             total = 0
             for label in cellular_basis(algebra, k).labels():
-                rank, det = gram_rank_symbolic(label, algebra, k)
+                rank, det = gram(label, algebra, k).rank_det_symbolic()
                 dim = cell_module(label, algebra, k).dim
                 ok = ok and not det.is_zero() and rank == dim
                 total += dim * dim
@@ -193,7 +193,7 @@ def test_criterion_8_semisimple_census():
 
 def test_criterion_9_degeneration_witness():
     label = CellLabel(0, 0, (((), ()), ()))
-    _, det = gram_rank_symbolic(label, "z2rel", 1)
+    _, det = gram(label, "z2rel", 1).rank_det_symbolic()
     ok = det == Poly.parse("x^3 - x^2")     # = x^2 (x - 1)
     for x, rank in [(1, 1), (0, 0)]:
         rad, irr = radical_and_irreducible(label, "z2rel", 1,

@@ -1,10 +1,12 @@
 """Command-line interface: verbs, formats, exit codes."""
 
+import importlib.util
 import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 import zlib
 from fractions import Fraction
 from pathlib import Path
@@ -195,7 +197,7 @@ def test_irreducibles_table(capsys):
                        "--k", "1")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].split() == ["label", "dim_W", "dim_D", "nonzero"]
+    assert lines[0].split() == ["label", "dim_W", "dim_D", "nonzero", "det"]
     assert len(lines) == 4
     code, out, _ = run(capsys, "irreducibles", "--algebra", "z2rel",
                        "--k", "1", "--char", "3", "--x", "1")
@@ -318,6 +320,21 @@ def test_irreducible_report_usage_errors(argv):
     done = run_script("irreducible_report.py", "--k", "1", *argv)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr and "error:" in done.stderr
+
+
+def test_verification_sweep_times_are_monotonic(monkeypatch, capsys):
+    """The sweep times its suites with a monotonic clock: a wall clock
+    stepping backwards does not show as a negative time."""
+    spec = importlib.util.spec_from_file_location(
+        "verification_sweep", SCRIPTS / "verification_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    wall = itertools.count(1e9, -60.0)
+    monkeypatch.setattr(time, "time", lambda: next(wall))
+    assert sweep.run(1, 5, 0) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == len(ALGEBRAS) * len(cli._SUITES)
+    assert all(float(line.split()[-1].rstrip("s")) >= 0 for line in lines)
 
 
 def test_negative_point_in_equals_form(capsys):

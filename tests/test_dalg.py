@@ -10,7 +10,7 @@ from zrelalg.dalg import (ALGEBRAS, AlgebraElement, basis, dim_formula,
 from zrelalg.errors import Incompatible, InvalidSize
 from zrelalg.groups import signed_perms
 from zrelalg.ring import Poly
-from zrelalg.tabular import decompose, layer_for, reconstruct
+from zrelalg.tabular import decompose, enumerate_M, layer_for, reconstruct
 from zrelalg.zpart import (compose, enumerate_rk, horizontal_counts,
                            identity_diagram, propagating_data)
 
@@ -62,6 +62,20 @@ def test_in_basis_signed_oracle():
                         and pd.s1 + pd.s2 + he_t + hz_t <= d.k - 1
                         and pd.s1 + pd.s2 + he_b + hz_b <= d.k - 1))
         assert in_basis("signed", d) == expected
+
+
+def test_in_basis_signed_is_admissible_halves():
+    """A diagram is a signed basis diagram exactly when both of its
+    halves are admissible signed halves."""
+    for k in (1, 2, 3):
+        admissible = {}
+        for d in enumerate_rk(k, 2):
+            top, bot = decompose(d)[:2]
+            key = (top.s1, top.s2)
+            if key not in admissible:
+                admissible[key] = set(enumerate_M(k, *key, "signed"))
+            assert in_basis("signed", d) == (top in admissible[key]
+                                             and bot in admissible[key])
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)

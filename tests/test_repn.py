@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from zrelalg.cli import format_label
 from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
 from zrelalg.errors import (Incompatible, InvalidPoint, UnknownLabel,
                             UnsupportedCharacteristic)
 from zrelalg.repn import (action_matrix, cell_module, gram, gram_bruteforce,
-                          gram_rank_symbolic, irreducible_table,
-                          is_p_restricted, label_p_restricted,
-                          radical_and_irreducible)
+                          irreducible_table, is_p_restricted,
+                          label_p_restricted, radical_and_irreducible)
 from zrelalg.ring import ExactMatrix, Poly, PrimeField, Rationals, ScalarField
 from zrelalg.tabular import CellLabel, cellular_basis
 from zrelalg.zpart import compose
@@ -37,7 +37,7 @@ def test_gram_hand_example():
     label = CellLabel(0, 0, (((), ()), ()))
     g = gram(label, "z2rel", 1)
     assert g.entries == [[Poly.x(2), Poly.x()], [Poly.x(), Poly.x()]]
-    rank, det = gram_rank_symbolic(label, "z2rel", 1)
+    rank, det = gram(label, "z2rel", 1).rank_det_symbolic()
     assert rank == 2
     assert det == Poly.parse("x^3 - x^2")
 
@@ -62,7 +62,7 @@ def test_generically_semisimple(algebra, k):
     cb = cellular_basis(algebra, k)
     total = 0
     for label in cb.labels():
-        rank, det = gram_rank_symbolic(label, algebra, k)
+        rank, det = gram(label, algebra, k).rank_det_symbolic()
         dim = cell_module(label, algebra, k).dim
         assert not det.is_zero()
         assert rank == dim
@@ -121,8 +121,13 @@ def test_action_matrix_rejects_mismatch():
 
 
 def test_cell_module_unknown_label():
-    with pytest.raises(UnknownLabel):
-        cell_module(CellLabel(5, 0, (((5,), ()), ())), "z2rel", 1)
+    # no such layer, and a layer without such a group label
+    for label in (CellLabel(5, 0, (((5,), ()), ())),
+                  CellLabel(1, 0, (((2,), ()), ()))):
+        with pytest.raises(UnknownLabel):
+            cell_module(label, "z2rel", 1)
+        with pytest.raises(UnknownLabel):
+            gram(label, "z2rel", 1)
 
 
 def test_characteristic_two_rejected():
@@ -235,6 +240,35 @@ def test_irreducible_table_modular():
         irreducible_table("z2rel", 1, char=3, x_value=Fraction(1, 3))
     with pytest.raises(UnsupportedCharacteristic):
         irreducible_table("z2rel", 1, char=4, x_value=Fraction(1))
+
+
+def test_point_nonzero_means_positive_rank():
+    """At a point, a form is nonzero exactly when its rank there is."""
+    for algebra in ALGEBRAS:
+        for k in (1, 2):
+            for char, x in [(0, 0), (0, 1), (0, 2), (3, 0), (3, 1)]:
+                for r in irreducible_table(algebra, k, char=char,
+                                           x_value=Fraction(x)):
+                    assert r["nonzero"] == (r["dim_D"] > 0), (algebra, k, r)
+
+
+def test_modular_classification():
+    """Over F_p at every x in F_p, p in {3, 5, 7}, k <= 3: a simple head
+    D exists exactly for the p-restricted labels, except the lowest label
+    at x = 0, whose form vanishes there (it is a multiple of x)."""
+    exceptions = set()
+    for algebra in ALGEBRAS:
+        for k in (1, 2, 3):
+            for p in (3, 5, 7):
+                for x in range(p):
+                    for r in irreducible_table(algebra, k, char=p,
+                                               x_value=Fraction(x)):
+                        if (r["dim_D"] > 0) != r["p_restricted"]:
+                            exceptions.add((algebra, k, p, x,
+                                            format_label(r["label"])))
+    assert exceptions == {(algebra, k, p, 0, "0,0,0,-,-,-")
+                          for algebra in ALGEBRAS for k in (1, 2, 3)
+                          for p in (3, 5, 7)}
 
 
 def test_gram_bruteforce_matches_factorized_sampled_k2():
