@@ -361,6 +361,9 @@ class WreathSymLayer:
     s2: int
 
     def from_glue(self, f, sigma1, sigma2):
+        if not len(f) == sigma1.n == self.s1 or sigma2.n != self.s2:
+            raise ValueError("glue does not fit layer (%d, %d)"
+                             % (self.s1, self.s2))
         return signed_perm(f, sigma1, sigma2)
 
     def to_glue(self, g):
@@ -377,6 +380,8 @@ class SymLayer:
     s1: int
 
     def from_glue(self, f, sigma1, sigma2):
+        if not len(f) == sigma1.n == self.s1:
+            raise ValueError("glue does not fit layer (%d, 0)" % self.s1)
         if any(f):
             raise ValueError("partition-algebra glue must have trivial signs")
         if sigma2.n != 0:

@@ -137,7 +137,15 @@ class Poly:
 
     @staticmethod
     def from_json(obj):
-        return Poly({int(d): Fraction(v) for d, v in obj["coeffs"].items()})
+        """Inverse of to_json; a negative degree (a Laurent term) or a zero
+        denominator is a ValueError."""
+        try:
+            coeffs = {int(d): Fraction(v) for d, v in obj["coeffs"].items()}
+        except ZeroDivisionError as exc:
+            raise ValueError("zero denominator in %r" % (obj["coeffs"],)) from exc
+        if any(d < 0 for d in coeffs):
+            raise ValueError("negative degree in %r" % (obj["coeffs"],))
+        return Poly(coeffs)
 
     def __str__(self):
         if not self.coeffs:

@@ -18,7 +18,7 @@ from itertools import combinations
 from .dalg import (AlgebraElement, _check_algebra, basis as algebra_basis,
                    dim_formula, signed_row_ok)
 from .errors import Incompatible, NotADiagram, UnknownLabel
-from .groups import GAElement, Perm
+from .groups import GAElement, Perm, signed_perm, split_signed
 from .murphy import SymLayer, WreathSymLayer
 from .ring import Poly
 from .zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, block_index,
@@ -56,22 +56,24 @@ class HalfDiagram:
         self._hash = hash((base, self.e_marks, self.z_marks))
         self._block_ids = None
 
+    def mark_vertices(self):
+        """The vertex of every mark point, as its offset 2(i-1) + s in
+        ``block_index(base)``.  Points are numbered as the points of
+        ``groups.signed_perm``: point 2i + s is the sign-s vertex at the
+        least position of couple mark i, point 2s1 + l the e-vertex at the
+        least position of symmetric mark l."""
+        return ([2 * m[0] - 2 + s for m in self.e_marks for s in (E, G)]
+                + [2 * m[0] - 2 + E for m in self.z_marks])
+
     def block_ids(self):
         """(index, number of blocks, marks) with blocks numbered as in
         ``base.blocks``: index = ``block_index(base)``, so index[2(i-1) + s]
-        is the block of vertex (TOP, i, s), and marks lists the marked
-        blocks as (block, kind, mark index, tag) -- an e-mark's e-block and
-        g-block with tags "e" and "g", a z-mark's one block with tag None."""
+        is the block of vertex (TOP, i, s), and marks[a] is the block of
+        mark point a."""
         if self._block_ids is None:
             index = block_index(self.base)
-            marks = []
-            for i, m in enumerate(self.e_marks):
-                v = 2 * m[0] - 2
-                marks.append((index[v + E], "e", i, "e"))
-                marks.append((index[v + G], "e", i, "g"))
-            for i, m in enumerate(self.z_marks):
-                marks.append((index[2 * m[0] - 2 + E], "z", i, None))
-            self._block_ids = (index, len(self.base.blocks), tuple(marks))
+            self._block_ids = (index, len(self.base.blocks),
+                               tuple(index[v] for v in self.mark_vertices()))
         return self._block_ids
 
     @property
@@ -161,15 +163,14 @@ def enumerate_M(k, s1, s2, variant="plain"):
 def decompose(d):
     """Split a diagram into (top half, bottom half, f, sigma1, sigma2).
 
-    sigma1 sends the i-th top couple mark to the bottom couple mark its
-    through class lands on; f(i) = 1 exactly when the block holding the
-    minimal top e-vertex holds the minimal bottom g-vertex.  sigma2 does
-    the same for symmetric through classes.
+    The through classes give the marks of both halves.  Top mark point a
+    goes to the bottom mark point whose vertex shares its block; that
+    permutation is ``signed_perm(f, sigma1, sigma2)``, so f(i) = 1 exactly
+    when the block of the least top e-vertex of couple i holds the least
+    bottom g-vertex of couple sigma1(i).
     """
     if d.rows != 2:
         raise NotADiagram("decompose needs a two-row diagram")
-    top = restrict(d, "top")
-    bot = restrict(d, "bottom")
     e_through = []
     z_through = []
     for c in d.components():
@@ -181,49 +182,35 @@ def decompose(d):
             e_through.append((tsup, bsup))
         else:
             z_through.append((tsup, bsup))
-    top_half = HalfDiagram(top, [t for t, _ in e_through],
-                           [t for t, _ in z_through])
-    bot_half = HalfDiagram(bot, [b for _, b in e_through],
-                           [b for _, b in z_through])
-    s1, s2 = len(e_through), len(z_through)
+    top = HalfDiagram(restrict(d, "top"), [t for t, _ in e_through],
+                      [t for t, _ in z_through])
+    bot = HalfDiagram(restrict(d, "bottom"), [b for _, b in e_through],
+                      [b for _, b in z_through])
     index = block_index(d)
-    images1 = [0] * s1
-    signs = [0] * s1
-    for tsup, bsup in e_through:
-        i = top_half.e_marks.index(tsup)
-        j = bot_half.e_marks.index(bsup)
-        images1[i] = j
-        signs[i] = int(index[2 * tsup[0] - 2 + E]
-                       == index[2 * d.k + 2 * bsup[0] - 2 + G])
-    images2 = [0] * s2
-    for tsup, bsup in z_through:
-        images2[top_half.z_marks.index(tsup)] = bot_half.z_marks.index(bsup)
-    return (top_half, bot_half, tuple(signs), Perm(images1), Perm(images2))
+    k2 = 2 * d.k
+    point = {index[k2 + v]: b for b, v in enumerate(bot.mark_vertices())}
+    g = Perm([point[index[v]] for v in top.mark_vertices()])
+    return (top, bot) + split_signed(g, top.s1)
 
 
 def reconstruct(top, bottom, f, sigma1, sigma2):
     """Inverse of decompose: glue marks along (f, sigma1, sigma2).
 
     The glue is a union-find on block numbers, top blocks first, then
-    bottom blocks shifted by their count: the i-th top couple mark's
-    e-block is linked to the e-block (f(i) = 0) or the g-block (f(i) = 1)
-    of bottom couple mark sigma1(i), its g-block to the other one, and the
-    l-th top symmetric mark to bottom symmetric mark sigma2(l).
+    bottom blocks shifted by their count: with g = ``signed_perm(f,
+    sigma1, sigma2)``, the block of top mark point a is linked to the
+    block of bottom mark point g(a).
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
+    if not len(f) == sigma1.n == top.s1 or sigma2.n != top.s2:
+        raise Incompatible("glue (%r, %r, %r) does not fit %d couple and %d "
+                           "symmetric marks" % (f, sigma1, sigma2, top.s1,
+                                                top.s2))
     _, nt, top_marks = top.block_ids()
     _, nb, bot_marks = bottom.block_ids()
-    s1 = top.s1
-    links = []
-    for i in range(s1):
-        j = 2 * sigma1(i)
-        links.append((top_marks[2 * i][0], nt + bot_marks[j + f[i]][0]))
-        links.append((top_marks[2 * i + 1][0],
-                      nt + bot_marks[j + 1 - f[i]][0]))
-    for l in range(top.s2):
-        links.append((top_marks[2 * s1 + l][0],
-                      nt + bot_marks[2 * s1 + sigma2(l)][0]))
+    g = signed_perm(f, sigma1, sigma2)
+    links = [(a, nt + bot_marks[b]) for a, b in zip(top_marks, g.images)]
     blocks = top.base.blocks + tuple([(BOTTOM, i, s) for _, i, s in b]
                                      for b in bottom.base.blocks)
     return canonicalize([[v for b in cls for v in blocks[b]]
@@ -235,40 +222,29 @@ def phi(top, bottom):
 
     The glue is ``zpart.roots`` on block numbers, top blocks first, then
     bottom blocks shifted by their count, linked along each shared vertex.
-    Returns (l, f, sigma1, sigma2) when the marked blocks of the two
-    halves pair off bijectively in the glued classes -- one from each side
-    per class -- and None otherwise.  l counts the glued classes meeting
-    no marked block of either half.
+    Top mark point a goes to the bottom mark point in its glued class.
+    Returns (l, f, sigma1, sigma2) when every top mark point goes to a
+    different bottom mark point -- that permutation being
+    ``signed_perm(f, sigma1, sigma2)`` -- and None otherwise.  l counts the
+    glued classes meeting no marked block of either half.
+
+    Mark kinds need no check: the sign flip permutes the glued classes, so
+    a class holding a symmetric (flip-invariant) block is flip-invariant,
+    and holds both blocks of any couple it meets -- two marks of one half
+    in one class, which the distinct-images test rejects.  Likewise a top
+    e-block going to point 2j + s sends the top g-block to 2j + 1 - s.
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
     top_of, nt, top_marks = top.block_ids()
     bot_of, nb, bot_marks = bottom.block_ids()
     root = roots(nt + nb, zip(top_of, [nt + b for b in bot_of]))
-    top_marked = {root[b]: (kind, i, tag) for b, kind, i, tag in top_marks}
-    bot_marked = {root[nt + b]: (kind, i, tag)
-                  for b, kind, i, tag in bot_marks}
-    if (len(top_marked) != len(top_marks) or len(bot_marked) != len(bot_marks)
-            or top_marked.keys() != bot_marked.keys()):
+    point = {root[nt + b]: a for a, b in enumerate(bot_marks)}
+    images = [point.get(root[b]) for b in top_marks]
+    if None in images or len(set(images)) != len(images):
         return None
-    s1, s2 = top.s1, top.s2
-    images1 = [None] * s1
-    signs = [0] * s1
-    images2 = [None] * s2
-    for cls, (kind, i, tag) in top_marked.items():
-        bkind, j, btag = bot_marked[cls]
-        if kind != bkind:
-            return None
-        if kind == "e":
-            if tag == "e":
-                images1[i] = j
-                signs[i] = 1 if btag == "g" else 0
-        else:
-            images2[i] = j
-    if None in images1 or None in images2:
-        return None
-    l = len(set(root)) - len(top_marked)
-    return (l, tuple(signs), Perm(images1), Perm(images2))
+    l = len(set(root)) - len(images)
+    return (l,) + split_signed(Perm(images), top.s1)
 
 
 def layer_for(algebra, s1, s2):

@@ -243,6 +243,28 @@ def test_k4_signed_point_table(capsys):
     assert "%08x" % zlib.crc32(out.encode()) == "6ab6b8f3"
 
 
+# scripts/output_digest.py on the tree whose outputs every refactor keeps;
+# a change that means to alter a family updates its line here and says why
+DIGEST = """\
+gram-csv         bb85a7a0 100
+irreducibles     f628ee4d 38
+rank-det-field   b4bc8b2f 233
+nullspace-field  9e70454e 233
+murphy-coords    ddc720be 92
+symbolic-det     19787bfd 100
+phi              71cebe17 7188
+compose          a975269a 40408
+decompose        82dc681a 12375
+"""
+
+
+@pytest.mark.slow
+def test_output_digest_is_pinned():
+    done = run_script("output_digest.py")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == DIGEST
+
+
 def test_char_above_2_53(capsys):
     # 2^61 - 1 is prime; trial division up to its square root never ended
     code, out, _ = run(capsys, "irreducibles", "--algebra", "z2rel", "--k",
@@ -280,6 +302,14 @@ def test_label_parsing_rejects_bad_input():
             parse_label(text, algebra)
 
 
+def _with_coeffs(coeffs):
+    """The z2rel k = 1 identity as an operand file, its one coefficient
+    replaced by the given JSON coefficients."""
+    obj = AlgebraElement.identity("z2rel", 1).to_json()
+    obj["terms"][0]["coeff"]["coeffs"] = coeffs
+    return json.dumps(obj)
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "dim", "--algebra", "bogus", "--k", "1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
@@ -301,7 +331,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                        ("keys.json", '{"algebra": "z2rel"}'),
                        ("shape.json", "[]"),
                        ("vertex.json",
-                        '{"k": 1, "rows": 2, "blocks": [[[1, "e"]]]}')]:
+                        '{"k": 1, "rows": 2, "blocks": [[[1, "e"]]]}'),
+                      ("zero-denominator.json", _with_coeffs({"0": "1/0"})),
+                      ("laurent.json", _with_coeffs({"-1": "1"}))]:
         bad.append(tmp_path / name)
         bad[-1].write_text(text)
     for operand in bad + [tmp_path]:

@@ -202,6 +202,23 @@ def test_layer_objects():
         sym.from_glue((1, 0), Perm((1, 0)), Perm(()))
 
 
+def test_from_glue_rejects_glue_of_wrong_size():
+    layer = WreathSymLayer(1, 1)
+    for glue in [((), Perm((0,)), Perm((0,))),
+                 ((0, 0), Perm((0,)), Perm((0,))),
+                 ((0,), Perm((0, 1)), Perm((0,))),
+                 ((0,), Perm((0,)), Perm(())),
+                 ((0,), Perm((0,)), Perm((1, 0)))]:
+        with pytest.raises(ValueError):
+            layer.from_glue(*glue)
+    sym = SymLayer(2)
+    for glue in [((0,), Perm((1, 0)), Perm(())),
+                 ((0, 0, 0), Perm((1, 0)), Perm(())),
+                 ((0, 0), Perm((0,)), Perm(()))]:
+        with pytest.raises(ValueError):
+            sym.from_glue(*glue)
+
+
 @pytest.mark.parametrize("s1, s2", PRODUCT_SIZES,
                          ids=["%d,%d" % size for size in PRODUCT_SIZES])
 def test_glue_round_trip(s1, s2):

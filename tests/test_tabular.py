@@ -54,6 +54,19 @@ def test_decompose_reconstruct_roundtrip_k3(algebra, data):
     assert reconstruct(*decompose(d)) == d
 
 
+def test_reconstruct_rejects_glue_of_wrong_size():
+    # k = 2, one couple mark and one symmetric mark on each half
+    d = next(d for d in basis("z2rel", 2)
+             if (propagating_data(d).s1, propagating_data(d).s2) == (1, 1))
+    top, bot, f, sigma1, sigma2 = decompose(d)
+    assert reconstruct(top, bot, f, sigma1, sigma2) == d
+    for glue in [(f + (0,), sigma1, sigma2), ((), sigma1, sigma2),
+                 (f, Perm((0, 1)), sigma2), (f, Perm(()), sigma2),
+                 (f, sigma1, Perm((0, 1))), (f, sigma1, Perm(()))]:
+        with pytest.raises(Incompatible):
+            reconstruct(top, bot, *glue)
+
+
 def test_decompose_is_injective():
     seen = {}
     for d in basis("z2rel", 2):
