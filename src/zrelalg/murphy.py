@@ -13,12 +13,13 @@ whose label strictly dominates, so "reduce mod lower" discards exactly
 those.  Division by 2 enters through the idempotents (1 +/- g)/2, which is
 why coefficient fields of characteristic 2 are rejected downstream.
 
-Coordinates come from solving the change of basis block by block, on
-first use.  A symmetric group is one block.  A signed-permutation group
-splits along the sign idempotents E_f = prod_i (1 +/- g_i)/2: every record
-lies in one block E_f Q[G] E_f', a coset of S_a x S_{n-a}, so no system is
-larger than a!(n-a)! (Dipper-James-Murphy at q = 1).  A product group's
-coordinates are the tensor products of its factors' coordinates.
+Coordinates are solved on first use, and only a symmetric group's change
+of basis is ever inverted, whole.  A signed-permutation group is the
+inflation of S_a x S_{n-a} along the sign idempotents E_f = prod_i
+(1 +/- g_i)/2 (Dipper-James-Murphy at q = 1): each E_f p_sigma is a
+tensor column of the two symmetric groups, its tableaux renamed along
+coset representatives, so its coordinates are read off with no solve.  A
+product group's coordinates are the tensor products of its factors'.
 
 The builders are memoized, so each group has one basis, shared by every
 layer and algebra that uses it.
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
 
 from .groups import GAElement, Perm, signed_perm, signed_perms, split_signed
 from .ring import ExactMatrix, Poly
@@ -76,105 +76,80 @@ def _row_stabilizer(tab):
     return perms
 
 
-def _block_solve(keys, block_key, record_coords):
-    """key -> {record index: coefficient}: each vector of an intermediate
-    basis written in the records, given the records' coordinates in it.
-
-    ``block_key`` partitions the keys.  Each record must lie in one block
-    and each block must hold as many records as keys; each block is then
-    inverted on its own.
-    """
-    block_keys = {}
-    for key in keys:
-        block_keys.setdefault(block_key(key), []).append(key)
-    block_records = {}
-    for r, coords in enumerate(record_coords):
-        blocks = {block_key(key) for key in coords}
-        if len(blocks) != 1:
-            raise ArithmeticError("record %d spans %d blocks"
-                                  % (r, len(blocks)))
-        block_records.setdefault(blocks.pop(), []).append(r)
-    out = {}
-    for block, bkeys in block_keys.items():
-        rs = block_records.get(block, [])
-        if len(rs) != len(bkeys):
-            raise ArithmeticError("block %r holds %d records for %d keys"
-                                  % (block, len(rs), len(bkeys)))
-        row = {key: j for j, key in enumerate(bkeys)}
-        matrix = [[0] * len(rs) for _ in bkeys]
-        for c, r in enumerate(rs):
-            for key, v in record_coords[r].items():
-                matrix[row[key]][c] = v
-        inv = ExactMatrix(matrix).inverse_rational().entries
-        for j, key in enumerate(bkeys):
-            out[key] = {r: inv[c][j] for c, r in enumerate(rs) if inv[c][j]}
-    return out
-
-
 def _one_block(mb):
-    """Columns of a basis solved as a single block (the symmetric groups)."""
-    return _block_solve(mb.elements, lambda g: None,
-                        [rec.element.terms for rec in mb.records])
+    """Columns of a symmetric group's basis: the change of basis inverted
+    whole."""
+    index = {g: j for j, g in enumerate(mb.elements)}
+    matrix = [[0] * len(index) for _ in index]
+    for r, rec in enumerate(mb.records):
+        for g, c in rec.element.terms.items():
+            matrix[index[g]][r] = c
+    inv = ExactMatrix(matrix).inverse_rational().entries
+    return {g: {r: row[j] for r, row in enumerate(inv) if row[j]}
+            for g, j in index.items()}
 
 
-def _walsh(vec):
-    """In place: vec[f] <- sum_h (-1)^{popcount(f & h)} vec[h]."""
-    half = 1
-    while half < len(vec):
-        for i in range(0, len(vec), 2 * half):
-            for j in range(i, i + half):
-                a, b = vec[j], vec[j + half]
-                vec[j], vec[j + half] = a + b, a - b
-        half *= 2
+def _rename(tab, letters):
+    """A tableau on 1..m with each entry v replaced by letters[v - 1] + 1."""
+    return tuple(tuple(letters[v - 1] + 1 for v in row) for row in tab)
 
 
-def _sign_mask(signs):
-    return sum(bit << i for i, bit in enumerate(signs))
-
-
-def _sign_blocks(mb):
-    """Columns of a signed-permutation basis, solved in the blocks of the
-    sign idempotents.
+def _inflated(mb):
+    """Columns of a signed-permutation basis, inflated from S_a x S_{n-a}.
 
     With t_h = (h, id) and p_sigma = (0, sigma), t_h = sum_f chi_f(h) E_f
-    for chi_f(h) = (-1)^{f.h}, so a record sum c_{h,sigma} t_h p_sigma has
-    coordinate sum_h c_{h,sigma} chi_f(h) on E_f p_sigma: a Walsh-Hadamard
-    transform along the signs.  E_f p_sigma = p_sigma E_f' with
-    f'(sigma(i)) = f(i), so the keys (f, sigma) fall in blocks (f, f').
+    for chi_f(h) = (-1)^{popcount(f & h)}, bit i of f marking the letters
+    that take (1 - g_i)/2.  Let A be the a letters f leaves clear, B =
+    sigma(A), c_A the letters of A ascending and then the rest ascending,
+    and tau = c_A sigma c_B^{-1}, which preserves {0..a-1}.  Then
+    E_f p_sigma = p_{c_A}^{-1} E_{0..a-1} p_tau p_{c_B}, and d(s) = u_s c_A
+    for the word u_s of s's tableaux relabelled onto 1..a and a+1..n.  So
+    the product of the S_a and S_{n-a} columns of tau is the column of
+    E_f p_sigma, each record m_{s,t} with s renamed along c_A and t along
+    c_B.  No matrix is inverted here.
     """
     n = mb.elements[0].n // 2
-    size = 1 << n
+    names = {}
 
-    def block_key(key):
-        f, sigma = key
-        return f, sum(((f >> i) & 1) << j for i, j in enumerate(sigma.images))
+    def named(letters):
+        # (label, s, t) of each record of S_|letters|, renamed along letters
+        if letters not in names:
+            names[letters] = [(r.label, _rename(r.s, letters),
+                               _rename(r.t, letters))
+                              for r in sym_murphy(len(letters)).records]
+        return names[letters]
 
-    record_coords = []
-    for rec in mb.records:
-        terms = rec.element.terms
-        den = lcm(*(c.denominator for c in terms.values()))
-        by_perm = {}
-        for g, c in terms.items():
-            signs, sigma, _ = split_signed(g, n)
-            vec = by_perm.setdefault(sigma, [0] * size)
-            vec[_sign_mask(signs)] = c.numerator * (den // c.denominator)
-        coords = {}
-        for sigma, vec in by_perm.items():
-            _walsh(vec)
-            for f, v in enumerate(vec):
-                if v:
-                    coords[(f, sigma)] = Fraction(v, den)
-        record_coords.append(coords)
-    keys = [(f, sigma) for f in range(size) for sigma in Perm.all(n)]
-    block_columns = _block_solve(keys, block_key, record_coords)
+    blocks = {}                     # (f, sigma) -> column of E_f p_sigma
+    for f in range(1 << n):
+        a = n - f.bit_count()
+        c_a = tuple(sorted(range(n), key=lambda i: f >> i & 1))
+        cols1, cols2 = sym_murphy(a)._columns, sym_murphy(n - a)._columns
+        s1s, s2s = named(c_a[:a]), named(c_a[a:])
+        for sigma in Perm.all(n):
+            image = [sigma(i) for i in c_a]
+            b = set(image[:a])
+            c_b = tuple(sorted(range(n), key=lambda i: i not in b))
+            at = {v: j for j, v in enumerate(c_b)}
+            tau = [at[v] for v in image]
+            t1s, t2s = named(c_b[:a]), named(c_b[a:])
+            col2 = cols2[Perm([j - a for j in tau[a:]])].items()
+            col = {}
+            for i1, q1 in cols1[Perm(tau[:a])].items():
+                l1, s1, _ = s1s[i1]
+                t1 = t1s[i1][2]
+                for i2, q2 in col2:
+                    l2, s2, _ = s2s[i2]
+                    key = ((l1, l2), (s1, s2), (t1, t2s[i2][2]))
+                    col[mb.position[key]] = q1 * q2
+            blocks[f, sigma] = col
     columns = {}
     for g in mb.elements:
         signs, sigma, _ = split_signed(g, n)
-        h = _sign_mask(signs)
+        h = sum(bit << i for i, bit in enumerate(signs))
         col = {}
-        for f in range(size):
+        for f in range(1 << n):
             negate = (f & h).bit_count() & 1
-            for r, q in block_columns[(f, sigma)].items():
+            for r, q in blocks[f, sigma].items():
                 col[r] = -q if negate else q
         columns[g] = col
     return columns
@@ -184,9 +159,10 @@ class MurphyBasis:
     """A full cellular basis of one group algebra, with exact coordinates.
 
     Records are indexed once by (label, s, t).  ``solve(basis)`` gives the
-    inverse of the change of basis as sparse columns (by default one block
-    inverted whole); it is called on first use, so a coordinate costs only
-    the terms it reads.
+    inverse of the change of basis as sparse columns: inverted whole for a
+    symmetric group (the default), inflated from S_a x S_{n-a} for a
+    signed-permutation group, tensored for a product group.  It is called
+    on first use, so a coordinate costs only the terms it reads.
     """
 
     def __init__(self, records, elements, label_lt, solve=_one_block):
@@ -308,7 +284,7 @@ def wreath_murphy(n):
     records = _cell_records(sorted(all_bishapes(n), key=bishape_sort_key),
                             cell)
     return MurphyBasis(records, signed_perms(n), bishape_strictly_dominates,
-                       _sign_blocks)
+                       _inflated)
 
 
 @cache
@@ -361,6 +337,14 @@ class WreathSymLayer:
     s2: int
 
     def from_glue(self, f, sigma1, sigma2):
+        """The group element of the glue (f, sigma1, sigma2).
+
+        Only the lengths are checked: the package passes ``phi`` and
+        ``decompose`` output, which is a group element, and checking the
+        signs and permutations too costs about 2 us a call -- once for
+        every glued entry of a Gram matrix.  ``tabular.reconstruct`` checks
+        glue in full.
+        """
         if not len(f) == sigma1.n == self.s1 or sigma2.n != self.s2:
             raise ValueError("glue does not fit layer (%d, %d)"
                              % (self.s1, self.s2))

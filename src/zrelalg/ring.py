@@ -137,14 +137,20 @@ class Poly:
 
     @staticmethod
     def from_json(obj):
-        """Inverse of to_json; a negative degree (a Laurent term) or a zero
-        denominator is a ValueError."""
+        """Inverse of to_json; a negative degree (a Laurent term), a zero
+        denominator, or a coefficient that is neither a string nor an int
+        (a float or a bool) is a ValueError."""
+        raw = obj["coeffs"]
+        if not all(isinstance(v, (str, int)) and not isinstance(v, bool)
+                   for v in raw.values()):
+            raise ValueError("coefficients must be strings or integers: %r"
+                             % (raw,))
         try:
-            coeffs = {int(d): Fraction(v) for d, v in obj["coeffs"].items()}
+            coeffs = {int(d): Fraction(v) for d, v in raw.items()}
         except ZeroDivisionError as exc:
-            raise ValueError("zero denominator in %r" % (obj["coeffs"],)) from exc
+            raise ValueError("zero denominator in %r" % (raw,)) from exc
         if any(d < 0 for d in coeffs):
-            raise ValueError("negative degree in %r" % (obj["coeffs"],))
+            raise ValueError("negative degree in %r" % (raw,))
         return Poly(coeffs)
 
     def __str__(self):

@@ -194,7 +194,8 @@ def decompose(d):
 
 
 def reconstruct(top, bottom, f, sigma1, sigma2):
-    """Inverse of decompose: glue marks along (f, sigma1, sigma2).
+    """Inverse of decompose: glue marks along (f, sigma1, sigma2), which
+    must be a group element: signs in {0, 1} and two permutations.
 
     The glue is a union-find on block numbers, top blocks first, then
     bottom blocks shifted by their count: with g = ``signed_perm(f,
@@ -203,10 +204,13 @@ def reconstruct(top, bottom, f, sigma1, sigma2):
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
-    if not len(f) == sigma1.n == top.s1 or sigma2.n != top.s2:
-        raise Incompatible("glue (%r, %r, %r) does not fit %d couple and %d "
-                           "symmetric marks" % (f, sigma1, sigma2, top.s1,
-                                                top.s2))
+    if (not len(f) == sigma1.n == top.s1 or sigma2.n != top.s2
+            or not set(f) <= {0, 1}
+            or not all(sorted(p.images) == list(range(p.n))
+                       for p in (sigma1, sigma2))):
+        raise Incompatible("glue (%r, %r, %r) is no group element of %d "
+                           "couple and %d symmetric marks"
+                           % (f, sigma1, sigma2, top.s1, top.s2))
     _, nt, top_marks = top.block_ids()
     _, nb, bot_marks = bottom.block_ids()
     g = signed_perm(f, sigma1, sigma2)

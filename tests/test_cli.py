@@ -231,16 +231,21 @@ def test_k3_symbolic_table(algebra, dim, capsys):
 
 
 @pytest.mark.slow
-def test_k4_signed_point_table(capsys):
-    # k = 4 at a point: 55 cells, n up to 244; the CRC pins the whole table
-    code, out, _ = run(capsys, "irreducibles", "--algebra", "signed", "--k",
+@pytest.mark.parametrize("algebra, cells, dim, crc",
+                         [("signed", 55, 378732, "6ab6b8f3"),
+                          ("z2rel", 86, 428131, "58e2632d")],
+                         ids=["signed", "z2rel"])
+def test_k4_point_table(algebra, cells, dim, crc, capsys):
+    # k = 4 at a point, both algebras through the Murphy basis of layer
+    # (4, 0); n reaches 244 (signed); the CRC pins the whole table
+    code, out, _ = run(capsys, "irreducibles", "--algebra", algebra, "--k",
                        "4", "--char", "2147483647", "--x", "12345")
     assert code == 0
     rows = [r.split() for r in out.strip().splitlines()[1:]]
-    assert len(rows) == 55
-    assert sum(int(r[1]) ** 2 for r in rows) == dim_formula("signed", 4)
-    assert dim_formula("signed", 4) == 378732
-    assert "%08x" % zlib.crc32(out.encode()) == "6ab6b8f3"
+    assert len(rows) == cells
+    assert sum(int(r[1]) ** 2 for r in rows) == dim_formula(algebra, 4)
+    assert dim_formula(algebra, 4) == dim
+    assert "%08x" % zlib.crc32(out.encode()) == crc
 
 
 # scripts/output_digest.py on the tree whose outputs every refactor keeps;
@@ -333,7 +338,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                        ("vertex.json",
                         '{"k": 1, "rows": 2, "blocks": [[[1, "e"]]]}'),
                       ("zero-denominator.json", _with_coeffs({"0": "1/0"})),
-                      ("laurent.json", _with_coeffs({"-1": "1"}))]:
+                      ("laurent.json", _with_coeffs({"-1": "1"})),
+                      ("float.json", _with_coeffs({"0": 0.1})),
+                      ("bool.json", _with_coeffs({"0": True}))]:
         bad.append(tmp_path / name)
         bad[-1].write_text(text)
     for operand in bad + [tmp_path]:

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zrelalg.groups import GAElement, Perm, signed_perms
-from zrelalg.murphy import (MurphyBasis, MurphyRecord, SymLayer,
-                            WreathSymLayer, _sign_blocks, product_murphy,
+from zrelalg.murphy import (SymLayer, WreathSymLayer, product_murphy,
                             sym_murphy, wreath_murphy)
 from zrelalg.ring import ONE, ExactMatrix, Poly
 from zrelalg.tabular import layer_for
@@ -84,24 +83,6 @@ ORACLE_BASES = ([(wreath_murphy, (n,)) for n in (1, 2, 3)]
 def test_columns_are_dense_inverse(build, args):
     mb = build(*args)
     assert mb._columns == _dense_columns(mb)
-
-
-def test_sign_blocks_reject_bad_bases():
-    one, g = Perm((0, 1)), Perm((1, 0))
-
-    def basis(*elements):
-        records = [MurphyRecord(i, None, None, e)
-                   for i, e in enumerate(elements)]
-        return MurphyBasis(records, [one, g], lambda a, b: False,
-                           _sign_blocks)
-
-    # the group basis itself: 1 = E_+ + E_- spans both sign blocks
-    with pytest.raises(ArithmeticError):
-        basis(GAElement.of(one), GAElement.of(g))._columns
-    # two records in the block of E_+, none in that of E_-
-    plus = GAElement({one: 1, g: 1})
-    with pytest.raises(ArithmeticError):
-        basis(plus, plus.scale(2))._columns
 
 
 def _check_cellularity(mb, group_elements):

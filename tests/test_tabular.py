@@ -14,7 +14,8 @@ from zrelalg.tabular import (CellLabel, HalfDiagram, cellular_basis,
                              decompose, enumerate_M, index_lt, index_pairs,
                              layer_for, phi, reconstruct,
                              variant_for, verify_table_datum)
-from zrelalg.zpart import E, G, TOP, canonicalize, propagating_data
+from zrelalg.zpart import (BOTTOM, E, G, TOP, canonicalize,
+                           propagating_data)
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
@@ -63,6 +64,19 @@ def test_reconstruct_rejects_glue_of_wrong_size():
     for glue in [(f + (0,), sigma1, sigma2), ((), sigma1, sigma2),
                  (f, Perm((0, 1)), sigma2), (f, Perm(()), sigma2),
                  (f, sigma1, Perm((0, 1))), (f, sigma1, Perm(()))]:
+        with pytest.raises(Incompatible):
+            reconstruct(top, bot, *glue)
+
+
+def test_reconstruct_rejects_glue_that_is_no_group_element():
+    # the identity of z2rel k = 2: {1e 1'e | 1g 1'g | 2e 2'e | 2g 2'g}
+    d = canonicalize([[(TOP, i, s), (BOTTOM, i, s)]
+                      for i in (1, 2) for s in (E, G)], 2, 2)
+    top, bot, f, sigma1, sigma2 = decompose(d)
+    assert (f, sigma1, sigma2) == ((0, 0), Perm((0, 1)), Perm(()))
+    assert reconstruct(top, bot, f, sigma1, sigma2) == d
+    for glue in [(f, Perm((0, 0)), sigma2), ((2, 0), sigma1, sigma2),
+                 ((0, -1), sigma1, sigma2)]:
         with pytest.raises(Incompatible):
             reconstruct(top, bot, *glue)
 
