@@ -198,11 +198,14 @@ class MurphyBasis:
 
         Summed over the terms a of m_{s,s} and b of m_{t,t}, reading the
         one coordinate of each a delta b; reduction mod lower labels cannot
-        change it, so no explicit reduction is needed.  Memoized: a Gram
-        matrix asks for the same (label, s, t, delta) many times.
+        change it, so no explicit reduction is needed.  A whole value is
+        stored as an int, so Gram entries stay integer polynomials.
+        Memoized: a Gram matrix asks for the same (label, s, t, delta) many
+        times.
         """
         key = (label, s, t, delta)
-        if key not in self._struct_consts:
+        value = self._struct_consts.get(key)
+        if value is None:
             ms = self.records[self.position[(label, s, s)]].element
             mt = self.records[self.position[(label, t, t)]].element
             i = self.position[(label, s, t)]
@@ -214,8 +217,9 @@ class MurphyBasis:
                     q = columns[ad * b].get(i)
                     if q:
                         acc += ca * cb * q
-            self._struct_consts[key] = Poly({0: acc})
-        return self._struct_consts[key]
+            value = Poly({0: acc.numerator if acc.denominator == 1 else acc})
+            self._struct_consts[key] = value
+        return value
 
     def tableaux_for(self, label):
         return list(self._tableaux.get(label, ()))
@@ -337,18 +341,22 @@ class WreathSymLayer:
     s2: int
 
     def from_glue(self, f, sigma1, sigma2):
-        """The group element of the glue (f, sigma1, sigma2).
+        """The group element of the glue (f, sigma1, sigma2); ValueError
+        unless the glue fits this layer and is a group element.
 
-        Only the lengths are checked: the package passes ``phi`` and
-        ``decompose`` output, which is a group element, and checking the
-        signs and permutations too costs about 2 us a call -- once for
-        every glued entry of a Gram matrix.  ``tabular.reconstruct`` checks
-        glue in full.
+        With every f(i) in {0, 1}, letter i's two points go to
+        {2 sigma1(i), 2 sigma1(i) + 1}, so the images are a permutation
+        exactly when sigma1 and sigma2 are: one check of the images, about
+        1 us a call, covers both.
         """
         if not len(f) == sigma1.n == self.s1 or sigma2.n != self.s2:
             raise ValueError("glue does not fit layer (%d, %d)"
                              % (self.s1, self.s2))
-        return signed_perm(f, sigma1, sigma2)
+        g = signed_perm(f, sigma1, sigma2)
+        if not {*f} <= {0, 1} or sorted(g.images) != list(range(g.n)):
+            raise ValueError("glue (%r, %r, %r) is not a group element"
+                             % (f, sigma1, sigma2))
+        return g
 
     def to_glue(self, g):
         return split_signed(g, self.s1)
@@ -370,6 +378,8 @@ class SymLayer:
             raise ValueError("partition-algebra glue must have trivial signs")
         if sigma2.n != 0:
             raise ValueError("partition-algebra glue must have s2 = 0")
+        if sorted(sigma1.images) != list(range(self.s1)):
+            raise ValueError("%r is not a permutation" % (sigma1,))
         return sigma1
 
     def to_glue(self, g):

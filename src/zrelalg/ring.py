@@ -4,12 +4,14 @@ Exact scalars are plain ``int`` and ``fractions.Fraction`` values, kept as
 given -- no floating point anywhere.  Polynomials are sparse maps degree ->
 coefficient.  A field is a ``reduce`` (the identity on Q, ``% p`` on F_p),
 an ``inv`` and its characteristic ``p``; its elements use Python's own
-operators.  Elimination's inner row update reduces inline by ``% p``, and
-not at all over Q.
-A square symbolic determinant is computed multimodularly: evaluated at
-deg + 1 points modulo word-size primes, Newton-interpolated and combined by
-the Chinese remainder theorem up to a deterministic coefficient bound (von
-zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5).  Fraction-free
+operators.  Elimination reduces its pivot row and row updates inline by
+``% p``, and not at all over Q.
+A square symbolic determinant is computed multimodularly: with v and D the
+least and greatest assignment sums of entry degrees (Hungarian method,
+``_min_assignment``), det / x^v is evaluated at the D - v + 1 nonzero points
+x = 1..D - v + 1 modulo word-size primes, Newton-interpolated and combined
+by the Chinese remainder theorem up to a deterministic coefficient bound
+(von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5).  Fraction-free
 (Bareiss) elimination is the fallback for non-square or singular input and
 the test oracle.
 """
@@ -300,23 +302,24 @@ class PrimeField:
 
 QQ = Rationals()
 
-_CRT_PRIMES = []
+_CRT_PRIMES = []                    # PrimeField of each prime, certified once
 
 
 def _crt_prime(i):
-    """The i-th prime below 2^60, counting down; found on first use."""
+    """The field of the i-th prime below 2^60, counting down; found on
+    first use."""
     while len(_CRT_PRIMES) <= i:
-        q = (_CRT_PRIMES[-1] if _CRT_PRIMES else 2**60 + 1) - 2
+        q = (_CRT_PRIMES[-1].p if _CRT_PRIMES else 2**60 + 1) - 2
         while not is_prime(q):
             q -= 2
-        _CRT_PRIMES.append(q)
+        _CRT_PRIMES.append(PrimeField(q))
     return _CRT_PRIMES[i]
 
 
-def _interpolate(values, p):
+def _interpolate(values, p, first):
     """Coefficients mod p, lowest first, of the polynomial of degree below
-    len(values) that takes values[i] at x = i: Newton's divided differences,
-    then the Newton form expanded by Horner's rule."""
+    len(values) that takes values[i] at x = first + i: Newton's divided
+    differences, then the Newton form expanded by Horner's rule."""
     c = list(values)
     n = len(c)
     for k in range(1, n):
@@ -325,11 +328,59 @@ def _interpolate(values, p):
             c[j] = (c[j] - c[j - 1]) * inv % p
     poly = [c[-1]]
     for k in range(n - 2, -1, -1):
-        # poly * (x - k) + c[k]
-        poly = ([(c[k] - k * poly[0]) % p]
-                + [(a - k * b) % p for a, b in zip(poly, poly[1:])]
+        # poly * (x - node) + c[k]
+        node = first + k
+        poly = ([(c[k] - node * poly[0]) % p]
+                + [(a - node * b) % p for a, b in zip(poly, poly[1:])]
                 + [poly[-1]])
     return poly
+
+
+def _min_assignment(cost):
+    """Least sum_i cost[i][sigma(i)] over the permutations sigma of a
+    square matrix of ints, None marking a forbidden entry; None when every
+    permutation meets one.  The Hungarian method with potentials, O(n^3)
+    (Kuhn, Naval Res. Logist. Quart. 1955)."""
+    n = len(cost)
+    finite = [c for row in cost for c in row if c is not None]
+    if not finite:
+        return None if n else 0
+    low = min(finite)
+    # Shifted to be nonnegative: an assignment of allowed entries costs
+    # below big, one through a forbidden entry at least big.
+    big = n * (max(finite) - low) + 1
+    a = [[big if c is None else c - low for c in row] for row in cost]
+    # Potentials stay in [-big, big], so a reduced cost is below 2 big + 1.
+    inf = 2 * big + 1
+    u, v = [0] * (n + 1), [0] * (n + 1)
+    match, way = [0] * (n + 1), [0] * (n + 1)    # column -> row, 1-based
+    for i in range(1, n + 1):
+        match[0], j0 = i, 0
+        slack, used = [inf] * (n + 1), [False] * (n + 1)
+        while match[j0]:
+            used[j0] = True
+            row, ui = a[match[j0] - 1], u[match[j0]]
+            delta, j1 = inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - ui - v[j]
+                    if cur < slack[j]:
+                        slack[j], way[j] = cur, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    total = sum(a[match[j] - 1][j - 1] for j in range(1, n + 1))
+    return None if total >= big else total + n * low
 
 
 class ScalarField:
@@ -430,45 +481,71 @@ class ExactMatrix:
         """Determinant of a square matrix of Poly or rational entries.
 
         Each row is scaled by the lcm of its coefficient denominators into
-        integer polynomials g_ij.  The determinant has degree at most
-        D = min(sum_i max_j deg g_ij, sum_j max_i deg g_ij).  Its
-        coefficients are at most H = prod_i (sum_j |g_ij|_1^2)^(1/2) in
-        absolute value (Hadamard-Cauchy): on |z| = 1, |g_ij(z)| <= |g_ij|_1,
-        so Hadamard's inequality gives |det G(z)| <= H; by Cauchy's
-        estimate every coefficient of det G is at most max_{|z|=1} |det G|.
-        Modulo each prime, det is evaluated at x = 0..D and
-        Newton-interpolated; primes are combined by CRT until their product
-        exceeds 2H (compared squared, so in exact integers), then lifted to
-        the symmetric range and divided by the row scale.
+        integer polynomials g_ij.  Every term of the Leibniz sum has degree
+        between v = min_sigma sum_i ldeg g_i,sigma(i) and D = max_sigma
+        sum_i deg g_i,sigma(i), both assignment bounds
+        (``_min_assignment``); when every sigma meets a zero entry the
+        determinant is identically 0.  Its coefficients are at most
+        H = prod_i (sum_j |g_ij|_1^2)^(1/2) in absolute value
+        (Hadamard-Cauchy): on |z| = 1, |g_ij(z)| <= |g_ij|_1, so Hadamard's
+        inequality gives |det G(z)| <= H; by Cauchy's estimate every
+        coefficient of det G is at most max_{|z|=1} |det G|.  Modulo each
+        prime, det / x^v is evaluated at the D - v + 1 points x = 1..D - v + 1
+        and Newton-interpolated; primes are combined by CRT until their
+        product exceeds 2H (compared squared, so in exact integers), then
+        lifted to the symmetric range, multiplied by x^v and divided by the
+        row scale.
         """
         polys = [[(e if isinstance(e, Poly) else Poly.const(e)).coeffs
                   for e in row] for row in self.entries]
-        degrees = [[max(c, default=0) for c in row] for row in polys]
-        degree_bound = min(sum(map(max, degrees)),
-                           sum(map(max, zip(*degrees))))
+        low = _min_assignment([[min(c) if c else None for c in row]
+                               for row in polys])
+        if low is None:
+            return Poly()
+        high = -_min_assignment([[-max(c) if c else None for c in row]
+                                 for row in polys])
         rows, scale = [], 1
         for row in polys:
             den = lcm(*(v.denominator for c in row for v in c.values()))
-            rows.append([Poly({d: int(v * den) for d, v in c.items()})
+            rows.append([{d: int(v * den) for d, v in c.items()}
                          for c in row])
             scale *= den
-        bound_sq = prod(sum(sum(abs(v) for v in e.coeffs.values()) ** 2
-                            for e in row) for row in rows)
-        scaled = ExactMatrix(rows)
-        coeffs, modulus, i = [0] * (degree_bound + 1), 1, 0
+        bound_sq = prod(sum(sum(map(abs, c.values())) ** 2 for c in row)
+                        for row in rows)
+        top = max((d for row in rows for c in row for d in c), default=0)
+        npoints = high - low + 1
+        coeffs, modulus, i = [0] * npoints, 1, 0
         while modulus * modulus <= 4 * bound_sq:
-            p = _crt_prime(i)
+            field = _crt_prime(i)
+            p = field.p
             i += 1
-            field = PrimeField(p)
-            values = [scaled.evaluate(ScalarField(field, x))._echelon(field)[2]
-                      for x in range(degree_bound + 1)]
-            residues = _interpolate(values, p)
+            # Each entry mod p as (d, c) for the monomial c x^d, 0 as
+            # (0, 0), or as (None, [(d, c), ...]) for a longer sum.
+            entries = []
+            for row in rows:
+                reduced = []
+                for c in row:
+                    terms = [(d, v % p) for d, v in c.items() if v % p]
+                    reduced.append(terms[0] if len(terms) == 1 else
+                                   (None, terms) if terms else (0, 0))
+                entries.append(reduced)
+            values = []
+            for x in range(1, npoints + 1):
+                powers = [1] * (top + 1)
+                for d in range(1, top + 1):
+                    powers[d] = powers[d - 1] * x % p
+                at_x = ExactMatrix([
+                    [c * powers[d] % p if d is not None else
+                     sum(v * powers[e] for e, v in c) % p for d, c in row]
+                    for row in entries])
+                values.append(at_x._echelon(field)[2] * pow(x, -low, p) % p)
+            residues = _interpolate(values, p, first=1)
             lift = pow(modulus, -1, p)
             coeffs = [a + modulus * ((b - a) * lift % p)
                       for a, b in zip(coeffs, residues)]
             modulus *= p
         out = {}
-        for d, c in enumerate(coeffs):
+        for d, c in enumerate(coeffs, low):
             if c > modulus // 2:
                 c -= modulus
             q = Fraction(c, scale)
@@ -543,18 +620,19 @@ class ExactMatrix:
                 det = -det
             det = reduce(det * m[row][col])
             pinv = field.inv(m[row][col])
-            prow = m[row]
-            prow[col:] = [reduce(pinv * e) for e in prow[col:]]
+            tail = ([pinv * e % p for e in m[row][col:]] if p else
+                    [pinv * e for e in m[row][col:]])
+            m[row][col:] = tail
             for r in range(row + 1, n):
                 factor = m[r][col]
                 if not factor:
                     continue
                 if p:
                     m[r][col:] = [(a - factor * b) % p
-                                  for a, b in zip(m[r][col:], prow[col:])]
+                                  for a, b in zip(m[r][col:], tail)]
                 else:
                     m[r][col:] = [a - factor * b
-                                  for a, b in zip(m[r][col:], prow[col:])]
+                                  for a, b in zip(m[r][col:], tail)]
             pivots.append(col)
         if n != nc:
             det = None

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from zrelalg.groups import GAElement, Perm, signed_perms
 from zrelalg.murphy import (SymLayer, WreathSymLayer, product_murphy,
                             sym_murphy, wreath_murphy)
+from zrelalg.repn import gram
 from zrelalg.ring import ONE, ExactMatrix, Poly
-from zrelalg.tabular import layer_for
+from zrelalg.tabular import cellular_basis, layer_for
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -149,6 +150,17 @@ def test_struct_const_is_one_coordinate(mb):
     assert checked == len(mb.records) * len(mb.elements)
 
 
+@pytest.mark.parametrize("algebra", ["z2rel", "signed", "partition"])
+def test_gram_struct_consts_are_ints(algebra):
+    """Every structure constant the k <= 3 Gram matrices read is whole and
+    stored as an int, so their entries are integer polynomials."""
+    for k in (1, 2, 3):
+        for label in cellular_basis(algebra, k).labels():
+            assert all(type(v) is int
+                       for row in gram(label, algebra, k).entries
+                       for e in row for v in e.coeffs.values())
+
+
 def test_wreath_idempotent_layers():
     # top label ((1), ()): the element is the projector (1 + g)/2, which
     # squares to itself; struct const of the identity is 1.
@@ -198,6 +210,20 @@ def test_from_glue_rejects_glue_of_wrong_size():
                  ((0, 0), Perm((0,)), Perm(()))]:
         with pytest.raises(ValueError):
             sym.from_glue(*glue)
+
+
+def test_from_glue_rejects_glue_that_is_no_group_element():
+    # signs outside {0, 1}
+    with pytest.raises(ValueError):
+        WreathSymLayer(2, 0).from_glue((2, 0), Perm((0, 1)), Perm(()))
+    # sigma1 or sigma2 not a permutation
+    for glue in [((0, 1), Perm((0, 0)), Perm(())),
+                 ((0, 0), Perm((0, 0)), Perm((0,))),
+                 ((0, 0), Perm((1, 0)), Perm((1,)))]:
+        with pytest.raises(ValueError):
+            WreathSymLayer(2, len(glue[2].images)).from_glue(*glue)
+    with pytest.raises(ValueError):
+        SymLayer(2).from_glue((0, 0), Perm((0, 0)), Perm(()))
 
 
 @pytest.mark.parametrize("s1, s2", PRODUCT_SIZES,

@@ -1,6 +1,8 @@
 """Exact polynomial and linear-algebra layer."""
 
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -266,7 +268,7 @@ def test_multimodular_det_at_the_hadamard_bound(monkeypatch):
         return crt_prime(i)
 
     crt_prime = ring._crt_prime
-    p0 = crt_prime(0)
+    p0 = crt_prime(0).p
     assert p0 // 2 < 60 ** 8 * 8 ** 4 < p0
     monkeypatch.setattr(ring, "_crt_prime", spy)
     x60 = Poly({1: 60})
@@ -277,3 +279,55 @@ def test_multimodular_det_at_the_hadamard_bound(monkeypatch):
     assert det == m._bareiss()[1]
     assert abs(det.coeffs[8]) == 60 ** 8 * 8 ** 4
     assert len(set(primes)) == 2
+
+
+def test_min_assignment_is_the_least_permutation_sum():
+    """The Hungarian method against every permutation, on seeded matrices
+    with forbidden (None) entries, including ones no permutation avoids."""
+    rng = random.Random(15)
+    infeasible = 0
+    for _ in range(400):
+        n = rng.randint(0, 6)
+        holes = rng.random()
+        cost = [[None if rng.random() < holes else rng.randint(-4, 9)
+                 for _ in range(n)] for _ in range(n)]
+        sums = [sum(cost[i][j] for i, j in enumerate(perm))
+                for perm in permutations(range(n))
+                if all(cost[i][j] is not None for i, j in enumerate(perm))]
+        expected = min(sums) if sums else None
+        infeasible += expected is None
+        assert ring._min_assignment(cost) == expected
+    assert infeasible > 20
+    assert ring._min_assignment([]) == 0
+
+
+def test_interpolate_from_one():
+    """Values at x = 1..5 give back the coefficients of a known quartic."""
+    p = ring._crt_prime(0).p
+    coeffs = [7, p - 3, 0, 11, 2]
+    values = [sum(c * x ** d for d, c in enumerate(coeffs)) % p
+              for x in range(1, 6)]
+    assert ring._interpolate(values, p, first=1) == coeffs
+    assert ring._interpolate([5], p, first=1) == [5]
+
+
+@st.composite
+def high_valuation_matrices(draw):
+    """Square Poly matrices with row i times x^a_i and column j times
+    x^b_j, so that the determinant's x-adic valuation is high and often
+    above the least-degree assignment bound."""
+    n = draw(st.integers(1, 4))
+    rows = draw(matrices(multi_term_polys, [(n, n)]))
+    a = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return [[e * Poly.x(a[i] + b[j]) for j, e in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+@settings(deadline=None)
+@given(high_valuation_matrices())
+@example([[Poly({2: 1, 3: 1}), Poly({2: 1})], [Poly({2: 1}), Poly({2: 1})]])
+def test_multimodular_det_of_high_valuation_is_bareiss(rows):
+    m = ExactMatrix(rows)
+    det = m._det_multimodular()
+    assert det == m._bareiss()[1]
