@@ -18,7 +18,7 @@ from itertools import combinations
 from .dalg import (AlgebraElement, _check_algebra, basis as algebra_basis,
                    dim_formula, signed_row_ok)
 from .errors import Incompatible, NotADiagram, UnknownLabel
-from .groups import GAElement, Perm, signed_perm, split_signed
+from .groups import GAElement, Perm, split_signed
 from .murphy import SymLayer, WreathSymLayer
 from .ring import Poly
 from .zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, block_index,
@@ -195,7 +195,7 @@ def decompose(d):
 
 def reconstruct(top, bottom, f, sigma1, sigma2):
     """Inverse of decompose: glue marks along (f, sigma1, sigma2), which
-    must be a group element: signs in {0, 1} and two permutations.
+    must be a group element of the halves' layer (``WreathSymLayer.from_glue``).
 
     The glue is a union-find on block numbers, top blocks first, then
     bottom blocks shifted by their count: with g = ``signed_perm(f,
@@ -204,16 +204,12 @@ def reconstruct(top, bottom, f, sigma1, sigma2):
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
-    if (not len(f) == sigma1.n == top.s1 or sigma2.n != top.s2
-            or not set(f) <= {0, 1}
-            or not all(sorted(p.images) == list(range(p.n))
-                       for p in (sigma1, sigma2))):
-        raise Incompatible("glue (%r, %r, %r) is no group element of %d "
-                           "couple and %d symmetric marks"
-                           % (f, sigma1, sigma2, top.s1, top.s2))
+    try:
+        g = WreathSymLayer(top.s1, top.s2).from_glue(f, sigma1, sigma2)
+    except ValueError as err:
+        raise Incompatible(str(err)) from None
     _, nt, top_marks = top.block_ids()
     _, nb, bot_marks = bottom.block_ids()
-    g = signed_perm(f, sigma1, sigma2)
     links = [(a, nt + bot_marks[b]) for a, b in zip(top_marks, g.images)]
     blocks = top.base.blocks + tuple([(BOTTOM, i, s) for _, i, s in b]
                                      for b in bottom.base.blocks)

@@ -307,8 +307,8 @@ def test_interpolate_from_one():
     coeffs = [7, p - 3, 0, 11, 2]
     values = [sum(c * x ** d for d, c in enumerate(coeffs)) % p
               for x in range(1, 6)]
-    assert ring._interpolate(values, p, first=1) == coeffs
-    assert ring._interpolate([5], p, first=1) == [5]
+    assert ring._interpolate(values, p) == coeffs
+    assert ring._interpolate([5], p) == [5]
 
 
 @st.composite
