@@ -19,9 +19,10 @@ from functools import cache
 
 from .errors import Incompatible, InvalidSize, NotADiagram
 from .ring import ONE, Poly
-from .zpart import (ZStablePartition, canonicalize, compose, enumerate_rk,
-                    horizontal_counts, identity_diagram, is_sign_constant,
-                    propagating_data, _set_partitions)
+from .zpart import (E, ZStablePartition, _blocks_for_component,
+                    _set_partitions, block_index, compose, enumerate_rk,
+                    from_codes, horizontal_counts, identity_diagram,
+                    is_sign_constant, propagating_data)
 
 ALGEBRAS = ("z2rel", "signed", "partition")
 
@@ -61,7 +62,27 @@ def basis(algebra, k):
     Enumerated once per (algebra, k): every call returns the same list,
     which callers must not mutate."""
     _check_algebra(algebra)
+    if algebra == "partition":
+        return _doubled_partition_diagrams(k)
     return [d for d in enumerate_rk(k, 2) if in_basis(algebra, d)]
+
+
+def _doubled_partition_diagrams(k):
+    """The partition basis, built directly: for every set partition of the
+    2k positions, each part gives its e-block and its g-block."""
+    if k < 1:
+        raise InvalidSize("k must be >= 1, got %r" % k)
+    positions = [(row, i) for row in range(2) for i in range(1, k + 1)]
+    out = []
+    for part in _set_partitions(positions):
+        blocks = []
+        for cell in part:
+            blocks.extend(_blocks_for_component(sorted(cell),
+                                                (E,) * (len(cell) - 1)))
+        blocks.sort(key=lambda b: b[0])
+        out.append(ZStablePartition(k, 2, tuple(blocks)))
+    out.sort(key=lambda d: d.blocks)
+    return out
 
 
 def _bell(n):
@@ -237,6 +258,9 @@ def star_diagram(d):
     """Flip top and bottom rows of a single diagram."""
     if d.rows != 2:
         raise NotADiagram("star needs a two-row diagram")
-    blocks = [[(1 - r, i, s) for r, i, s in b] for b in d.blocks]
-    return canonicalize(blocks, d.k, 2)
+    k2 = 2 * d.k
+    groups = [[] for _ in d.blocks]
+    for c, b in enumerate(block_index(d)):
+        groups[b].append((c + k2) % (2 * k2))
+    return from_codes(groups, d.k, 2)
 

@@ -22,7 +22,7 @@ from .groups import GAElement, Perm, split_signed
 from .murphy import SymLayer, WreathSymLayer
 from .ring import Poly
 from .zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, block_index,
-                    canonicalize, classes, enumerate_rk, is_sign_constant,
+                    enumerate_rk, from_codes, is_sign_constant,
                     propagating_data, restrict, roots)
 
 
@@ -200,7 +200,9 @@ def reconstruct(top, bottom, f, sigma1, sigma2):
     The glue is a union-find on block numbers, top blocks first, then
     bottom blocks shifted by their count: with g = ``signed_perm(f,
     sigma1, sigma2)``, the block of top mark point a is linked to the
-    block of bottom mark point g(a).
+    block of bottom mark point g(a).  Each glued class is a block of the
+    result, holding the top codes of its top blocks and, shifted by 2k to
+    the bottom row, the codes of its bottom blocks.
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
@@ -208,13 +210,17 @@ def reconstruct(top, bottom, f, sigma1, sigma2):
         g = WreathSymLayer(top.s1, top.s2).from_glue(f, sigma1, sigma2)
     except ValueError as err:
         raise Incompatible(str(err)) from None
-    _, nt, top_marks = top.block_ids()
-    _, nb, bot_marks = bottom.block_ids()
-    links = [(a, nt + bot_marks[b]) for a, b in zip(top_marks, g.images)]
-    blocks = top.base.blocks + tuple([(BOTTOM, i, s) for _, i, s in b]
-                                     for b in bottom.base.blocks)
-    return canonicalize([[v for b in cls for v in blocks[b]]
-                         for cls in classes(nt + nb, links)], top.k, 2)
+    top_of, nt, top_marks = top.block_ids()
+    bot_of, nb, bot_marks = bottom.block_ids()
+    root = roots(nt + nb, [(a, nt + bot_marks[b])
+                           for a, b in zip(top_marks, g.images)])
+    k2 = 2 * top.k
+    groups = {}
+    for c, b in enumerate(top_of):
+        groups.setdefault(root[b], []).append(c)
+    for c, b in enumerate(bot_of, k2):
+        groups.setdefault(root[nt + b], []).append(c)
+    return from_codes(list(groups.values()), top.k, 2)
 
 
 def phi(top, bottom):

@@ -17,7 +17,9 @@ one vertex of each sign pair per block).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 from .errors import (InvalidSize, MalformedPartition, NotADiagram,
                      NotZ2Stable, SizeMismatch)
@@ -31,11 +33,6 @@ Z2CLASS = "z2"
 
 def flip_sign(v):
     return (v[0], v[1], 1 - v[2])
-
-
-def vertex_set(k, rows):
-    return [(row, i, s) for row in range(rows) for i in range(1, k + 1)
-            for s in (E, G)]
 
 
 class ZStablePartition:
@@ -92,8 +89,7 @@ class ZStablePartition:
         return canonicalize(blocks, int(obj["k"]), int(obj["rows"]))
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One quotient component: its unsigned support, its blocks and its kind."""
 
     support: tuple          # sorted (row, index) pairs
@@ -101,7 +97,9 @@ class Component:
     kind: str               # EPAIR or Z2CLASS
 
     def rows_met(self):
-        return frozenset(row for row, _ in self.support)
+        """The rows the support meets, ascending."""
+        first, last = self.support[0][0], self.support[-1][0]
+        return (first,) if first == last else (first, last)
 
 
 @dataclass(frozen=True)
@@ -117,36 +115,76 @@ class PropagatingData:
 
 
 def canonicalize(blocks, k, rows):
-    """Validate and bring a raw block list to canonical form (idempotent)."""
+    """Validate and bring a raw block list of vertex triples to canonical
+    form (idempotent): the triples become vertex codes, which ``from_codes``
+    checks."""
     if k < 1 or rows not in (1, 2):
         raise InvalidSize("k=%r rows=%r" % (k, rows))
-    seen = {}
-    norm = []
+    k2 = 2 * k
+    groups = []
     for b in blocks:
-        bb = tuple(sorted(set(b)))
-        if len(bb) != len(list(b)):
-            raise MalformedPartition("repeated vertex inside a block")
-        for v in bb:
-            if v in seen:
-                raise MalformedPartition("vertex %r in two blocks" % (v,))
-            seen[v] = True
-        norm.append(bb)
-    expected = set(vertex_set(k, rows))
-    if set(seen) != expected:
-        missing = expected - set(seen)
-        extra = set(seen) - expected
-        raise MalformedPartition("coverage violation (missing=%r extra=%r)"
-                                 % (sorted(missing), sorted(extra)))
-    if not is_z2_stable(norm):
-        raise NotZ2Stable("sign flip does not permute the blocks")
-    norm.sort(key=lambda b: b[0])
-    return ZStablePartition(k, rows, tuple(norm))
+        group = []
+        for v in b:
+            try:
+                row, i, s = v
+            except (TypeError, ValueError):
+                raise MalformedPartition("vertex %r is no (row, index, sign)"
+                                         % (v,)) from None
+            if row not in range(rows) or i not in range(1, k + 1) \
+                    or s not in (E, G):
+                raise MalformedPartition("vertex %r outside rows=%d, k=%d"
+                                         % (v, rows, k))
+            group.append(k2 * int(row) + 2 * int(i) - 2 + int(s))
+        groups.append(group)
+    return from_codes(groups, k, rows)
 
 
-def is_z2_stable(blocks):
-    """True iff the sign flip maps the block set to itself."""
-    block_set = {frozenset(b) for b in blocks}
-    return all(frozenset(flip_sign(v) for v in b) in block_set for b in block_set)
+@cache
+def _vertices(k, rows):
+    """The vertex triple of every code, shared by all partitions of a size."""
+    return tuple((row, i, s) for row in range(rows) for i in range(1, k + 1)
+                 for s in (E, G))
+
+
+def from_codes(groups, k, rows):
+    """The canonical partition with blocks ``groups`` of vertex codes, after
+    checking that they partition the vertices and that the sign flip
+    permutes them.  The code of vertex (row, i, s) is 2k*row + 2(i-1) + s,
+    as in ``block_index``, so the flip is ``c ^ 1``; every code must lie in
+    range(2k*rows)."""
+    n = 2 * k * rows
+    total = 0
+    for group in groups:
+        if not group:
+            raise MalformedPartition("empty block")
+        total += len(group)
+    if total != n:
+        raise MalformedPartition("coverage violation: %d vertices listed, "
+                                 "k=%d and rows=%d have %d"
+                                 % (total, k, rows, n))
+    # With as many vertices as points, no point met twice means every
+    # point is met: coverage needs no separate pass.
+    vertex = _vertices(k, rows)
+    owner = [-1] * n
+    for b, group in enumerate(groups):
+        for c in group:
+            if owner[c] >= 0:
+                raise MalformedPartition("vertex %r %s" % (
+                    vertex[c], "repeated in its block" if owner[c] == b
+                    else "in two blocks"))
+            owner[c] = b
+    # Every block b must flip into one block p(b).  That is enough: the
+    # flips of the blocks partition the vertices, so p is onto, hence a
+    # bijection, and flip(b), inside p(b), is all of it by counting.
+    for group in groups:
+        p = owner[group[0] ^ 1]
+        for c in group:
+            if owner[c ^ 1] != p:
+                raise NotZ2Stable("sign flip does not permute the blocks")
+    # Disjoint nonempty code lists compare by their least codes.
+    return ZStablePartition(k, rows, tuple(
+        tuple([vertex[c] for c in group])
+        for group in sorted([sorted(group) for group in groups])))
 
 
 def is_sign_constant(blocks):
@@ -207,19 +245,8 @@ def enumerate_rk(k, rows):
                 blocks.extend(_blocks_for_component(comp, choice))
             blocks.sort(key=lambda b: b[0])
             out.append(ZStablePartition(k, rows, tuple(blocks)))
-    out.sort()
-    return out
-
-
-def enumerate_rk_bruteforce(k, rows):
-    """Oracle path: filter every set partition of the doubled points for stability."""
-    if k < 1:
-        raise InvalidSize("k must be >= 1, got %r" % k)
-    out = []
-    for part in _set_partitions(vertex_set(k, rows)):
-        if is_z2_stable(part):
-            out.append(canonicalize(part, k, rows))
-    out.sort()
+    # k and rows are the same throughout, so the blocks alone decide the order.
+    out.sort(key=lambda d: d.blocks)
     return out
 
 
@@ -253,28 +280,26 @@ def roots(n, links):
     return root
 
 
-def classes(n, links):
-    """The classes of ``roots(n, links)`` as ascending index lists,
-    ordered by least index."""
-    out = {}
-    for a, r in enumerate(roots(n, links)):
-        out.setdefault(r, []).append(a)
-    return out.values()
-
-
 def _analyze_components(d):
     # Linking the two sign copies of every position leaves one class per
     # quotient component.  Classes come in order of least block, blocks
     # are sorted by least vertex, so the components come out sorted by
-    # support and each one's blocks sorted.
+    # support and each one's blocks sorted.  The support is read off the
+    # first block, already in order: a symmetric block holds both signs of
+    # each of its positions, and a couple's block one of them.
     index = block_index(d)
+    members = {}
+    for b, r in enumerate(roots(len(d.blocks), zip(index[E::2], index[G::2]))):
+        members.setdefault(r, []).append(b)
     comps = []
-    for cls in classes(len(d.blocks), zip(index[E::2], index[G::2])):
-        cblocks = tuple(d.blocks[b] for b in cls)
-        support = tuple(sorted((row, i) for block in cblocks
-                               for row, i, s in block if s == E))
-        kind = Z2CLASS if len(cblocks) == 1 else EPAIR
-        comps.append(Component(support, cblocks, kind))
+    for cls in members.values():
+        first = d.blocks[cls[0]]
+        if len(cls) == 1:
+            comps.append(Component(tuple([(row, i) for row, i, s in first
+                                          if s == E]), (first,), Z2CLASS))
+        else:
+            comps.append(Component(tuple([(row, i) for row, i, _ in first]),
+                                   (first, d.blocks[cls[1]]), EPAIR))
     return tuple(comps)
 
 
@@ -301,13 +326,12 @@ def restrict(d, which):
     """Restrict a two-row diagram to its top or bottom row (primes erased)."""
     if d.rows != 2:
         raise NotADiagram("restriction needs a two-row diagram")
-    row = {"top": TOP, "bottom": BOTTOM}[which]
-    blocks = []
-    for b in d.blocks:
-        bb = [(TOP, i, s) for r, i, s in b if r == row]
-        if bb:
-            blocks.append(bb)
-    return canonicalize(blocks, d.k, 1)
+    k2 = 2 * d.k
+    start = k2 * {"top": TOP, "bottom": BOTTOM}[which]
+    groups = {}
+    for c, b in enumerate(block_index(d)[start:start + k2]):
+        groups.setdefault(b, []).append(c)
+    return from_codes(list(groups.values()), d.k, 1)
 
 
 def compose(d1, d2):
@@ -316,7 +340,8 @@ def compose(d1, d2):
     Returns (outer diagram, l) with l the number of glued classes lying
     wholly in the identified middle row.  The glue is a union-find on
     block indices: d1's blocks, then d2's shifted by their count, linked
-    along every middle vertex.
+    along every middle vertex.  The outer blocks are the classes of the
+    top codes of d1 and the bottom codes of d2; every other class is a loop.
     """
     if d1.rows != 2 or d2.rows != 2:
         raise NotADiagram("compose needs two-row diagrams")
@@ -324,18 +349,16 @@ def compose(d1, d2):
         raise SizeMismatch("k=%d vs k=%d" % (d1.k, d2.k))
     k2 = 2 * d1.k
     n1 = len(d1.blocks)
-    links = zip(block_index(d1)[k2:], [n1 + b for b in block_index(d2)[:k2]])
-    outer = ([[v for v in b if v[0] == TOP] for b in d1.blocks]
-             + [[v for v in b if v[0] == BOTTOM] for b in d2.blocks])
-    outer_blocks = []
-    loops = 0
-    for cls in classes(n1 + len(d2.blocks), links):
-        vertices = [v for b in cls for v in outer[b]]
-        if vertices:
-            outer_blocks.append(vertices)
-        else:
-            loops += 1
-    return canonicalize(outer_blocks, d1.k, 2), loops
+    index1 = block_index(d1)
+    index2 = [n1 + b for b in block_index(d2)]
+    root = roots(n1 + len(d2.blocks), zip(index1[k2:], index2[:k2]))
+    groups = {}
+    for c in range(k2):
+        groups.setdefault(root[index1[c]], []).append(c)
+    for c in range(k2, 2 * k2):
+        groups.setdefault(root[index2[c]], []).append(c)
+    loops = len(set(root)) - len(groups)
+    return from_codes(list(groups.values()), d1.k, 2), loops
 
 
 def horizontal_counts(d):
@@ -362,5 +385,6 @@ def horizontal_counts(d):
 
 
 def identity_diagram(k):
-    blocks = [[(TOP, i, s), (BOTTOM, i, s)] for i in range(1, k + 1) for s in (E, G)]
-    return canonicalize(blocks, k, 2)
+    if k < 1:
+        raise InvalidSize("k must be >= 1, got %r" % k)
+    return from_codes([[c, 2 * k + c] for c in range(2 * k)], k, 2)

@@ -353,6 +353,27 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_empty_block_is_usage_error(tmp_path):
+    diagram = {"k": 1, "rows": 2,
+               "blocks": [[], [["1", "e"], ["1'", "e"]],
+                          [["1", "g"], ["1'", "g"]]]}
+    element = AlgebraElement.identity("z2rel", 1).to_json()
+    element["terms"][0]["diagram"] = diagram
+    d = tmp_path / "d.json"
+    d.write_text(json.dumps(diagram))
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(element))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(zrelalg.__file__).parent.parent))
+    for argv in (["decompose", "--k", "1", str(d)],
+                 ["mul", "--k", "1", str(a), str(a)]):
+        done = subprocess.run([sys.executable, "-m", "zrelalg.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error:")
+        assert "empty block" in done.stderr and "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("argv", [["--points", "foo"], ["--char", "4"],
                                   ["--char", "3", "--points", "1/3"]])
 def test_irreducible_report_usage_errors(argv):

@@ -12,7 +12,8 @@ from zrelalg.groups import signed_perms
 from zrelalg.ring import Poly
 from zrelalg.tabular import decompose, enumerate_M, layer_for, reconstruct
 from zrelalg.zpart import (compose, enumerate_rk, horizontal_counts,
-                           identity_diagram, propagating_data)
+                           identity_diagram, is_sign_constant,
+                           propagating_data)
 
 DIMS = {
     "z2rel": {1: 7, 2: 164, 3: 6841},
@@ -37,6 +38,19 @@ def test_enumeration_matches_formula(algebra, k):
 @pytest.mark.parametrize("algebra", ALGEBRAS)
 def test_enumeration_matches_formula_k3(algebra):
     assert len(basis(algebra, 3)) == dim_formula(algebra, 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_partition_basis_equals_filtered_oracle(k):
+    assert basis("partition", k) == [d for d in enumerate_rk(k, 2)
+                                     if is_sign_constant(d.blocks)]
+
+
+def test_partition_basis_k4():
+    diagrams = basis("partition", 4)
+    assert len(diagrams) == 4140 == dim_formula("partition", 4)
+    assert len(set(diagrams)) == 4140 and diagrams == sorted(diagrams)
+    assert all(in_basis("partition", d) for d in diagrams)
 
 
 def test_bases_nest():

@@ -7,12 +7,63 @@ from hypothesis import given, settings, strategies as st
 from test_tabular import _join
 
 from zrelalg.dalg import ALGEBRAS, basis
-from zrelalg.errors import MalformedPartition, NotZ2Stable
+from zrelalg.errors import InvalidSize, MalformedPartition, NotZ2Stable
 from zrelalg.zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, Component,
-                           ZStablePartition, canonicalize, compose,
-                           enumerate_rk, enumerate_rk_bruteforce, flip_sign,
-                           horizontal_counts, identity_diagram, is_z2_stable,
-                           propagating_data, quotient, restrict, vertex_set)
+                           ZStablePartition, _set_partitions, canonicalize,
+                           compose, enumerate_rk, flip_sign,
+                           horizontal_counts, identity_diagram,
+                           propagating_data, quotient, restrict)
+
+
+def vertex_set(k, rows):
+    return [(row, i, s) for row in range(rows) for i in range(1, k + 1)
+            for s in (E, G)]
+
+
+def is_z2_stable(blocks):
+    """True iff the sign flip maps the block set to itself."""
+    block_set = {frozenset(b) for b in blocks}
+    return all(frozenset(flip_sign(v) for v in b) in block_set for b in block_set)
+
+
+def _canonicalize_by_sets(blocks, k, rows):
+    """Oracle for ``canonicalize``: the checks made on vertex triples with
+    a coverage set and a frozenset per block."""
+    if k < 1 or rows not in (1, 2):
+        raise InvalidSize("k=%r rows=%r" % (k, rows))
+    seen = {}
+    norm = []
+    for b in blocks:
+        bb = tuple(sorted(set(b)))
+        if not bb:
+            raise MalformedPartition("empty block")
+        if len(bb) != len(list(b)):
+            raise MalformedPartition("repeated vertex inside a block")
+        for v in bb:
+            if v in seen:
+                raise MalformedPartition("vertex %r in two blocks" % (v,))
+            seen[v] = True
+        norm.append(bb)
+    expected = set(vertex_set(k, rows))
+    if set(seen) != expected:
+        missing = expected - set(seen)
+        extra = set(seen) - expected
+        raise MalformedPartition("coverage violation (missing=%r extra=%r)"
+                                 % (sorted(missing), sorted(extra)))
+    if not is_z2_stable(norm):
+        raise NotZ2Stable("sign flip does not permute the blocks")
+    norm.sort(key=lambda b: b[0])
+    return ZStablePartition(k, rows, tuple(norm))
+
+
+def enumerate_rk_bruteforce(k, rows):
+    """Oracle for ``enumerate_rk``: filter every set partition of the
+    doubled points for stability."""
+    out = [_canonicalize_by_sets(part, k, rows)
+           for part in _set_partitions(vertex_set(k, rows))
+           if is_z2_stable(part)]
+    out.sort()
+    return out
 
 
 @pytest.mark.parametrize("k,rows", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -22,12 +73,13 @@ def test_enumeration_matches_bruteforce_oracle(k, rows):
 
 @pytest.mark.parametrize("k,rows,count", [
     (1, 1, 2), (2, 1, 7), (3, 1, 31),
-    (1, 2, 7), (2, 2, 164),
+    (1, 2, 7), (2, 2, 164), (3, 2, 6841),
 ])
 def test_enumeration_counts(k, rows, count):
     out = enumerate_rk(k, rows)
     assert len(out) == count
     assert len(set(out)) == count
+    assert out == sorted(out)
 
 
 def _diagrams(k, rows):
@@ -71,6 +123,96 @@ def test_canonicalize_rejects_bad_input():
         # e-e joined but g-g split: flip does not permute blocks
         canonicalize([[(TOP, 1, E), (TOP, 2, E), (TOP, 1, G)], [(TOP, 2, G)]],
                      2, 1)
+    with pytest.raises(MalformedPartition, match="empty block"):
+        canonicalize([[], [(TOP, 1, E)], [(TOP, 1, G)]], 1, 1)
+
+
+def _outcome(fn, blocks, k, rows):
+    """The value of fn(blocks, k, rows), or the class of what it raised."""
+    try:
+        return fn([list(b) for b in blocks], k, rows)
+    except (InvalidSize, MalformedPartition, NotZ2Stable) as exc:
+        return type(exc)
+
+
+def _corruptions(d, rng):
+    """Seeded broken copies of d's blocks, one per kind of damage."""
+    k, rows = d.k, d.rows
+    out = []
+
+    def damaged():
+        return [list(b) for b in d.blocks]
+
+    blocks = damaged()                       # drop a vertex
+    b = rng.randrange(len(blocks))
+    blocks[b].pop(rng.randrange(len(blocks[b])))
+    out.append(blocks)
+    blocks = damaged()                       # repeat a vertex in its block
+    b = rng.randrange(len(blocks))
+    blocks[b].append(rng.choice(blocks[b]))
+    out.append(blocks)
+    blocks = damaged()                       # one vertex listed for another
+    a, b = rng.randrange(len(blocks)), rng.randrange(len(blocks))
+    blocks[a][rng.randrange(len(blocks[a]))] = rng.choice(blocks[b])
+    out.append(blocks)
+    if len(d.blocks) > 1:                    # copy a vertex to a second block
+        blocks = damaged()
+        a, b = rng.sample(range(len(blocks)), 2)
+        blocks[b].append(rng.choice(blocks[a]))
+        out.append(blocks)
+        blocks = damaged()                   # move a vertex to another block
+        a, b = rng.sample(range(len(blocks)), 2)
+        blocks[b].append(blocks[a].pop(rng.randrange(len(blocks[a]))))
+        out.append([blk for blk in blocks if blk])
+    for bad in ((rows, 1, E), (TOP, 0, G), (TOP, k + 1, E), (TOP, 1, 2),
+                (-1, 1, E), (TOP, 1), (TOP, 1, E, E)):
+        blocks = damaged()                   # add a vertex out of range
+        blocks[rng.randrange(len(blocks))].append(bad)
+        out.append(blocks)
+        blocks = damaged()                   # or put one in another's place
+        b = rng.randrange(len(blocks))
+        blocks[b][rng.randrange(len(blocks[b]))] = bad
+        out.append(blocks)
+    couples = [c for c in d.components()
+               if c.kind == EPAIR and len(c.support) > 1]
+    if couples:                              # split one block of an e-couple
+        block = list(rng.choice(rng.choice(couples).blocks))
+        rng.shuffle(block)
+        cut = rng.randrange(1, len(block))
+        out.append([b for b in d.blocks if b != tuple(sorted(block))]
+                   + [block[:cut], block[cut:]])
+    blocks = damaged()                       # insert an empty block
+    blocks.insert(rng.randrange(len(blocks) + 1), [])
+    out.append(blocks)
+    return out
+
+
+def _oracle_inputs():
+    rng = random.Random(16)
+    diagrams = [d for k, rows in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1))
+                for d in enumerate_rk(k, rows)]
+    k3 = enumerate_rk(3, 2)
+    diagrams += [rng.choice(k3) for _ in range(2000)]
+    for d in diagrams:
+        shuffled = [rng.sample(b, len(b)) for b in d.blocks]
+        rng.shuffle(shuffled)
+        yield shuffled, d.k, d.rows
+        for blocks in _corruptions(d, rng):
+            yield blocks, d.k, d.rows
+
+
+def test_canonicalize_equals_set_oracle():
+    kinds = {}
+    for blocks, k, rows in _oracle_inputs():
+        want = _outcome(_canonicalize_by_sets, blocks, k, rows)
+        assert _outcome(canonicalize, blocks, k, rows) == want, blocks
+        name = want.__name__ if isinstance(want, type) else "ok"
+        kinds[name] = kinds.get(name, 0) + 1
+    assert set(kinds) == {"ok", "MalformedPartition", "NotZ2Stable"}, kinds
+    blocks = [[(TOP, 1, E)], [(TOP, 1, G)]]
+    for k, rows in ((0, 1), (1, 0), (1, 3), (-2, 2)):
+        assert _outcome(canonicalize, blocks, k, rows) is InvalidSize
+        assert _outcome(_canonicalize_by_sets, blocks, k, rows) is InvalidSize
 
 
 def test_is_z2_stable_direct():
