@@ -25,7 +25,10 @@ Families (public API only):
   2,000 pairs per algebra at k = 3 drawn with ``random.Random(11)``;
 * ``decompose``: ``tabular.decompose(d)`` for every basis diagram of the
   three algebras, k <= 3, as both halves, f and the image tuples of both
-  permutations.
+  permutations;
+* ``star-reconstruct``: ``dalg.star_diagram(d)`` and
+  ``tabular.reconstruct(*decompose(d))`` for every basis diagram of the
+  three algebras, k <= 3.
 
 Usage: ``PYTHONPATH=src python scripts/output_digest.py``, once on each
 tree, then ``diff`` the two outputs.
@@ -38,11 +41,11 @@ import zlib
 from fractions import Fraction
 
 from zrelalg import cli
-from zrelalg.dalg import ALGEBRAS, basis
+from zrelalg.dalg import ALGEBRAS, basis, star_diagram
 from zrelalg.groups import GAElement
 from zrelalg.repn import gram
 from zrelalg.ring import ScalarField
-from zrelalg.tabular import cellular_basis, decompose, phi
+from zrelalg.tabular import cellular_basis, decompose, phi, reconstruct
 from zrelalg.zpart import compose
 
 BIG_PRIME = 2147483647
@@ -77,7 +80,7 @@ def families():
     out = {name: [] for name in ("gram-csv", "irreducibles", "rank-det-field",
                                  "nullspace-field", "murphy-coords",
                                  "symbolic-det", "phi", "compose",
-                                 "decompose")}
+                                 "decompose", "star-reconstruct")}
     layers = {}
     rng = random.Random(11)
     for algebra in ALGEBRAS:
@@ -97,6 +100,10 @@ def families():
                 out["decompose"].append("%s %d %r %r %r %r %r %r"
                                         % (algebra, k, d, top, bot, f,
                                            sigma1.images, sigma2.images))
+                out["star-reconstruct"].append(
+                    "%s %d %r %r %r" % (algebra, k, d, star_diagram(d),
+                                        reconstruct(top, bot, f, sigma1,
+                                                    sigma2)))
             cb = cellular_basis(algebra, k)
             layers.update((layer, None) for layer in cb.layers.values())
             points = _points(algebra, k)

@@ -22,7 +22,7 @@ from .ring import ONE, Poly
 from .zpart import (E, ZStablePartition, _blocks_for_component,
                     _set_partitions, block_index, compose, enumerate_rk,
                     from_codes, horizontal_counts, identity_diagram,
-                    is_sign_constant, propagating_data)
+                    is_sign_constant, json_size, propagating_data)
 
 ALGEBRAS = ("z2rel", "signed", "partition")
 
@@ -245,7 +245,7 @@ class AlgebraElement:
     @staticmethod
     def from_json(obj):
         algebra = obj["algebra"]
-        k = int(obj["k"])
+        k = json_size(obj["k"])
         terms = {}
         for t in obj["terms"]:
             d = ZStablePartition.from_json(t["diagram"])

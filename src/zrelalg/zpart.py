@@ -12,6 +12,14 @@ whole package leans on: every connected component of the unsigned quotient
 is covered either by a single sign-symmetric block (a "Z2" component, even
 cardinality) or by exactly two blocks swapped by the flip (an "e" couple,
 one vertex of each sign pair per block).
+
+``from_codes``, which ``canonicalize``, composition, restriction, star
+and reconstruction end in, returns one shared object per canonical
+partition (the enumerations build their own): a table per (k, rows)
+holds every partition it has returned, is never evicted, and so holds at
+most the stable partitions of that size.  What is derived from a
+partition (its components, its block index) is computed once and kept
+on the object.  Equality, hashing and order stay by value.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ def flip_sign(v):
 class ZStablePartition:
     """A canonical sign-stable set partition on one or two rows of k doubled points."""
 
-    __slots__ = ("k", "rows", "blocks", "_hash", "_components")
+    __slots__ = ("k", "rows", "blocks", "_hash", "_components", "_index")
 
     def __init__(self, k, rows, blocks):
         self.k = k
@@ -46,6 +54,7 @@ class ZStablePartition:
         self.blocks = blocks
         self._hash = hash((k, rows, blocks))
         self._components = None
+        self._index = None
 
     def __eq__(self, other):
         return (isinstance(other, ZStablePartition)
@@ -86,7 +95,16 @@ class ZStablePartition:
                               int(idx.rstrip("'")),
                               {"e": E, "g": G}[sign]))
             blocks.append(block)
-        return canonicalize(blocks, int(obj["k"]), int(obj["rows"]))
+        return canonicalize(blocks, json_size(obj["k"]),
+                            json_size(obj["rows"]))
+
+
+def json_size(value):
+    """A size read from JSON: an integer or a string of one.  A float or a
+    bool is a ValueError rather than being truncated by ``int``."""
+    if not isinstance(value, (str, int)) or isinstance(value, bool):
+        raise ValueError("size must be an integer, got %r" % (value,))
+    return int(value)
 
 
 class Component(NamedTuple):
@@ -146,12 +164,19 @@ def _vertices(k, rows):
                  for s in (E, G))
 
 
+@cache
+def _interned(k, rows):
+    """Every partition ``from_codes`` has returned at one size, by the
+    restricted-growth string of its owner array."""
+    return {}
+
+
 def from_codes(groups, k, rows):
     """The canonical partition with blocks ``groups`` of vertex codes, after
     checking that they partition the vertices and that the sign flip
     permutes them.  The code of vertex (row, i, s) is 2k*row + 2(i-1) + s,
     as in ``block_index``, so the flip is ``c ^ 1``; every code must lie in
-    range(2k*rows)."""
+    range(2k*rows).  Equal partitions come back as one shared object."""
     n = 2 * k * rows
     total = 0
     for group in groups:
@@ -181,10 +206,20 @@ def from_codes(groups, k, rows):
         for c in group:
             if owner[c ^ 1] != p:
                 raise NotZ2Stable("sign flip does not permute the blocks")
-    # Disjoint nonempty code lists compare by their least codes.
-    return ZStablePartition(k, rows, tuple(
-        tuple([vertex[c] for c in group])
-        for group in sorted([sorted(group) for group in groups])))
+    # Only a checked partition is looked up.  Renumbering the blocks in
+    # order of first appearance, i.e. of least code, gives the owner array
+    # of the canonical block order: the key, and on a miss the blocks.
+    # Bytes hold it compactly while every rank, below n, fits in a byte.
+    rank = dict(zip(dict.fromkeys(owner), range(n)))
+    key = (bytes if n <= 256 else tuple)(map(rank.__getitem__, owner))
+    table = _interned(k, rows)
+    d = table.get(key)
+    if d is None:
+        blocks = [[] for _ in groups]
+        for c, r in enumerate(key):
+            blocks[r].append(vertex[c])
+        d = table[key] = ZStablePartition(k, rows, tuple(map(tuple, blocks)))
+    return d
 
 
 def is_sign_constant(blocks):
@@ -218,8 +253,12 @@ def _blocks_for_component(positions, type_choice):
     return [b, tuple(sorted(flip_sign(v) for v in b))]
 
 
+@cache
 def enumerate_rk(k, rows):
     """All stable partitions on k doubled points (rows=1) or 2k (rows=2).
+
+    Enumerated once per (k, rows): every call returns the same list, which
+    callers must not mutate.
 
     Generation goes through the structure theorem -- pick an unsigned
     quotient partition, then a type per quotient block (symmetric, or one
@@ -251,14 +290,17 @@ def enumerate_rk(k, rows):
 
 
 def block_index(d):
-    """The block of every vertex, as a list: entry 2k*row + 2(i-1) + s is
-    the index in ``d.blocks`` of the block holding vertex (row, i, s)."""
-    k2 = 2 * d.k
-    out = [0] * (k2 * d.rows)
-    for b, block in enumerate(d.blocks):
-        for row, i, s in block:
-            out[k2 * row + 2 * i - 2 + s] = b
-    return out
+    """The block of every vertex, as a tuple computed once per partition:
+    entry 2k*row + 2(i-1) + s is the index in ``d.blocks`` of the block
+    holding vertex (row, i, s)."""
+    if d._index is None:
+        k2 = 2 * d.k
+        out = [0] * (k2 * d.rows)
+        for b, block in enumerate(d.blocks):
+            for row, i, s in block:
+                out[k2 * row + 2 * i - 2 + s] = b
+        d._index = tuple(out)
+    return d._index
 
 
 def roots(n, links):

@@ -260,6 +260,7 @@ symbolic-det     19787bfd 100
 phi              71cebe17 7188
 compose          a975269a 40408
 decompose        82dc681a 12375
+star-reconstruct 66118c20 12375
 """
 
 
@@ -372,6 +373,32 @@ def test_empty_block_is_usage_error(tmp_path):
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error:")
         assert "empty block" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("element", "k", 1.9), ("element", "k", True),
+    ("diagram", "k", 1.9), ("diagram", "rows", 2.2),
+    ("diagram", "k", True)])
+def test_non_integer_size_is_usage_error(tmp_path, where, key, value):
+    # int() read k = 1.9 as 1 and rows = 2.2 as 2, so mul exited 0
+    element = AlgebraElement.identity("z2rel", 1).to_json()
+    diagram = element["terms"][0]["diagram"]
+    (element if where == "element" else diagram)[key] = value
+    d = tmp_path / "d.json"
+    d.write_text(json.dumps(diagram))
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(element))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(zrelalg.__file__).parent.parent))
+    argvs = [["mul", "--k", "1", str(a), str(a)]]
+    if where == "diagram":
+        argvs.append(["decompose", "--k", "1", str(d)])
+    for argv in argvs:
+        done = subprocess.run([sys.executable, "-m", "zrelalg.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("argv", [["--points", "foo"], ["--char", "4"],

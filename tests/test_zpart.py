@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_tabular import _join
 
-from zrelalg.dalg import ALGEBRAS, basis
+from zrelalg.dalg import ALGEBRAS, basis, star_diagram
 from zrelalg.errors import InvalidSize, MalformedPartition, NotZ2Stable
 from zrelalg.zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, Component,
-                           ZStablePartition, _set_partitions, canonicalize,
-                           compose, enumerate_rk, flip_sign,
+                           ZStablePartition, _set_partitions, block_index,
+                           canonicalize, compose, enumerate_rk, flip_sign,
                            horizontal_counts, identity_diagram,
                            propagating_data, quotient, restrict)
 
@@ -213,6 +213,84 @@ def test_canonicalize_equals_set_oracle():
     for k, rows in ((0, 1), (1, 0), (1, 3), (-2, 2)):
         assert _outcome(canonicalize, blocks, k, rows) is InvalidSize
         assert _outcome(_canonicalize_by_sets, blocks, k, rows) is InvalidSize
+
+
+def _shuffled(blocks, rng):
+    out = [rng.sample(b, len(b)) for b in blocks]
+    rng.shuffle(out)
+    return out
+
+
+def _interning_sample():
+    rng = random.Random(17)
+    k3 = enumerate_rk(3, 2)
+    return rng, enumerate_rk(2, 2) + [rng.choice(k3) for _ in range(300)]
+
+
+def test_equal_partitions_are_one_object():
+    rng, diagrams = _interning_sample()
+    for d in diagrams:
+        k = d.k
+        shared = canonicalize(_shuffled(d.blocks, rng), k, 2)
+        assert shared == d
+        assert canonicalize(_shuffled(d.blocks, rng), k, 2) is shared
+        assert compose(identity_diagram(k), d)[0] is shared
+        assert compose(d, identity_diagram(k))[0] is shared
+        assert star_diagram(star_diagram(d)) is shared
+        flipped = [[(1 - row, i, s) for row, i, s in b] for b in d.blocks]
+        assert star_diagram(d) is canonicalize(_shuffled(flipped, rng), k, 2)
+        for which, row in (("top", TOP), ("bottom", BOTTOM)):
+            half = [[(TOP, i, s) for r, i, s in b if r == row]
+                    for b in d.blocks]
+            half = [b for b in half if b]
+            assert restrict(d, which) is canonicalize(_shuffled(half, rng),
+                                                      k, 1)
+
+
+@pytest.mark.parametrize("k", [64, 65])
+def test_interning_past_one_byte_ranks(k):
+    # 4k singleton blocks: ranks reach 255 at k = 64 and pass it at k = 65
+    singletons = [[v] for v in vertex_set(k, 2)]
+    d = canonicalize(singletons, k, 2)
+    assert canonicalize(singletons[::-1], k, 2) is d
+    assert block_index(d) == tuple(range(4 * k))
+    assert compose(d, identity_diagram(k))[0] is d
+
+
+def test_checks_run_before_the_lookup():
+    # A repeated or dropped vertex and an empty block leave the owner array,
+    # and so the key, of an interned partition; they must still raise.
+    rng, diagrams = _interning_sample()
+    for d in diagrams:
+        canonicalize([list(b) for b in d.blocks], d.k, d.rows)
+        for blocks in _corruptions(d, rng):
+            want = _outcome(_canonicalize_by_sets, blocks, d.k, d.rows)
+            assert _outcome(canonicalize, blocks, d.k, d.rows) == want, blocks
+
+
+def _block_index_oracle(d):
+    codes = [(row, i, s) for row in range(d.rows)
+             for i in range(1, d.k + 1) for s in (E, G)]
+    return tuple(next(b for b, block in enumerate(d.blocks) if v in block)
+                 for v in codes)
+
+
+@pytest.mark.parametrize("k,rows", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_block_index_is_cached_tuple(k, rows):
+    for d in enumerate_rk(k, rows):
+        for e in (d, canonicalize([list(b) for b in d.blocks], k, rows)):
+            index = block_index(e)
+            assert isinstance(index, tuple)
+            assert index == _block_index_oracle(e)
+            assert block_index(e) is index
+
+
+def test_enumeration_and_bases_share_objects():
+    assert enumerate_rk(3, 2) is enumerate_rk(3, 2)
+    assert enumerate_rk(2, 1) is enumerate_rk(2, 1)
+    z2rel = {id(d) for d in basis("z2rel", 3)}
+    assert z2rel == {id(d) for d in enumerate_rk(3, 2)}
+    assert all(id(d) in z2rel for d in basis("signed", 3))
 
 
 def test_is_z2_stable_direct():
