@@ -19,10 +19,10 @@ from functools import cache
 
 from .errors import Incompatible, InvalidSize, NotADiagram
 from .ring import ONE, Poly
-from .zpart import (E, ZStablePartition, _blocks_for_component,
-                    _set_partitions, block_index, compose, enumerate_rk,
-                    from_codes, horizontal_counts, identity_diagram,
-                    is_sign_constant, json_size, propagating_data)
+from .zpart import (E, ZStablePartition, _block_codes, _set_partitions,
+                    block_index, compose, enumerate_rk, from_codes,
+                    horizontal_counts, identity_diagram, is_sign_constant,
+                    json_size, propagating_data)
 
 ALGEBRAS = ("z2rel", "signed", "partition")
 
@@ -72,15 +72,9 @@ def _doubled_partition_diagrams(k):
     2k positions, each part gives its e-block and its g-block."""
     if k < 1:
         raise InvalidSize("k must be >= 1, got %r" % k)
-    positions = [(row, i) for row in range(2) for i in range(1, k + 1)]
-    out = []
-    for part in _set_partitions(positions):
-        blocks = []
-        for cell in part:
-            blocks.extend(_blocks_for_component(sorted(cell),
-                                                (E,) * (len(cell) - 1)))
-        blocks.sort(key=lambda b: b[0])
-        out.append(ZStablePartition(k, 2, tuple(blocks)))
+    out = [from_codes(_block_codes((cell, (E,) * len(cell)) for cell in part),
+                      k, 2)
+           for part in _set_partitions(list(range(2 * k)))]
     out.sort(key=lambda d: d.blocks)
     return out
 

@@ -13,17 +13,18 @@ is covered either by a single sign-symmetric block (a "Z2" component, even
 cardinality) or by exactly two blocks swapped by the flip (an "e" couple,
 one vertex of each sign pair per block).
 
-``from_codes``, which ``canonicalize``, composition, restriction, star
-and reconstruction end in, returns one shared object per canonical
-partition (the enumerations build their own): a table per (k, rows)
-holds every partition it has returned, is never evicted, and so holds at
-most the stable partitions of that size.  What is derived from a
+``from_codes`` is the only place a partition is built: ``canonicalize``,
+composition, restriction, star, reconstruction and both enumerations end
+in it.  It returns one shared object per canonical partition: a table per
+(k, rows) holds every partition it has returned, is never evicted, and so
+holds at most the stable partitions of that size.  What is derived from a
 partition (its components, its block index) is computed once and kept
 on the object.  Equality, hashing and order stay by value.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -37,10 +38,6 @@ E, G = 0, 1
 
 EPAIR = "e"
 Z2CLASS = "z2"
-
-
-def flip_sign(v):
-    return (v[0], v[1], 1 - v[2])
 
 
 class ZStablePartition:
@@ -89,10 +86,12 @@ class ZStablePartition:
         blocks = []
         for b in obj["blocks"]:
             block = []
-            for idx, sign in b:
-                primed = idx.endswith("'")
-                block.append((BOTTOM if primed else TOP,
-                              int(idx.rstrip("'")),
+            for name, sign in b:
+                if re.fullmatch("[0-9]+'?", name) is None:
+                    raise ValueError("vertex name %r is not digits with at "
+                                     "most one prime" % (name,))
+                block.append((BOTTOM if name.endswith("'") else TOP,
+                              int(name.rstrip("'")),
                               {"e": E, "g": G}[sign]))
             blocks.append(block)
         return canonicalize(blocks, json_size(obj["k"]),
@@ -240,17 +239,19 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-def _blocks_for_component(positions, type_choice):
-    """Blocks covering the doubled points over one quotient block.
-
-    type_choice is None for a symmetric (Z2) component, or a sign vector
-    over positions[1:] for an e-couple (positions[0] pinned to sign e).
-    """
-    if type_choice is None:
-        return [tuple(sorted((row, i, s) for row, i in positions for s in (E, G)))]
-    signs = [E] + list(type_choice)
-    b = tuple(sorted((row, i, s) for (row, i), s in zip(positions, signs)))
-    return [b, tuple(sorted(flip_sign(v) for v in b))]
+def _block_codes(parts):
+    """The blocks, as vertex codes, over quotient parts ``(positions,
+    signs)``: position p = k*row + i - 1 has codes 2p + s.  A part with
+    signs None is one symmetric block; otherwise it is the couple of the
+    block giving positions[j] sign signs[j] and its flip."""
+    groups = []
+    for positions, signs in parts:
+        if signs is None:
+            groups.append([2 * p + s for p in positions for s in (E, G)])
+        else:
+            block = [2 * p + s for p, s in zip(positions, signs)]
+            groups += [block, [c ^ 1 for c in block]]
+    return groups
 
 
 @cache
@@ -269,21 +270,15 @@ def enumerate_rk(k, rows):
         raise InvalidSize("k must be >= 1, got %r" % k)
     if rows not in (1, 2):
         raise InvalidSize("rows must be 1 or 2, got %r" % rows)
-    positions = [(row, i) for row in range(rows) for i in range(1, k + 1)]
     out = []
-    for quotient in _set_partitions(positions):
-        quotient = [sorted(c) for c in quotient]
-        per_block = []
-        for comp in quotient:
-            choices = [None]
-            choices.extend(product((E, G), repeat=len(comp) - 1))
-            per_block.append([(comp, c) for c in choices])
-        for assignment in product(*per_block):
-            blocks = []
-            for comp, choice in assignment:
-                blocks.extend(_blocks_for_component(comp, choice))
-            blocks.sort(key=lambda b: b[0])
-            out.append(ZStablePartition(k, rows, tuple(blocks)))
+    for quotient in _set_partitions(list(range(k * rows))):
+        # A couple pins its first position to sign e.
+        choices = [[None] + [(E,) + signs for signs
+                             in product((E, G), repeat=len(part) - 1)]
+                   for part in quotient]
+        for signs in product(*choices):
+            out.append(from_codes(_block_codes(zip(quotient, signs)),
+                                  k, rows))
     # k and rows are the same throughout, so the blocks alone decide the order.
     out.sort(key=lambda d: d.blocks)
     return out
@@ -343,11 +338,6 @@ def _analyze_components(d):
             comps.append(Component(tuple([(row, i) for row, i, _ in first]),
                                    (first, d.blocks[cls[1]]), EPAIR))
     return tuple(comps)
-
-
-def quotient(d):
-    """The unsigned partition: i ~ j when some signed copies are related."""
-    return tuple(c.support for c in d.components())
 
 
 def propagating_data(d):

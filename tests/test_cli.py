@@ -316,6 +316,18 @@ def _with_coeffs(coeffs):
     return json.dumps(obj)
 
 
+def _with_vertex_name(old, new, element):
+    """The z2rel k = 1 identity, as an operand file (``element``) or as a
+    bare diagram, with vertex name ``old`` written ``new``."""
+    obj = AlgebraElement.identity("z2rel", 1).to_json()
+    diagram = obj["terms"][0]["diagram"]
+    for block in diagram["blocks"]:
+        for vertex in block:
+            if vertex[0] == old:
+                vertex[0] = new
+    return json.dumps(obj if element else diagram)
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "dim", "--algebra", "bogus", "--k", "1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
@@ -341,7 +353,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                       ("zero-denominator.json", _with_coeffs({"0": "1/0"})),
                       ("laurent.json", _with_coeffs({"-1": "1"})),
                       ("float.json", _with_coeffs({"0": 0.1})),
-                      ("bool.json", _with_coeffs({"0": True}))]:
+                      ("bool.json", _with_coeffs({"0": True}))] + [
+            ("name-%d-%s.json" % (n, form),
+             _with_vertex_name(old, new, form == "element"))
+            for n, (old, new) in enumerate([("1'", "1''"), ("1", " +1"),
+                                            ("1", "1_0"), ("1", "0_1"),
+                                            ("1", "\uff11"), ("1'", "'")])
+            for form in ("element", "diagram")]:
         bad.append(tmp_path / name)
         bad[-1].write_text(text)
     for operand in bad + [tmp_path]:

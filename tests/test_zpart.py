@@ -1,18 +1,25 @@
 """Sign-stable set partitions: structure, enumeration, composition."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_tabular import _join
 
+from zrelalg import zpart
 from zrelalg.dalg import ALGEBRAS, basis, star_diagram
 from zrelalg.errors import InvalidSize, MalformedPartition, NotZ2Stable
 from zrelalg.zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, Component,
                            ZStablePartition, _set_partitions, block_index,
-                           canonicalize, compose, enumerate_rk, flip_sign,
+                           canonicalize, compose, enumerate_rk,
                            horizontal_counts, identity_diagram,
-                           propagating_data, quotient, restrict)
+                           propagating_data, restrict)
+
+
+def flip_sign(v):
+    return (v[0], v[1], 1 - v[2])
 
 
 def vertex_set(k, rows):
@@ -232,7 +239,7 @@ def test_equal_partitions_are_one_object():
     for d in diagrams:
         k = d.k
         shared = canonicalize(_shuffled(d.blocks, rng), k, 2)
-        assert shared == d
+        assert shared is d
         assert canonicalize(_shuffled(d.blocks, rng), k, 2) is shared
         assert compose(identity_diagram(k), d)[0] is shared
         assert compose(d, identity_diagram(k))[0] is shared
@@ -291,6 +298,31 @@ def test_enumeration_and_bases_share_objects():
     z2rel = {id(d) for d in basis("z2rel", 3)}
     assert z2rel == {id(d) for d in enumerate_rk(3, 2)}
     assert all(id(d) in z2rel for d in basis("signed", 3))
+    for k in (1, 2, 3):
+        enumerated = {id(d) for d in enumerate_rk(k, 2)}
+        assert all(id(d) in enumerated for d in basis("partition", k))
+    for d in basis("partition", 4):
+        assert canonicalize([list(b) for b in d.blocks], 4, 2) is d
+
+
+def _constructor_calls(tree):
+    """Every call of ``ZStablePartition`` or ``<module>.ZStablePartition``
+    under an AST node."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "ZStablePartition" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))]
+
+
+def test_from_codes_is_the_only_constructor():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(zpart.__file__).parent.glob("*.py")}
+    calls = [call for tree in trees.values()
+             for call in _constructor_calls(tree)]
+    (from_codes,) = [f for f in trees["zpart.py"].body
+                     if isinstance(f, ast.FunctionDef)
+                     and f.name == "from_codes"]
+    assert len(calls) == 1
+    assert _constructor_calls(from_codes) == calls
 
 
 def test_is_z2_stable_direct():
@@ -416,6 +448,5 @@ def test_restrict_rows(d):
 
 @given(_diagrams(2, 2))
 def test_quotient_partitions_positions(d):
-    q = quotient(d)
-    flat = [p for comp in q for p in comp]
+    flat = [p for comp in d.components() for p in comp.support]
     assert sorted(flat) == sorted({(r, i) for r, i, _ in vertex_set(2, 2)})
