@@ -19,10 +19,10 @@ from functools import cache
 
 from .errors import Incompatible, InvalidSize, NotADiagram
 from .ring import ONE, Poly
-from .zpart import (E, ZStablePartition, _block_codes, _set_partitions,
-                    block_index, compose, enumerate_rk, from_codes,
-                    horizontal_counts, identity_diagram, is_sign_constant,
-                    json_size, propagating_data)
+from .zpart import (E, ZStablePartition, _block_codes, _row_counts,
+                    _set_partitions, block_index, compose, enumerate_rk,
+                    from_codes, identity_diagram, is_sign_constant,
+                    json_size)
 
 ALGEBRAS = ("z2rel", "signed", "partition")
 
@@ -42,10 +42,9 @@ def in_basis(algebra, d):
         return True
     if algebra == "partition":
         return is_sign_constant(d.blocks)
-    pd = propagating_data(d)
-    he_t, hz_t, he_b, hz_b = horizontal_counts(d)
-    return (signed_row_ok(d.k, pd.s1, pd.s2, he_t, hz_t)
-            and signed_row_ok(d.k, pd.s1, pd.s2, he_b, hz_b))
+    s1, s2, he_t, hz_t, he_b, hz_b = _row_counts(d)
+    return (signed_row_ok(d.k, s1, s2, he_t, hz_t)
+            and signed_row_ok(d.k, s1, s2, he_b, hz_b))
 
 
 def signed_row_ok(k, s1, s2, he, hz):

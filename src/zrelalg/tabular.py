@@ -32,10 +32,12 @@ class HalfDiagram:
     Marks are recorded by the unsigned support of the component; couples
     (EPair) and symmetric classes (Z2) are kept in separate lists, each
     sorted by minimal position -- that ordering is what the group-element
-    coordinates refer to.
+    coordinates refer to.  The package builds halves through
+    ``_half_diagram``, which returns one shared object per half.
     """
 
-    __slots__ = ("base", "e_marks", "z_marks", "_hash", "_block_ids")
+    __slots__ = ("base", "e_marks", "z_marks", "_hash", "_vertices",
+                 "_block_ids")
 
     def __init__(self, base, e_marks=(), z_marks=()):
         if base.rows != 1:
@@ -54,16 +56,18 @@ class HalfDiagram:
                 raise Incompatible("support %r is not a symmetric class of %r"
                                    % (m, base))
         self._hash = hash((base, self.e_marks, self.z_marks))
+        self._vertices = tuple(
+            [2 * m[0] - 2 + s for m in self.e_marks for s in (E, G)]
+            + [2 * m[0] - 2 + E for m in self.z_marks])
         self._block_ids = None
 
     def mark_vertices(self):
         """The vertex of every mark point, as its offset 2(i-1) + s in
-        ``block_index(base)``.  Points are numbered as the points of
-        ``groups.signed_perm``: point 2i + s is the sign-s vertex at the
-        least position of couple mark i, point 2s1 + l the e-vertex at the
-        least position of symmetric mark l."""
-        return ([2 * m[0] - 2 + s for m in self.e_marks for s in (E, G)]
-                + [2 * m[0] - 2 + E for m in self.z_marks])
+        ``block_index(base)``, a tuple computed once per half.  Points are
+        numbered as the points of ``groups.signed_perm``: point 2i + s is
+        the sign-s vertex at the least position of couple mark i, point
+        2s1 + l the e-vertex at the least position of symmetric mark l."""
+        return self._vertices
 
     def block_ids(self):
         """(index, number of blocks, marks) with blocks numbered as in
@@ -73,7 +77,7 @@ class HalfDiagram:
         if self._block_ids is None:
             index = block_index(self.base)
             self._block_ids = (index, len(self.base.blocks),
-                               tuple(index[v] for v in self.mark_vertices()))
+                               tuple(index[v] for v in self._vertices))
         return self._block_ids
 
     @property
@@ -111,9 +115,30 @@ class HalfDiagram:
     @staticmethod
     def from_json(obj):
         from .zpart import ZStablePartition
-        return HalfDiagram(ZStablePartition.from_json(obj["base"]),
-                           [tuple(m) for m in obj["e_marks"]],
-                           [tuple(m) for m in obj["z_marks"]])
+        marks = [[tuple(m) for m in obj[key]] for key in ("e_marks", "z_marks")]
+        # A float or bool position equals an int one, so it would pass the
+        # mark check and be shared under the int half's key.
+        if any(type(i) is not int for ms in marks for m in ms for i in m):
+            raise ValueError("mark positions must be integers")
+        return _half_diagram(ZStablePartition.from_json(obj["base"]), *marks)
+
+
+# Every half _half_diagram has returned, by (base, e_marks, z_marks).  It is
+# never evicted, so it holds at most the marked halves of each size used.
+_halves = {}
+
+
+def _half_diagram(base, e_marks=(), z_marks=()):
+    """The half with these marks, as one shared object per half: the marks
+    are sorted as ``HalfDiagram`` sorts them, and only a half that passes
+    its checks is stored, so a bad mark raises on every call."""
+    e_marks = tuple(sorted(map(tuple, e_marks)))
+    z_marks = tuple(sorted(map(tuple, z_marks)))
+    key = (base, e_marks, z_marks)
+    half = _halves.get(key)
+    if half is None:
+        half = _halves[key] = HalfDiagram(base, e_marks, z_marks)
+    return half
 
 
 def variant_for(algebra):
@@ -153,7 +178,7 @@ def enumerate_M(k, s1, s2, variant="plain"):
             continue
         for emarks in combinations(e_supports, s1):
             for zmarks in combinations(z_supports, s2):
-                half = HalfDiagram(base, emarks, zmarks)
+                half = _half_diagram(base, emarks, zmarks)
                 if _admit_half(half, k, variant):
                     out.append(half)
     out.sort()
@@ -182,10 +207,10 @@ def decompose(d):
             e_through.append((tsup, bsup))
         else:
             z_through.append((tsup, bsup))
-    top = HalfDiagram(restrict(d, "top"), [t for t, _ in e_through],
-                      [t for t, _ in z_through])
-    bot = HalfDiagram(restrict(d, "bottom"), [b for _, b in e_through],
-                      [b for _, b in z_through])
+    top = _half_diagram(restrict(d, "top"), [t for t, _ in e_through],
+                        [t for t, _ in z_through])
+    bot = _half_diagram(restrict(d, "bottom"), [b for _, b in e_through],
+                        [b for _, b in z_through])
     index = block_index(d)
     k2 = 2 * d.k
     point = {index[k2 + v]: b for b, v in enumerate(bot.mark_vertices())}

@@ -43,7 +43,8 @@ Z2CLASS = "z2"
 class ZStablePartition:
     """A canonical sign-stable set partition on one or two rows of k doubled points."""
 
-    __slots__ = ("k", "rows", "blocks", "_hash", "_components", "_index")
+    __slots__ = ("k", "rows", "blocks", "_hash", "_components", "_index",
+                 "_counts")
 
     def __init__(self, k, rows, blocks):
         self.k = k
@@ -52,6 +53,7 @@ class ZStablePartition:
         self._hash = hash((k, rows, blocks))
         self._components = None
         self._index = None
+        self._counts = None
 
     def __eq__(self, other):
         return (isinstance(other, ZStablePartition)
@@ -99,9 +101,14 @@ class ZStablePartition:
 
 
 def json_size(value):
-    """A size read from JSON: an integer or a string of one.  A float or a
-    bool is a ValueError rather than being truncated by ``int``."""
-    if not isinstance(value, (str, int)) or isinstance(value, bool):
+    """A size read from JSON: an integer or a string of ASCII digits, the
+    rule for vertex names.  A float, a bool or any other string (a sign,
+    spaces, ``_`` separators, non-ASCII digits) is a ValueError rather than
+    being read by ``int``."""
+    if isinstance(value, str):
+        if re.fullmatch("[0-9]+", value) is None:
+            raise ValueError("size %r is not ASCII digits" % (value,))
+    elif not isinstance(value, int) or isinstance(value, bool):
         raise ValueError("size must be an integer, got %r" % (value,))
     return int(value)
 
@@ -187,11 +194,17 @@ def from_codes(groups, k, rows):
                                  "k=%d and rows=%d have %d"
                                  % (total, k, rows, n))
     # With as many vertices as points, no point met twice means every
-    # point is met: coverage needs no separate pass.
+    # point is met: coverage needs no separate pass.  A code out of range
+    # would index past the owner array, or alias a vertex if negative.
+    # Two comparisons per code cost less here than a min and a max per
+    # block, which are builtin calls.
     vertex = _vertices(k, rows)
     owner = [-1] * n
     for b, group in enumerate(groups):
         for c in group:
+            if c < 0 or c >= n:
+                raise MalformedPartition("vertex code %r outside range(%d)"
+                                         % (c, n))
             if owner[c] >= 0:
                 raise MalformedPartition("vertex %r %s" % (
                     vertex[c], "repeated in its block" if owner[c] == b
@@ -340,17 +353,46 @@ def _analyze_components(d):
     return tuple(comps)
 
 
+@cache
+def _shared(counts):
+    """One tuple per distinct row-count sextuple, held by every diagram
+    that has it."""
+    return counts
+
+
+def _row_counts(d):
+    """(s1, s2, He_top, Hz_top, He_bot, Hz_bot) of a two-row diagram (the
+    caller checks the rows), from one pass over its components, kept on
+    the diagram.
+
+    s1 and s2 count the through couples and symmetric classes; He and Hz
+    the one-row components of each row, couples only at unsigned size >= 2
+    and symmetric classes at any size."""
+    if d._counts is None:
+        s1 = s2 = 0
+        he = [0, 0]
+        hz = [0, 0]
+        for c in d.components():
+            rows = c.rows_met()
+            if len(rows) == 2:
+                if c.kind == EPAIR:
+                    s1 += 1
+                else:
+                    s2 += 1
+            elif c.kind != EPAIR:
+                hz[rows[0]] += 1
+            elif len(c.support) >= 2:
+                he[rows[0]] += 1
+        d._counts = _shared((s1, s2, he[TOP], hz[TOP], he[BOTTOM],
+                             hz[BOTTOM]))
+    return d._counts
+
+
 def propagating_data(d):
     """Through-class counts of a two-row diagram."""
     if d.rows != 2:
         raise NotADiagram("propagating data needs a two-row diagram")
-    s1 = s2 = 0
-    for c in d.components():
-        if len(c.rows_met()) == 2:
-            if c.kind == EPAIR:
-                s1 += 1
-            else:
-                s2 += 1
+    s1, s2 = _row_counts(d)[:2]
     return PropagatingData(s1, s2)
 
 
@@ -401,19 +443,7 @@ def horizontal_counts(d):
     """
     if d.rows != 2:
         raise NotADiagram("horizontal counts need a two-row diagram")
-    he = {TOP: 0, BOTTOM: 0}
-    hz = {TOP: 0, BOTTOM: 0}
-    for c in d.components():
-        rows = c.rows_met()
-        if len(rows) != 1:
-            continue
-        (row,) = rows
-        if c.kind == EPAIR:
-            if len(c.support) >= 2:
-                he[row] += 1
-        else:
-            hz[row] += 1
-    return (he[TOP], hz[TOP], he[BOTTOM], hz[BOTTOM])
+    return _row_counts(d)[2:]
 
 
 def identity_diagram(k):

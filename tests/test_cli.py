@@ -396,9 +396,12 @@ def test_empty_block_is_usage_error(tmp_path):
 @pytest.mark.parametrize("where, key, value", [
     ("element", "k", 1.9), ("element", "k", True),
     ("diagram", "k", 1.9), ("diagram", "rows", 2.2),
-    ("diagram", "k", True)])
+    ("diagram", "k", True), ("diagram", "rows", " 2")] + [
+    (where, "k", value) for where in ("element", "diagram")
+    for value in ("0_1", " +1", "\uff11", "1_0")])
 def test_non_integer_size_is_usage_error(tmp_path, where, key, value):
-    # int() read k = 1.9 as 1 and rows = 2.2 as 2, so mul exited 0
+    # int() read k = 1.9 as 1 and rows = 2.2 as 2, and the strings "0_1",
+    # " +1" and a full-width 1 as 1, so mul exited 0
     element = AlgebraElement.identity("z2rel", 1).to_json()
     diagram = element["terms"][0]["diagram"]
     (element if where == "element" else diagram)[key] = value

@@ -10,10 +10,10 @@ from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
 from zrelalg.errors import Incompatible, UnknownLabel
 from zrelalg.groups import Perm
 from zrelalg.ring import ONE
-from zrelalg.tabular import (CellLabel, HalfDiagram, cellular_basis,
-                             decompose, enumerate_M, index_lt, index_pairs,
-                             layer_for, phi, reconstruct,
-                             variant_for, verify_table_datum)
+from zrelalg.tabular import (CellLabel, HalfDiagram, _half_diagram,
+                             cellular_basis, decompose, enumerate_M,
+                             index_lt, index_pairs, layer_for, phi,
+                             reconstruct, variant_for, verify_table_datum)
 from zrelalg.zpart import (BOTTOM, E, G, TOP, canonicalize,
                            propagating_data)
 
@@ -363,6 +363,46 @@ def test_label_order_is_strict():
 def test_half_diagram_json_roundtrip():
     for h in enumerate_M(2, 1, 0, "signed"):
         assert HalfDiagram.from_json(h.to_json()) == h
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_halves_are_one_object(k):
+    halves = {}
+    for algebra in ALGEBRAS:
+        for s1, s2 in index_pairs(algebra, k):
+            for h in enumerate_M(k, s1, s2, variant_for(algebra)):
+                assert halves.setdefault(h, h) is h
+                assert HalfDiagram.from_json(h.to_json()) is h
+                assert _half_diagram(h.base, h.e_marks[::-1],
+                                     h.z_marks[::-1]) is h
+                assert h.mark_vertices() is h.mark_vertices()
+        for d in basis(algebra, k):
+            top, bot = decompose(d)[:2]
+            assert halves[top] is top and halves[bot] is bot
+            assert decompose(d)[:2] == (top, bot)
+    # A bad mark raises on every attempt: the failed half is not stored.
+    split = canonicalize([[(TOP, 1, E)], [(TOP, 1, G)]], 1, 1)
+    joined = canonicalize([[(TOP, 1, E), (TOP, 1, G)]], 1, 1)
+    for base, e_marks, z_marks in ((split, (), [(1,)]),
+                                   (joined, [(1,)], ())):
+        bad = {"base": base.to_json(), "e_marks": [list(m) for m in e_marks],
+               "z_marks": [list(m) for m in z_marks]}
+        for _ in range(3):
+            with pytest.raises(Incompatible):
+                _half_diagram(base, e_marks, z_marks)
+            with pytest.raises(Incompatible):
+                HalfDiagram.from_json(bad)
+
+
+@pytest.mark.parametrize("marks", [[[1.0]], [[True]]])
+def test_half_json_rejects_non_integer_marks(marks):
+    # 1.0 and True equal 1, so they would pass the mark check and be
+    # stored under the key of the integer half
+    split = canonicalize([[(TOP, 1, E)], [(TOP, 1, G)]], 1, 1)
+    with pytest.raises(ValueError):
+        HalfDiagram.from_json({"base": split.to_json(), "e_marks": marks,
+                               "z_marks": []})
+    assert _half_diagram(split, [(1,)]).mark_vertices() == (0, 1)
 
 
 def test_enumerate_M_variants_nest():

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from test_tabular import _join
 
 from zrelalg import zpart
-from zrelalg.dalg import ALGEBRAS, basis, star_diagram
+from zrelalg.dalg import ALGEBRAS, basis, signed_row_ok, star_diagram
 from zrelalg.errors import InvalidSize, MalformedPartition, NotZ2Stable
 from zrelalg.zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, Component,
-                           ZStablePartition, _set_partitions, block_index,
-                           canonicalize, compose, enumerate_rk,
-                           horizontal_counts, identity_diagram,
+                           ZStablePartition, _row_counts, _set_partitions,
+                           block_index, canonicalize, compose, enumerate_rk,
+                           from_codes, horizontal_counts, identity_diagram,
                            propagating_data, restrict)
 
 
@@ -275,6 +275,24 @@ def test_checks_run_before_the_lookup():
             assert _outcome(canonicalize, blocks, d.k, d.rows) == want, blocks
 
 
+def test_from_codes_rejects_codes_out_of_range():
+    # -1 aliased the last vertex through negative indexing, and 2 indexed
+    # past the owner array
+    for groups in ([[0, -1]], [[0, 2]], [[-2, -1]], [[1], [5]]):
+        with pytest.raises(MalformedPartition, match="outside range"):
+            from_codes(groups, 1, 1)
+    # -1 is reported as out of range, not as vertex 3 met twice
+    with pytest.raises(MalformedPartition, match="outside range"):
+        from_codes([[0, 1, 3], [-1]], 1, 2)
+    # the existing checks keep their order
+    with pytest.raises(MalformedPartition, match="empty block"):
+        from_codes([[], [-1, 5]], 1, 1)
+    with pytest.raises(MalformedPartition, match="coverage"):
+        from_codes([[-1, 5, 7]], 1, 1)
+    assert from_codes([[1, 0]], 1, 1) is canonicalize(
+        [[(TOP, 1, E), (TOP, 1, G)]], 1, 1)
+
+
 def _block_index_oracle(d):
     codes = [(row, i, s) for row in range(d.rows)
              for i in range(1, d.k + 1) for s in (E, G)]
@@ -323,6 +341,26 @@ def test_from_codes_is_the_only_constructor():
                      and f.name == "from_codes"]
     assert len(calls) == 1
     assert _constructor_calls(from_codes) == calls
+
+
+def _half_diagram_calls(tree):
+    """Every call of ``HalfDiagram`` or ``<module>.HalfDiagram`` under an
+    AST node."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "HalfDiagram" in (getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None))]
+
+
+def test_half_diagram_factory_is_the_only_constructor():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(zpart.__file__).parent.glob("*.py")}
+    calls = [call for tree in trees.values()
+             for call in _half_diagram_calls(tree)]
+    (factory,) = [f for f in trees["tabular.py"].body
+                  if isinstance(f, ast.FunctionDef)
+                  and f.name == "_half_diagram"]
+    assert len(calls) == 1
+    assert _half_diagram_calls(factory) == calls
 
 
 def test_is_z2_stable_direct():
@@ -425,6 +463,51 @@ def test_propagating_and_horizontal_hand_examples():
     assert (pd.s1, pd.s2, pd.r) == (0, 1, 1)
     # top couple has unsigned size 1, so it is not counted
     assert horizontal_counts(d) == (0, 0, 0, 1)
+
+
+def _propagating_oracle(d):
+    s1 = s2 = 0
+    for c in d.components():
+        if len(c.rows_met()) == 2:
+            if c.kind == EPAIR:
+                s1 += 1
+            else:
+                s2 += 1
+    return s1, s2
+
+
+def _horizontal_oracle(d):
+    he = {TOP: 0, BOTTOM: 0}
+    hz = {TOP: 0, BOTTOM: 0}
+    for c in d.components():
+        rows = c.rows_met()
+        if len(rows) != 1:
+            continue
+        (row,) = rows
+        if c.kind == EPAIR:
+            if len(c.support) >= 2:
+                he[row] += 1
+        else:
+            hz[row] += 1
+    return (he[TOP], hz[TOP], he[BOTTOM], hz[BOTTOM])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_row_counts_equal_oracle(k):
+    signed = []
+    for d in enumerate_rk(k, 2):
+        s1, s2 = _propagating_oracle(d)
+        he_t, hz_t, he_b, hz_b = horizontal = _horizontal_oracle(d)
+        counts = _row_counts(d)
+        assert counts == (s1, s2) + horizontal, d
+        assert _row_counts(d) is counts
+        pd = propagating_data(d)
+        assert (pd.s1, pd.s2) == (s1, s2)
+        assert horizontal_counts(d) == horizontal
+        if (signed_row_ok(k, s1, s2, he_t, hz_t)
+                and signed_row_ok(k, s1, s2, he_b, hz_b)):
+            signed.append(d)
+    assert basis("signed", k) == signed
 
 
 def test_horizontal_size_two_couple_counts():
