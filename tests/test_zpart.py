@@ -323,12 +323,11 @@ def test_enumeration_and_bases_share_objects():
         assert canonicalize([list(b) for b in d.blocks], 4, 2) is d
 
 
-def _constructor_calls(tree):
-    """Every call of ``ZStablePartition`` or ``<module>.ZStablePartition``
-    under an AST node."""
+def _constructor_calls(tree, name="ZStablePartition"):
+    """Every call of ``name`` or ``<module>.name`` under an AST node."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and "ZStablePartition" in (getattr(node.func, "id", None),
-                                       getattr(node.func, "attr", None))]
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))]
 
 
 def test_from_codes_is_the_only_constructor():
@@ -343,24 +342,16 @@ def test_from_codes_is_the_only_constructor():
     assert _constructor_calls(from_codes) == calls
 
 
-def _half_diagram_calls(tree):
-    """Every call of ``HalfDiagram`` or ``<module>.HalfDiagram`` under an
-    AST node."""
-    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and "HalfDiagram" in (getattr(node.func, "id", None),
-                                  getattr(node.func, "attr", None))]
-
-
 def test_half_diagram_factory_is_the_only_constructor():
     trees = {path.name: ast.parse(path.read_text())
              for path in Path(zpart.__file__).parent.glob("*.py")}
     calls = [call for tree in trees.values()
-             for call in _half_diagram_calls(tree)]
+             for call in _constructor_calls(tree, "HalfDiagram")]
     (factory,) = [f for f in trees["tabular.py"].body
                   if isinstance(f, ast.FunctionDef)
                   and f.name == "_half_diagram"]
     assert len(calls) == 1
-    assert _half_diagram_calls(factory) == calls
+    assert _constructor_calls(factory, "HalfDiagram") == calls
 
 
 def test_is_z2_stable_direct():
