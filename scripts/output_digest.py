@@ -15,6 +15,9 @@ Families (public API only):
   keyed by the glue ``layer.to_glue(g)`` as tuples of ints and listed in
   sorted glue order, so that the line does not depend on how group
   elements are represented;
+* ``struct-const``: ``MurphyBasis.struct_const(label, s, t, g)`` for every
+  record (label, s, t) and group element g of the same layers, one line per
+  g in record order, keyed and sorted by glue as ``murphy-coords`` is;
 * ``symbolic-det``: ``rank_det_symbolic`` of every Gram matrix, k <= 3,
   with the determinant printed by ``str``;
 * ``phi``: ``tabular.phi(P, Q)`` for every pair of halves of every
@@ -79,8 +82,8 @@ def _irreducibles(argv):
 def families():
     out = {name: [] for name in ("gram-csv", "irreducibles", "rank-det-field",
                                  "nullspace-field", "murphy-coords",
-                                 "symbolic-det", "phi", "compose",
-                                 "decompose", "star-reconstruct")}
+                                 "struct-const", "symbolic-det", "phi",
+                                 "compose", "decompose", "star-reconstruct")}
     layers = {}
     rng = random.Random(11)
     for algebra in ALGEBRAS:
@@ -138,13 +141,17 @@ def families():
                                                  for vec in kernel]))
     for layer in layers:
         mb = layer.murphy()
-        lines = {}
+        lines, consts = {}, {}
         for g in mb.elements:
             f, sigma1, sigma2 = layer.to_glue(g)
             glue = (tuple(f), sigma1.images, sigma2.images)
             lines[glue] = "%r %r %s" % (layer, glue, [
                 str(c) for c in mb.coords(GAElement.of(g))])
+            consts[glue] = "%r %r %s" % (layer, glue, [
+                str(mb.struct_const(r.label, r.s, r.t, g))
+                for r in mb.records])
         out["murphy-coords"].extend(lines[glue] for glue in sorted(lines))
+        out["struct-const"].extend(consts[glue] for glue in sorted(consts))
     return out
 
 

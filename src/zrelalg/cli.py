@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -19,14 +20,14 @@ from .repn import (cell_module, gram, gram_bruteforce_entry,
                    irreducible_table, is_plain_shape)
 from .tabular import (CellLabel, cellular_basis, decompose, reconstruct,
                       verify_table_datum)
-from .zpart import ZStablePartition
+from .zpart import ZStablePartition, json_size
 
 
 def _parse_shape(text):
     if text == "-":
         return ()
     try:
-        parts = tuple(int(p) for p in text.split("."))
+        parts = tuple(json_size(p) for p in text.split("."))
     except ValueError:
         raise UsageError("bad shape %r (use e.g. 2.1 or -)" % text)
     return parts
@@ -34,6 +35,7 @@ def _parse_shape(text):
 
 def parse_label(text, algebra):
     """Parse "r,s1,s2,l1,l2,mu" with dot-separated shapes and "-" empty.
+    Counts and parts are ASCII digits, as sizes in JSON are.
 
     For the partition algebra the group layer is a single symmetric group;
     its shape goes in the l1 slot and l2/mu must be "-".
@@ -43,9 +45,9 @@ def parse_label(text, algebra):
         raise UsageError("label must have 6 comma-separated fields, got %r"
                          % text)
     try:
-        r, s1, s2 = int(fields[0]), int(fields[1]), int(fields[2])
+        r, s1, s2 = (json_size(f) for f in fields[:3])
     except ValueError:
-        raise UsageError("label counts must be integers: %r" % text)
+        raise UsageError("label counts must be ASCII digits: %r" % text)
     if r != 2 * s1 + s2:
         raise UsageError("label has r != 2*s1+s2: %r" % text)
     l1, l2, mu = (_parse_shape(f) for f in fields[3:])
@@ -260,10 +262,14 @@ def cmd_gram(args):
 
 
 def _rational(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("not a rational number: %r" % text)
+    """argparse type: a rational number, in ASCII with no ``_`` or
+    whitespace (``Fraction`` would read "1_0" as 10 and skip spaces)."""
+    if text.isascii() and not re.search(r"[_\s]", text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise argparse.ArgumentTypeError("not a rational number: %r" % text)
 
 
 def cmd_irreducibles(args):

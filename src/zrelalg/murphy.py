@@ -21,6 +21,15 @@ tensor column of the two symmetric groups, its tableaux renamed along
 coset representatives, so its coordinates are read off with no solve.  A
 product group's coordinates are the tensor products of its factors'.
 
+Structure constants come from each label's cell form.  Every record is
+m_{s,t} = w_s^{-1} . c . w_t, with c = m_{t0,t0} = kappa sum_{x in H}
+chi(x) x the core of the label (H a subgroup, chi a +/-1 linear character)
+and w_{t0} = 1.  By the cellular axioms c h c = r(h) c modulo the more
+dominant labels, so the coefficient of m_{s,t} in m_{s,s} delta m_{t,t} is
+r(w_s delta w_t^{-1}).  And c h c = kappa^2 (|H|^2 / |HhH|) sum_z sgn(z) z
+over the double coset HhH, or 0 when chi disagrees with itself on it, so
+one walk of a double coset gives r on all of it.
+
 The builders are memoized, so each group has one basis, shared by every
 layer and algebra that uses it.
 """
@@ -30,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from .groups import GAElement, Perm, signed_perm, signed_perms, split_signed
 from .ring import ExactMatrix, Poly
@@ -155,30 +165,62 @@ def _inflated(mb):
     return columns
 
 
+def _generators(support, identity):
+    """A few elements of the group ``support`` that generate it: each one
+    taken is outside the subgroup generated by those before it."""
+    gens, reached = [], {identity}
+    for x in support:
+        if x not in reached:
+            gens.append(x)
+            todo = [identity]
+            reached = {identity}
+            for y in todo:
+                for g in gens:
+                    z = y * g
+                    if z not in reached:
+                        reached.add(z)
+                        todo.append(z)
+    return gens
+
+
+class _CellForm(NamedTuple):
+    """One label's cell form: r(h), the coefficient of the core c in c h c,
+    tabulated one double coset H h H at a time (``MurphyBasis._fill``)."""
+
+    words: dict         # tableau s -> w_s
+    inverses: dict      # tableau t -> w_t^{-1}
+    core: int           # record index of c = m_{t0,t0}
+    gens: list          # (g, chi(g) == 1) for generators g of H
+    scale: object       # kappa^2 |H|^2
+    values: dict        # group element h -> r(h), as a Poly
+
+
 class MurphyBasis:
     """A full cellular basis of one group algebra, with exact coordinates.
 
-    Records are indexed once by (label, s, t).  ``solve(basis)`` gives the
-    inverse of the change of basis as sparse columns: inverted whole for a
-    symmetric group (the default), inflated from S_a x S_{n-a} for a
+    Records are indexed once by (label, s, t), and ``words[label]`` maps
+    each tableau s of a label to its word w_s, in record order; the first
+    word is the identity.  ``solve(basis)`` gives the inverse of the
+    change of basis as sparse columns: inverted whole for a symmetric
+    group (the default), inflated from S_a x S_{n-a} for a
     signed-permutation group, tensored for a product group.  It is called
     on first use, so a coordinate costs only the terms it reads.
     """
 
-    def __init__(self, records, elements, label_lt, solve=_one_block):
+    def __init__(self, records, words, elements, label_lt, solve=_one_block):
         self.records = records
         self.elements = list(elements)
         self.label_lt = label_lt        # strict "cell-lower" predicate
+        self._words = words
         self._solve = solve
         if len(records) != len(self.elements):
             raise ValueError("record count %d != group order %d"
                              % (len(records), len(self.elements)))
         self.position = {}
-        self._tableaux = {}             # label -> {s: None}, in record order
         self._struct_consts = {}        # (label, s, t, delta) -> Poly
+        self._forms = {}                # label -> _CellForm
         for i, rec in enumerate(records):
             self.position[(rec.label, rec.s, rec.t)] = i
-            self._tableaux.setdefault(rec.label, {})[rec.s] = None
 
     @cached_property
     def _columns(self):
@@ -193,53 +235,98 @@ class MurphyBasis:
                 out[i] = out[i] + c * q
         return out
 
+    def _form(self, label):
+        """The label's cell form, built on first use with no value yet."""
+        form = self._forms.get(label)
+        if form is None:
+            words = self._words[label]
+            t0 = next(iter(words))
+            core = self.position[(label, t0, t0)]
+            terms = self.records[core].element.terms
+            identity = Perm.identity(self.elements[0].n)
+            unit = terms[identity]      # kappa chi(1), and chi = terms / unit
+            form = _CellForm(words, {t: w.inv() for t, w in words.items()},
+                             core, [(g, terms[g] == unit)
+                                    for g in _generators(terms, identity)],
+                             unit * unit * len(terms) ** 2, {})
+            self._forms[label] = form
+        return form
+
+    def _fill(self, form, h):
+        """r on the double coset H h H, walked from h by generators of H
+        on both sides with the sign chi carried along."""
+        signs = {h: True}
+        todo = [h]
+        vanishes = False
+        for z in todo:
+            sz = signs[z]
+            for g, even in form.gens:
+                sy = sz == even
+                for y in (g * z, z * g):
+                    seen = signs.get(y)
+                    if seen is None:
+                        signs[y] = sy
+                        todo.append(y)
+                    elif seen != sy:
+                        vanishes = True
+        if vanishes:
+            plus = minus = Poly()
+        else:
+            columns, i = self._columns, form.core
+            total = sum(columns[z].get(i, 0) if sz else -columns[z].get(i, 0)
+                        for z, sz in signs.items())
+            value = Fraction(form.scale * total) / len(signs)
+            if value.denominator == 1:
+                value = value.numerator
+            plus, minus = Poly({0: value}), Poly({0: -value})
+        for z, sz in signs.items():
+            form.values[z] = plus if sz else minus
+
     def struct_const(self, label, s, t, delta):
         """phi_delta(s, t): coefficient of m_{s,t} in m_{s,s} delta m_{t,t}.
 
-        Summed over the terms a of m_{s,s} and b of m_{t,t}, reading the
-        one coordinate of each a delta b; reduction mod lower labels cannot
-        change it, so no explicit reduction is needed.  A whole value is
-        stored as an int, so Gram entries stay integer polynomials.
-        Memoized: a Gram matrix asks for the same (label, s, t, delta) many
-        times.
+        It is r(w_s delta w_t^{-1}), with r(h) the coefficient of the core
+        c in c h c (see the module docstring): reduction mod lower labels
+        cannot change it, and c h c = r(h) c modulo them.  On the first h
+        of a double coset H h H, r is filled on the whole coset from the
+        columns of its elements at c.  A whole value is stored as an int,
+        so Gram entries stay integer polynomials.  Memoized by (label, s,
+        t, delta) in front of the form: a Gram matrix asks for the same
+        entry many times, and the hit skips two products.
         """
         key = (label, s, t, delta)
         value = self._struct_consts.get(key)
         if value is None:
-            ms = self.records[self.position[(label, s, s)]].element
-            mt = self.records[self.position[(label, t, t)]].element
-            i = self.position[(label, s, t)]
-            columns = self._columns
-            acc = 0
-            for a, ca in ms.terms.items():
-                ad = a * delta
-                for b, cb in mt.terms.items():
-                    q = columns[ad * b].get(i)
-                    if q:
-                        acc += ca * cb * q
-            value = Poly({0: acc.numerator if acc.denominator == 1 else acc})
+            form = self._form(label)
+            h = form.words[s] * delta * form.inverses[t]
+            value = form.values.get(h)
+            if value is None:
+                self._fill(form, h)
+                value = form.values[h]
             self._struct_consts[key] = value
         return value
 
     def tableaux_for(self, label):
-        return list(self._tableaux.get(label, ()))
+        return list(self._words.get(label, ()))
 
     def labels(self):
-        return list(self._tableaux)
+        return list(self._words)
 
 
 def _cell_records(labels, cell):
     """Records m_{s,t} = d(s)^{-1} . core . d(t) of every label, with
-    ``cell(label)`` giving (core, {tableau: word d}) in tableau order."""
-    records = []
+    ``cell(label)`` giving (core, {tableau: word d}) in tableau order, and
+    the words of every label."""
+    records, words_of = [], {}
     for label in labels:
         core, words = cell(label)
+        words_of[label] = words
         for s, ws in words.items():
             left = GAElement.of(ws.inv()) * core
             for t, wt in words.items():
                 records.append(MurphyRecord(label, s, t,
                                             left * GAElement.of(wt)))
-    return records
+    return records, words_of
 
 
 @cache
@@ -252,8 +339,9 @@ def sym_murphy(n):
                                          tableau_entries(tab))
                       for tab in standard_tableaux(shape)}
 
-    records = _cell_records(sorted(all_shapes(n), key=shape_sort_key), cell)
-    return MurphyBasis(records, Perm.all(n), strictly_dominates)
+    records, words = _cell_records(sorted(all_shapes(n), key=shape_sort_key),
+                                   cell)
+    return MurphyBasis(records, words, Perm.all(n), strictly_dominates)
 
 
 @cache
@@ -285,10 +373,10 @@ def wreath_murphy(n):
             n, canon, tableau_entries(bt[0]) + tableau_entries(bt[1])))
             for bt in standard_bitableaux(bishape)}
 
-    records = _cell_records(sorted(all_bishapes(n), key=bishape_sort_key),
-                            cell)
-    return MurphyBasis(records, signed_perms(n), bishape_strictly_dominates,
-                       _inflated)
+    records, words = _cell_records(
+        sorted(all_bishapes(n), key=bishape_sort_key), cell)
+    return MurphyBasis(records, words, signed_perms(n),
+                       bishape_strictly_dominates, _inflated)
 
 
 @cache
@@ -299,17 +387,24 @@ def product_murphy(s1, s2):
     wb = wreath_murphy(s1)
     sb = sym_murphy(s2)
     offset = 2 * s1
+
+    def glued(gw, gs):
+        return Perm(gw.images + tuple(offset + j for j in gs.images))
+
     records = []
     for wrec in wb.records:
         for srec in sb.records:
             terms = {}
             for gw, cw in wrec.element.terms.items():
                 for gs, cs in srec.element.terms.items():
-                    g = Perm(gw.images + tuple(offset + j for j in gs.images))
-                    terms[g] = cw * cs
+                    terms[glued(gw, gs)] = cw * cs
             records.append(MurphyRecord((wrec.label, srec.label),
                                         (wrec.s, srec.s), (wrec.t, srec.t),
                                         GAElement(terms)))
+    words = {(lw, ls): {(sw, ss): glued(ww, ws)
+                        for sw, ww in wb._words[lw].items()
+                        for ss, ws in sb._words[ls].items()}
+             for lw in wb._words for ls in sb._words}
 
     def label_lt(x, y):
         if x[0] != y[0]:
@@ -329,7 +424,7 @@ def product_murphy(s1, s2):
                       for i, cs in scols[srest].items()}
         return out
 
-    return MurphyBasis(records, signed_perms(s1, s2), label_lt,
+    return MurphyBasis(records, words, signed_perms(s1, s2), label_lt,
                        tensor_columns)
 
 

@@ -101,8 +101,8 @@ class ZStablePartition:
 
 
 def json_size(value):
-    """A size read from JSON: an integer or a string of ASCII digits, the
-    rule for vertex names.  A float, a bool or any other string (a sign,
+    """A size read from JSON or a CLI label: an integer or a string of ASCII
+    digits, the rule for vertex names.  A float, a bool or any other string (a sign,
     spaces, ``_`` separators, non-ASCII digits) is a ValueError rather than
     being read by ``int``."""
     if isinstance(value, str):

@@ -39,6 +39,20 @@ def run_script(name, *argv):
                           capture_output=True, text=True, env=env)
 
 
+def run_cli(*argv):
+    """``python -m zrelalg.cli`` in a fresh process, so that a traceback
+    would show on stderr."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(zrelalg.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "zrelalg.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def assert_usage_error(done):
+    assert done.returncode == 2, done.stderr
+    assert "error:" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_dim_formula_and_enumerate(capsys):
     code, out, _ = run(capsys, "dim", "--algebra", "z2rel", "--k", "2")
     assert code == 0 and out.strip() == "164"
@@ -256,6 +270,7 @@ irreducibles     f628ee4d 38
 rank-det-field   b4bc8b2f 233
 nullspace-field  9e70454e 233
 murphy-coords    ddc720be 92
+struct-const     25801725 92
 symbolic-det     19787bfd 100
 phi              71cebe17 7188
 compose          a975269a 40408
@@ -382,12 +397,9 @@ def test_empty_block_is_usage_error(tmp_path):
     d.write_text(json.dumps(diagram))
     a = tmp_path / "a.json"
     a.write_text(json.dumps(element))
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(zrelalg.__file__).parent.parent))
     for argv in (["decompose", "--k", "1", str(d)],
                  ["mul", "--k", "1", str(a), str(a)]):
-        done = subprocess.run([sys.executable, "-m", "zrelalg.cli", *argv],
-                              capture_output=True, text=True, env=env)
+        done = run_cli(*argv)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error:")
         assert "empty block" in done.stderr and "Traceback" not in done.stderr
@@ -409,17 +421,35 @@ def test_non_integer_size_is_usage_error(tmp_path, where, key, value):
     d.write_text(json.dumps(diagram))
     a = tmp_path / "a.json"
     a.write_text(json.dumps(element))
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(zrelalg.__file__).parent.parent))
     argvs = [["mul", "--k", "1", str(a), str(a)]]
     if where == "diagram":
         argvs.append(["decompose", "--k", "1", str(d)])
     for argv in argvs:
-        done = subprocess.run([sys.executable, "-m", "zrelalg.cli", *argv],
-                              capture_output=True, text=True, env=env)
+        done = run_cli(*argv)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("label", ["2,0_1,0,1,-,-", "\uff12,1,0,1,-,-",
+                                   "2,+1,0,1,-,-", "2, 1,0,1,-,-",
+                                   "2,1,0,\uff11,-,-", "2,1,0,+1,-,-"])
+def test_label_fields_are_ascii_digits(label):
+    # int() read "0_1", "+1", " 1" and full-width digits, so gram exited 0
+    assert_usage_error(run_cli("gram", "--algebra", "signed", "--k", "2",
+                               "--label", label))
+
+
+@pytest.mark.parametrize("x", ["1_0", " 1", "1 ", "\t1/2", "\uff11",
+                               "1\u00a0"])
+def test_point_is_ascii_without_separators(x):
+    # Fraction() read "1_0" as 10 and skipped spaces, so these exited 0
+    assert_usage_error(run_cli("irreducibles", "--algebra", "z2rel", "--k",
+                               "1", "--x", x))
+    assert_usage_error(run_script("irreducible_report.py", "--k", "1",
+                                  "--points", "0," + x))
+    assert cli._rational("-1/2") == Fraction(-1, 2)
+    assert cli._rational("3") == 3
 
 
 @pytest.mark.parametrize("argv", [["--points", "foo"], ["--char", "4"],

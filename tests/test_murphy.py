@@ -1,5 +1,6 @@
 """Murphy-type cellular bases of the group layers."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -77,13 +78,90 @@ ORACLE_BASES = ([(wreath_murphy, (n,)) for n in (1, 2, 3)]
                 + [(sym_murphy, (n,)) for n in (1, 2, 3, 4)])
 
 
-@pytest.mark.parametrize("build, args", ORACLE_BASES,
-                         ids=["%s(%s)" % (build.__name__,
-                                          ",".join(map(str, args)))
-                              for build, args in ORACLE_BASES])
+SEEDED_BASES = [(wreath_murphy, (4,)), (product_murphy, (3, 1))]
+
+
+def _ids(bases):
+    return ["%s(%s)" % (build.__name__, ",".join(map(str, args)))
+            for build, args in bases]
+
+
+@pytest.mark.parametrize("build, args", ORACLE_BASES, ids=_ids(ORACLE_BASES))
 def test_columns_are_dense_inverse(build, args):
     mb = build(*args)
     assert mb._columns == _dense_columns(mb)
+
+
+def _struct_const_oracle(mb, label, s, t, delta):
+    """Oracle: the m_{s,t} coordinate of m_{s,s} delta m_{t,t}, summed over
+    all |m_ss| |m_tt| products of their terms, a whole value as an int."""
+    ms = mb.records[mb.position[(label, s, s)]].element
+    mt = mb.records[mb.position[(label, t, t)]].element
+    i = mb.position[(label, s, t)]
+    acc = 0
+    for a, ca in ms.terms.items():
+        ad = a * delta
+        for b, cb in mt.terms.items():
+            q = mb._columns[ad * b].get(i)
+            if q:
+                acc += ca * cb * q
+    return Poly({0: acc.numerator if acc.denominator == 1 else acc})
+
+
+def _typed(poly):
+    return {d: (type(c), c) for d, c in poly.coeffs.items()}
+
+
+@pytest.mark.parametrize("build, args", ORACLE_BASES, ids=_ids(ORACLE_BASES))
+def test_struct_const_equals_product_oracle(build, args):
+    """Every (label, s, t, delta) of the layers used at k <= 3, as the
+    cell form's double cosets give it, against the product loop."""
+    mb = build(*args)
+    for rec in mb.records:
+        for delta in mb.elements:
+            assert (_typed(mb.struct_const(rec.label, rec.s, rec.t, delta))
+                    == _typed(_struct_const_oracle(mb, rec.label, rec.s,
+                                                   rec.t, delta)))
+
+
+@pytest.mark.parametrize("build, args", [
+    pytest.param(wreath_murphy, (4,), marks=pytest.mark.slow),
+    (product_murphy, (3, 1))], ids=_ids(SEEDED_BASES))
+def test_struct_const_equals_product_oracle_seeded(build, args):
+    mb = build(*args)
+    rng = random.Random(20)
+    for _ in range(2000):
+        rec, delta = rng.choice(mb.records), rng.choice(mb.elements)
+        assert (_typed(mb.struct_const(rec.label, rec.s, rec.t, delta))
+                == _typed(_struct_const_oracle(mb, rec.label, rec.s, rec.t,
+                                               delta)))
+
+
+@pytest.mark.parametrize("build, args", ORACLE_BASES + SEEDED_BASES,
+                         ids=_ids(ORACLE_BASES + SEEDED_BASES))
+def test_cell_form_structure(build, args):
+    """Each label's core c = m_{t0,t0} is kappa sum chi(x) x over a
+    subgroup H, with chi a +/-1 character, and every record is w_s^{-1} c
+    w_t with w_{t0} the identity: what struct_const's formula assumes."""
+    mb = build(*args)
+    identity = Perm.identity(mb.elements[0].n)
+    assert list(mb._words) == list(dict.fromkeys(r.label
+                                                 for r in mb.records))
+    for label, words in mb._words.items():
+        assert list(words) == list(dict.fromkeys(
+            r.s for r in mb.records if r.label == label))
+        t0, w0 = next(iter(words.items()))
+        assert w0 == identity
+        core = mb.records[mb.position[(label, t0, t0)]].element
+        unit = core.terms[identity]
+        assert {abs(c) for c in core.terms.values()} == {abs(unit)}
+        for x, cx in core.terms.items():
+            for y, cy in core.terms.items():
+                assert core.terms.get(x * y, 0) * unit == cx * cy
+        for s, ws in words.items():
+            for t, wt in words.items():
+                assert (mb.records[mb.position[(label, s, t)]].element
+                        == GAElement.of(ws.inv()) * core * GAElement.of(wt))
 
 
 def _check_cellularity(mb, group_elements):
