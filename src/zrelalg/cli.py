@@ -91,10 +91,20 @@ def _load(path, from_json):
                              % (path, type(exc).__name__, exc))
 
 
-def positive_int(text):
-    """argparse type: an integer >= 1."""
+def size_int(text):
+    """argparse type: an integer >= 0 in ASCII digits, as ``json_size``
+    reads sizes (``int`` would take " 3", "+3", "0_3" and non-ASCII
+    digits)."""
     try:
-        value = int(text)
+        return json_size(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not ASCII digits: %r" % text)
+
+
+def positive_int(text):
+    """argparse type: an integer >= 1 in ASCII digits."""
+    try:
+        value = json_size(text)
     except ValueError:
         value = 0
     if value < 1:
@@ -303,7 +313,7 @@ def build_parser():
 
     def common(p):
         p.add_argument("--algebra", choices=ALGEBRAS, required=True)
-        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--k", type=size_int, required=True)
 
     p = sub.add_parser("dim", help="dimension of the algebra")
     common(p)
@@ -317,21 +327,21 @@ def build_parser():
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("mul", help="multiply two element JSON files")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=size_int, required=True)
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=cmd_mul)
 
     p = sub.add_parser("decompose",
                        help="split a diagram into halves and group element")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=size_int, required=True)
     p.add_argument("diagram")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=size_int, default=0)
     p.add_argument("--samples", type=positive_int, default=200)
     p.set_defaults(func=cmd_verify)
 
@@ -345,7 +355,7 @@ def build_parser():
     p = sub.add_parser("irreducibles",
                        help="cell-module and irreducible dimension table")
     common(p)
-    p.add_argument("--char", type=int, default=0,
+    p.add_argument("--char", type=size_int, default=0,
                    help="field characteristic: 0 or an odd prime")
     p.add_argument("--x", type=_rational,
                    help="evaluation point for x (rational); required "

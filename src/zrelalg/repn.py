@@ -57,19 +57,28 @@ def action_matrix(a, module):
 def gram(label, algebra, k):
     """Gram matrix by the factorized formula: entry ((P, s), (Q, t)) is
     x^l times the Murphy structure constant at (s, t; delta), where
-    (l, delta) is the glue of P and Q in ``CellularBasis.glue``."""
+    (l, delta) is the glue of P and Q in ``CellularBasis.glue``.
+
+    A cell form is symmetric (Graham-Lehrer), so the upper triangle is
+    filled and mirrored.  Rows are tableau-major: row a * |M| + i is
+    (P_i, s_a)."""
     cb = cellular_basis(algebra, k)
     tableaux = cb.tableaux(label)
     murphy = cb.layers[(label.s1, label.s2)].murphy()
     table = cb.glue(label.s1, label.s2)
-    entries = []
-    for s in tableaux:
-        for row in table:
-            entries.append([
+    m = len(table)
+    n = len(tableaux) * m
+    entries = [[None] * n for _ in range(n)]
+    for u in range(n):
+        a, i = divmod(u, m)
+        s, glue_row, row = tableaux[a], table[i], entries[u]
+        for v in range(u, n):
+            b, j = divmod(v, m)
+            pair = glue_row[j]
+            row[v] = entries[v][u] = (
                 ZERO if pair is None else
-                murphy.struct_const(label.glabel, s, t, pair[1])
-                * Poly.x(pair[0])
-                for t in tableaux for pair in row])
+                murphy.struct_const(label.glabel, s, tableaux[b], pair[1])
+                * Poly.x(pair[0]))
     return ExactMatrix(entries)
 
 

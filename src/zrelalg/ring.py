@@ -6,6 +6,14 @@ coefficient.  A field is a ``reduce`` (the identity on Q, ``% p`` on F_p),
 an ``inv`` and its characteristic ``p``; its elements use Python's own
 operators.  Elimination reduces its pivot row and row updates inline by
 ``% p``, and not at all over Q.
+Gram matrices are symmetric: the cellular anti-involution makes every cell
+form a symmetric bilinear form (Graham & Lehrer, *Invent. Math.* 123, 1996,
+section 2).  Rank and determinant of a symmetric matrix are therefore
+computed on its upper triangle, pivoting down the diagonal
+(``_rank_det_upper``, about half the work); at the first zero diagonal
+pivot the trailing Schur complement is rebuilt in full and finished by
+general elimination (``ExactMatrix._echelon``), which stays the path for
+every other matrix and the oracle of the symmetric one.
 A square symbolic determinant is computed multimodularly: with v and D the
 least and greatest assignment sums of entry degrees (Hungarian method,
 ``_min_assignment``), det / x^v is evaluated at the D - v + 1 nonzero points
@@ -494,7 +502,10 @@ class ExactMatrix:
         and Newton-interpolated; primes are combined by CRT until their
         product exceeds 2H (compared squared, so in exact integers), then
         lifted to the symmetric range, multiplied by x^v and divided by the
-        row scale.
+        row scale.  When the scaled integer rows form a symmetric matrix,
+        only their upper triangle is reduced and evaluated at each point,
+        and eliminated by ``_rank_det_upper``; rows scaled by different
+        denominators are not symmetric and take ``_echelon``.
         """
         polys = [[(e if isinstance(e, Poly) else Poly.const(e)).coeffs
                   for e in row] for row in self.entries]
@@ -510,6 +521,7 @@ class ExactMatrix:
             rows.append([{d: int(v * den) for d, v in c.items()}
                          for c in row])
             scale *= den
+        symmetric = rows == [list(col) for col in zip(*rows)]
         bound_sq = prod(sum(sum(map(abs, c.values())) ** 2 for c in row)
                         for row in rows)
         top = max((d for row in rows for c in row for d in c), default=0)
@@ -525,9 +537,9 @@ class ExactMatrix:
             # general sum and ScalarField.eval_poly: about 10% of the
             # gram-k3 answer time (2-vCPU Xeon).
             entries = []
-            for row in rows:
+            for r, row in enumerate(rows):
                 reduced = []
-                for c in row:
+                for c in row[r:] if symmetric else row:
                     terms = [(d, v % p) for d, v in c.items() if v % p]
                     reduced.append(terms[0] if len(terms) == 1 else
                                    (None, terms) if terms else (0, 0))
@@ -537,11 +549,12 @@ class ExactMatrix:
                 powers = [1] * (top + 1)
                 for d in range(1, top + 1):
                     powers[d] = powers[d - 1] * x % p
-                at_x = ExactMatrix([
-                    [c * powers[d] % p if d is not None else
-                     sum(v * powers[e] for e, v in c) % p for d, c in row]
-                    for row in entries])
-                values.append(at_x._echelon(field)[2] * pow(x, -low, p) % p)
+                at_x = [[c * powers[d] % p if d is not None else
+                         sum(v * powers[e] for e, v in c) % p for d, c in row]
+                        for row in entries]
+                det = (_rank_det_upper(at_x, field)[1] if symmetric else
+                       ExactMatrix(at_x)._echelon(field)[2])
+                values.append(det * pow(x, -low, p) % p)
             residues = _interpolate(values, p)
             lift = pow(modulus, -1, p)
             coeffs = [a + modulus * ((b - a) * lift % p)
@@ -645,7 +658,13 @@ class ExactMatrix:
 
     def rank_det_field(self, field):
         """Rank and determinant (None unless square) over an explicit field;
-        entries must be field scalars."""
+        entries must be field scalars.  A symmetric matrix is eliminated on
+        its upper triangle (``_rank_det_upper``), any other by
+        ``_echelon``."""
+        rows = self.entries
+        if self.nrows == self.ncols and rows == [list(c) for c in zip(*rows)]:
+            return _rank_det_upper([row[i:] for i, row in enumerate(rows)],
+                                   field)
         _, pivots, det = self._echelon(field)
         return len(pivots), det
 
@@ -692,6 +711,50 @@ class ExactMatrix:
 
     def __repr__(self):
         return "ExactMatrix(%d x %d)" % (self.nrows, self.ncols)
+
+
+def _rank_det_upper(upper, field):
+    """Rank and determinant over a field of a symmetric matrix given by its
+    upper triangle: upper[i] is row i from the diagonal on, as reduced
+    field scalars.  The lists are overwritten.
+
+    Pivots are taken down the diagonal in natural order.  Pivot i updates
+    each row r > i from column r on only, by the factor a[i][r] read off
+    the pivot row (a[r][i], by symmetry), so every trailing block stays
+    symmetric and only its upper triangle is kept: half the work of
+    ``_echelon``.  At the first zero pivot, the trailing block (the Schur
+    complement S of the pivots so far) is rebuilt in full and handed to
+    ``_echelon``; rank = pivots so far + rank S and det = (product of the
+    pivots) * det S, in every characteristic.
+    """
+    reduce = field.reduce
+    p = field.p                         # 0 on Q, where reduce is the identity
+    n = len(upper)
+    det = 1
+    for i in range(n):
+        pivot_row = upper[i]
+        if not pivot_row[0]:
+            block = ExactMatrix([[upper[i + min(a, b)][abs(b - a)]
+                                  for b in range(n - i)]
+                                 for a in range(n - i)])
+            _, pivots, block_det = block._echelon(field)
+            return i + len(pivots), reduce(det * block_det)
+        det = reduce(det * pivot_row[0])
+        pinv = field.inv(pivot_row[0])
+        tail = ([pinv * e % p for e in pivot_row] if p else
+                [pinv * e for e in pivot_row])
+        for off in range(1, n - i):
+            factor = pivot_row[off]
+            if not factor:
+                continue
+            r = i + off
+            if p:
+                upper[r] = [(a - factor * b) % p
+                            for a, b in zip(upper[r], tail[off:])]
+            else:
+                upper[r] = [a - factor * b
+                            for a, b in zip(upper[r], tail[off:])]
+    return n, det
 
 
 def poly_matrix_from_csv(text):

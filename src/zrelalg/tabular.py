@@ -476,22 +476,28 @@ class CellularBasis:
         """The glue table of layer (s1, s2), built on first use: row i,
         column j is (l, delta) for the halves M[(s1, s2)][i] and [j], from
         phi with delta = layer.from_glue(f, sigma1, sigma2), or None where
-        phi fails.  Each distinct (l, delta) is stored once and shared."""
+        phi fails.  Each distinct (l, delta) is stored once and shared.
+
+        The cellular anti-involution (flip top and bottom, invert the group
+        element) gives glue[j][i] = (l, delta^-1), so phi runs for j >= i
+        only and the lower triangle is mirrored."""
         table = self._glue.get((s1, s2))
         if table is None:
             halves = self.M[(s1, s2)]
             layer = self.layers[(s1, s2)]
             shared = {}
-            table = []
-            for P in halves:
-                row = []
-                for Q in halves:
-                    res = phi(P, Q)
-                    if res is not None:
-                        pair = (res[0], layer.from_glue(*res[1:]))
-                        res = shared.setdefault(pair, pair)
-                    row.append(res)
-                table.append(row)
+            table = [[None] * len(halves) for _ in halves]
+            for i, P in enumerate(halves):
+                row = table[i]
+                for j in range(i, len(halves)):
+                    res = phi(P, halves[j])
+                    if res is None:
+                        continue
+                    l, delta = res[0], layer.from_glue(*res[1:])
+                    row[j] = shared.setdefault((l, delta), (l, delta))
+                    if j != i:
+                        pair = (l, delta.inv())
+                        table[j][i] = shared.setdefault(pair, pair)
             self._glue[(s1, s2)] = table
         return table
 

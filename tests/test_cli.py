@@ -440,6 +440,24 @@ def test_label_fields_are_ascii_digits(label):
                                "--label", label))
 
 
+@pytest.mark.parametrize("argv", [
+    ["dim", "--algebra", "z2rel", "--k", k] for k in
+    (" 1", "0_1", "+1", "\uff11", "1 ", "-1")] + [
+    ["irreducibles", "--algebra", "z2rel", "--k", "1", "--x", "1",
+     "--char", c] for c in (" 3", "+3", "0_3", "\uff13")] + [
+    ["verify", "--algebra", "z2rel", "--k", "1", "--suite", "tabular",
+     "--samples", n] for n in (" 3", "+3", "0_3", "\uff13", "0")] + [
+    ["verify", "--algebra", "z2rel", "--k", "1", "--suite", "tabular",
+     "--seed", " 3"],
+    ["decompose", "--k", "+1", "d.json"], ["mul", "--k", " 1", "a", "b"]])
+def test_integer_options_are_ascii_digits(argv):
+    # int() read " 1", "0_1", "+1" and full-width digits, so these exited 0
+    done = run_cli(*argv)
+    assert_usage_error(done)
+    option = next(a for a in reversed(argv) if a.startswith("--"))
+    assert "argument %s:" % option in done.stderr    # the bad option last
+
+
 @pytest.mark.parametrize("x", ["1_0", " 1", "1 ", "\t1/2", "\uff11",
                                "1\u00a0"])
 def test_point_is_ascii_without_separators(x):

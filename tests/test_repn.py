@@ -11,8 +11,9 @@ from zrelalg.errors import (Incompatible, InvalidPoint, UnknownLabel,
 from zrelalg.repn import (action_matrix, cell_module, gram, gram_bruteforce,
                           irreducible_table, is_p_restricted,
                           label_p_restricted, radical_and_irreducible)
-from zrelalg.ring import ExactMatrix, Poly, PrimeField, Rationals, ScalarField
-from zrelalg.tabular import CellLabel, cellular_basis
+from zrelalg.ring import (ZERO, ExactMatrix, Poly, PrimeField, Rationals,
+                          ScalarField)
+from zrelalg.tabular import CellLabel, cellular_basis, phi
 from zrelalg.zpart import compose
 
 
@@ -30,6 +31,40 @@ def test_gram_is_symmetric(algebra):
     for label in cb.labels():
         g = gram(label, algebra, 2)
         assert g.entries == g.transpose().entries
+
+
+def _gram_per_entry(cb, label):
+    """The Gram matrix entry by entry, each from its own phi and from_glue:
+    no glue table and no mirroring."""
+    layer = cb.layers[(label.s1, label.s2)]
+    murphy = layer.murphy()
+    left = cb.left_data(label)
+    rows = []
+    for P, s in left:
+        row = []
+        for Q, t in left:
+            glued = phi(P, Q)
+            row.append(ZERO if glued is None else
+                       murphy.struct_const(label.glabel, s, t,
+                                           layer.from_glue(*glued[1:]))
+                       * Poly.x(glued[0]))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gram_is_the_unmirrored_assembly(algebra, k):
+    # gram fills its upper triangle and mirrors it; the full per-entry
+    # assembly is symmetric on its own (the cell form is) and equal to it
+    cb = cellular_basis(algebra, k)
+    entries = 0
+    for label in cb.labels():
+        full = _gram_per_entry(cb, label)
+        assert full == [list(col) for col in zip(*full)]
+        assert gram(label, algebra, k).entries == full
+        entries += len(full) ** 2
+    assert entries == dim_formula(algebra, k)
 
 
 def test_gram_hand_example():

@@ -331,3 +331,102 @@ def test_multimodular_det_of_high_valuation_is_bareiss(rows):
     m = ExactMatrix(rows)
     det = m._det_multimodular()
     assert det == m._bareiss()[1]
+
+
+def _spy(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), QQ], ids=["F3", "Q"])
+@pytest.mark.parametrize("rows, block, rank, det", [
+    ([[0, 1], [1, 0]], 2, 2, -1),                    # zero first pivot
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], 2, 3, -1),   # zero pivot midway
+    ([[1, 1], [1, 1]], 1, 1, 0),                     # zero last pivot
+    ([[1, 1], [1, 2]], None, 2, 1),                  # no zero pivot
+], ids=["first", "midway", "last", "none"])
+def test_symmetric_elimination_falls_back_at_a_zero_pivot(
+        monkeypatch, field, rows, block, rank, det):
+    """The upper-triangle path hands the trailing block at the first zero
+    pivot to _echelon, and agrees with _echelon on the whole matrix."""
+    m = ExactMatrix([[field(e) for e in row] for row in rows])
+    _, pivots, expected = m._echelon(field)
+    echelons = _spy(monkeypatch, ExactMatrix, "_echelon")
+    assert m.rank_det_field(field) == (len(pivots), expected)
+    assert (len(pivots), expected) == (rank, field(det))
+    assert [call[0].nrows for call in echelons] == ([block] if block else [])
+
+
+@st.composite
+def symmetric_matrices(draw, entries, max_size=6):
+    n = draw(st.integers(0, max_size))
+    upper = [draw(st.lists(entries, min_size=n - i, max_size=n - i))
+             for i in range(n)]
+    return [[upper[min(i, j)][abs(j - i)] for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5), QQ],
+                         ids=["F3", "F5", "Q"])
+@settings(deadline=None)
+@given(rows=symmetric_matrices(sparse_fractions))
+def test_symmetric_elimination_is_echelon(field, rows):
+    """Rank and determinant of random symmetric matrices, zero pivots
+    common, from the upper triangle equal _echelon's on the whole."""
+    m = ExactMatrix([[field(e) for e in row] for row in rows])
+    _, pivots, det = m._echelon(field)
+    upper = [row[i:] for i, row in enumerate(m.entries)]
+    assert ring._rank_det_upper(upper, field) == (len(pivots), det)
+    assert m.rank_det_field(field) == (len(pivots), det)
+
+
+@st.composite
+def symmetric_poly_matrices(draw):
+    """Symmetric matrices of integer Polys, a fifth made singular by
+    repeating the first row and column last."""
+    coeffs = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+    entries = st.dictionaries(st.integers(0, 3), coeffs, max_size=3).map(Poly)
+    rows = draw(symmetric_matrices(entries, max_size=5).filter(bool))
+    n = len(rows)
+    if n > 1 and draw(st.integers(0, 4)) == 0:
+        rows[-1] = list(rows[0])
+        for row in rows:
+            row[-1] = row[0]
+    return rows
+
+
+@settings(deadline=None)
+@given(symmetric_poly_matrices())
+@example([[Poly(), Poly({0: 1})], [Poly({0: 1}), Poly()]])
+@example([[Poly({1: 1}), Poly({1: 1})], [Poly({1: 1}), Poly({1: 1, 0: 1})]])
+def test_symmetric_multimodular_det_is_bareiss(rows):
+    """The upper-triangle path of _det_multimodular (zero pivots at a
+    point included) equals Bareiss."""
+    m = ExactMatrix(rows)
+    assert m.rank_det_symbolic() == m._bareiss()
+
+
+def test_multimodular_det_takes_the_general_path_on_unequal_denominators(
+        monkeypatch):
+    # Row scaling turns [[1/2, x], [x, 3]] into the integer rows [1, 2x],
+    # [x, 3], which are not symmetric; [[1/2, x/2], [x/2, 3/2]] scales by
+    # 2 in both rows into the symmetric [1, x], [x, 3].
+    upper_calls = _spy(monkeypatch, ring, "_rank_det_upper")
+    m = ExactMatrix([[Poly({0: Fraction(1, 2)}), Poly({1: 1})],
+                     [Poly({1: 1}), Poly({0: 3})]])
+    assert m._det_multimodular() == m._bareiss()[1] == Poly(
+        {0: Fraction(3, 2), 2: -1})
+    assert upper_calls == []
+    m = ExactMatrix([[Poly({0: Fraction(1, 2)}), Poly({1: Fraction(1, 2)})],
+                     [Poly({1: Fraction(1, 2)}), Poly({0: Fraction(3, 2)})]])
+    assert m._det_multimodular() == m._bareiss()[1] == Poly(
+        {0: Fraction(3, 4), 2: Fraction(-1, 4)})
+    assert upper_calls

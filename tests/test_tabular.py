@@ -263,6 +263,27 @@ def test_phi_equals_join_oracle_sampled_signed_k4():
     assert 0 < glued < 3000
 
 
+def test_mirrored_glue_is_phi_every_pair_k_le_3():
+    # glue runs phi for j >= i only and mirrors (l, delta^-1) below the
+    # diagonal; every entry, l and delta, is checked against its own phi
+    pairs = 0
+    for algebra in ALGEBRAS:
+        for k in (1, 2, 3):
+            cb = cellular_basis(algebra, k)
+            for (s1, s2), layer in cb.layers.items():
+                halves = cb.M[(s1, s2)]
+                table = cb.glue(s1, s2)
+                assert len(table) == len(halves)
+                for P, row in zip(halves, table):
+                    assert len(row) == len(halves)
+                    for Q, pair in zip(halves, row):
+                        res = phi(P, Q)
+                        assert pair == (None if res is None else
+                                        (res[0], layer.from_glue(*res[1:])))
+                        pairs += 1
+    assert pairs == 7188
+
+
 def test_index_pairs_and_order():
     assert index_pairs("partition", 2) == [(0, 0), (1, 0), (2, 0)]
     assert (0, 1) in index_pairs("z2rel", 2)
