@@ -10,6 +10,7 @@ import argparse
 import sys
 import time
 
+from zrelalg.cli import positive_int, size_int
 from zrelalg.dalg import ALGEBRAS, basis, dim_formula
 
 
@@ -38,8 +39,8 @@ def run(max_k, check_k):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-k", type=int, default=3)
-    parser.add_argument("--check-k", type=int, default=2)
+    parser.add_argument("--max-k", type=positive_int, default=3)
+    parser.add_argument("--check-k", type=size_int, default=2)
     args = parser.parse_args()
     sys.exit(0 if run(args.max_k, args.check_k) else 1)
 

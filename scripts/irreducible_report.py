@@ -8,7 +8,7 @@ rationals -- so rank drops of the Gram forms are visible side by side.
 import argparse
 import sys
 
-from zrelalg.cli import _rational, format_label
+from zrelalg.cli import _rational, format_label, positive_int, size_int
 from zrelalg.dalg import ALGEBRAS
 from zrelalg.errors import ZRelError
 from zrelalg.repn import irreducible_table
@@ -40,8 +40,8 @@ def _points(text):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--k", type=int, default=1)
-    parser.add_argument("--char", type=int, default=0,
+    parser.add_argument("--k", type=positive_int, default=1)
+    parser.add_argument("--char", type=size_int, default=0,
                         help="0 or an odd prime")
     parser.add_argument("--points", type=_points, default="0,1",
                         help="comma-separated rational evaluation points; "

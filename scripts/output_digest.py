@@ -18,6 +18,8 @@ Families (public API only):
 * ``struct-const``: ``MurphyBasis.struct_const(label, s, t, g)`` for every
   record (label, s, t) and group element g of the same layers, one line per
   g in record order, keyed and sorted by glue as ``murphy-coords`` is;
+* ``murphy-records``: the element of every record of the same layers, one
+  line per record in record order, its terms keyed by glue and sorted;
 * ``symbolic-det``: ``rank_det_symbolic`` of every Gram matrix, k <= 3,
   with the determinant printed by ``str``;
 * ``phi``: ``tabular.phi(P, Q)`` for every pair of halves of every
@@ -72,6 +74,11 @@ def _scalar(v):
     return str(Fraction(v))
 
 
+def _glue(layer, g):
+    f, sigma1, sigma2 = layer.to_glue(g)
+    return (tuple(f), sigma1.images, sigma2.images)
+
+
 def _irreducibles(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -82,7 +89,8 @@ def _irreducibles(argv):
 def families():
     out = {name: [] for name in ("gram-csv", "irreducibles", "rank-det-field",
                                  "nullspace-field", "murphy-coords",
-                                 "struct-const", "symbolic-det", "phi",
+                                 "struct-const", "murphy-records",
+                                 "symbolic-det", "phi",
                                  "compose", "decompose", "star-reconstruct")}
     layers = {}
     rng = random.Random(11)
@@ -143,8 +151,7 @@ def families():
         mb = layer.murphy()
         lines, consts = {}, {}
         for g in mb.elements:
-            f, sigma1, sigma2 = layer.to_glue(g)
-            glue = (tuple(f), sigma1.images, sigma2.images)
+            glue = _glue(layer, g)
             lines[glue] = "%r %r %s" % (layer, glue, [
                 str(c) for c in mb.coords(GAElement.of(g))])
             consts[glue] = "%r %r %s" % (layer, glue, [
@@ -152,6 +159,11 @@ def families():
                 for r in mb.records])
         out["murphy-coords"].extend(lines[glue] for glue in sorted(lines))
         out["struct-const"].extend(consts[glue] for glue in sorted(consts))
+        for r in mb.records:
+            terms = sorted((_glue(layer, g), str(c))
+                           for g, c in r.element.terms.items())
+            out["murphy-records"].append("%r %r %r %r %s" % (
+                layer, r.label, r.s, r.t, terms))
     return out
 
 

@@ -10,7 +10,7 @@ import json
 import sys
 import time
 
-from zrelalg.cli import _SUITES, positive_int
+from zrelalg.cli import _SUITES, positive_int, size_int
 from zrelalg.dalg import ALGEBRAS
 
 
@@ -35,8 +35,8 @@ def run(max_k, samples, seed):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=positive_int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-k", type=int, default=2)
+    parser.add_argument("--seed", type=size_int, default=0)
+    parser.add_argument("--max-k", type=positive_int, default=2)
     parser.add_argument("--json", action="store_true",
                         help="emit a one-line JSON summary at the end")
     args = parser.parse_args()

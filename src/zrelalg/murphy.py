@@ -4,14 +4,17 @@ propagating index of the diagram algebras.
 
 Every group element is a ``Perm`` (see groups.py): a signed permutation
 of n letters permutes 2n points, and an element of the product group
-permutes 2 s1 + s2.  Both builders list records d(s)^{-1} . core . d(t)
-through one loop; they differ only in the core and the words d.
+permutes 2 s1 + s2.  A basis record is (label, s, t, w_s, c, w_t): the
+label's core c and the words of its two tableaux.  Its element m_{s,t} =
+w_s^{-1} . c . w_t is built on first read and kept; only the dense path
+reads it.  The builders differ only in the cores and the words: a product
+group tensors one core per pair of labels and glues the factors' words.
 
-A basis record is (label, s, t, element).  The cell order puts the MORE
-dominant label LOWER: products of basis elements only ever produce terms
-whose label strictly dominates, so "reduce mod lower" discards exactly
-those.  Division by 2 enters through the idempotents (1 +/- g)/2, which is
-why coefficient fields of characteristic 2 are rejected downstream.
+The cell order puts the MORE dominant label LOWER: products of basis
+elements only ever produce terms whose label strictly dominates, so
+"reduce mod lower" discards exactly those.  Division by 2 enters through
+the idempotents (1 +/- g)/2, which is why coefficient fields of
+characteristic 2 are rejected downstream.
 
 Coordinates are solved on first use, and only a symmetric group's change
 of basis is ever inverted, whole.  A signed-permutation group is the
@@ -21,14 +24,13 @@ tensor column of the two symmetric groups, its tableaux renamed along
 coset representatives, so its coordinates are read off with no solve.  A
 product group's coordinates are the tensor products of its factors'.
 
-Structure constants come from each label's cell form.  Every record is
-m_{s,t} = w_s^{-1} . c . w_t, with c = m_{t0,t0} = kappa sum_{x in H}
-chi(x) x the core of the label (H a subgroup, chi a +/-1 linear character)
-and w_{t0} = 1.  By the cellular axioms c h c = r(h) c modulo the more
-dominant labels, so the coefficient of m_{s,t} in m_{s,s} delta m_{t,t} is
-r(w_s delta w_t^{-1}).  And c h c = kappa^2 (|H|^2 / |HhH|) sum_z sgn(z) z
-over the double coset HhH, or 0 when chi disagrees with itself on it, so
-one walk of a double coset gives r on all of it.
+Structure constants come from each label's cell form.  The core is c =
+m_{t0,t0} = kappa sum_{x in H} chi(x) x (H a subgroup, chi a +/-1 linear
+character), and w_{t0} = 1.  By the cellular axioms c h c = r(h) c modulo
+the more dominant labels, so the coefficient of m_{s,t} in m_{s,s} delta
+m_{t,t} is r(w_s delta w_t^{-1}).  And c h c = kappa^2 (|H|^2 / |HhH|)
+sum_z sgn(z) z over the double coset HhH, or 0 when chi disagrees with
+itself on it, so one walk of a double coset gives r on all of it.
 
 The builders are memoized, so each group has one basis, shared by every
 layer and algebra that uses it.
@@ -55,7 +57,14 @@ class MurphyRecord:
     label: object
     s: object
     t: object
-    element: object  # GAElement
+    ws: object       # Perm w_s
+    core: object     # GAElement c, shared by every record of the label
+    wt: object       # Perm w_t
+
+    @cached_property
+    def element(self):
+        """m_{s,t} = w_s^{-1} . c . w_t, built on first read and kept."""
+        return GAElement.of(self.ws.inv()) * self.core * GAElement.of(self.wt)
 
 
 def _word_to_perm(n, src_entries, dst_entries):
@@ -198,29 +207,33 @@ class _CellForm(NamedTuple):
 class MurphyBasis:
     """A full cellular basis of one group algebra, with exact coordinates.
 
-    Records are indexed once by (label, s, t), and ``words[label]`` maps
-    each tableau s of a label to its word w_s, in record order; the first
-    word is the identity.  ``solve(basis)`` gives the inverse of the
-    change of basis as sparse columns: inverted whole for a symmetric
-    group (the default), inflated from S_a x S_{n-a} for a
+    Records are indexed once by (label, s, t).  Each label's core c
+    (``_cores``) and words (``_words``: tableau s -> w_s in record order,
+    the first the identity) are read off them; a record's element is
+    derived from these on first read.  ``solve(basis)`` gives the inverse
+    of the change of basis as sparse columns: inverted whole for a
+    symmetric group (the default), inflated from S_a x S_{n-a} for a
     signed-permutation group, tensored for a product group.  It is called
     on first use, so a coordinate costs only the terms it reads.
     """
 
-    def __init__(self, records, words, elements, label_lt, solve=_one_block):
+    def __init__(self, records, elements, label_lt, solve=_one_block):
         self.records = records
         self.elements = list(elements)
         self.label_lt = label_lt        # strict "cell-lower" predicate
-        self._words = words
         self._solve = solve
         if len(records) != len(self.elements):
             raise ValueError("record count %d != group order %d"
                              % (len(records), len(self.elements)))
         self.position = {}
+        self._words = {}                # label -> {s: w_s}
+        self._cores = {}                # label -> core c
         self._struct_consts = {}        # (label, s, t, delta) -> Poly
         self._forms = {}                # label -> _CellForm
         for i, rec in enumerate(records):
             self.position[(rec.label, rec.s, rec.t)] = i
+            self._words.setdefault(rec.label, {})[rec.s] = rec.ws
+            self._cores[rec.label] = rec.core
 
     @cached_property
     def _columns(self):
@@ -242,7 +255,7 @@ class MurphyBasis:
             words = self._words[label]
             t0 = next(iter(words))
             core = self.position[(label, t0, t0)]
-            terms = self.records[core].element.terms
+            terms = self._cores[label].terms
             identity = Perm.identity(self.elements[0].n)
             unit = terms[identity]      # kappa chi(1), and chi = terms / unit
             form = _CellForm(words, {t: w.inv() for t, w in words.items()},
@@ -315,18 +328,10 @@ class MurphyBasis:
 
 def _cell_records(labels, cell):
     """Records m_{s,t} = d(s)^{-1} . core . d(t) of every label, with
-    ``cell(label)`` giving (core, {tableau: word d}) in tableau order, and
-    the words of every label."""
-    records, words_of = [], {}
-    for label in labels:
-        core, words = cell(label)
-        words_of[label] = words
-        for s, ws in words.items():
-            left = GAElement.of(ws.inv()) * core
-            for t, wt in words.items():
-                records.append(MurphyRecord(label, s, t,
-                                            left * GAElement.of(wt)))
-    return records, words_of
+    ``cell(label)`` giving (core, {tableau: word d}) in tableau order."""
+    return [MurphyRecord(label, s, t, ws, core, wt)
+            for label in labels for core, words in [cell(label)]
+            for s, ws in words.items() for t, wt in words.items()]
 
 
 @cache
@@ -339,9 +344,8 @@ def sym_murphy(n):
                                          tableau_entries(tab))
                       for tab in standard_tableaux(shape)}
 
-    records, words = _cell_records(sorted(all_shapes(n), key=shape_sort_key),
-                                   cell)
-    return MurphyBasis(records, words, Perm.all(n), strictly_dominates)
+    records = _cell_records(sorted(all_shapes(n), key=shape_sort_key), cell)
+    return MurphyBasis(records, Perm.all(n), strictly_dominates)
 
 
 @cache
@@ -373,17 +377,17 @@ def wreath_murphy(n):
             n, canon, tableau_entries(bt[0]) + tableau_entries(bt[1])))
             for bt in standard_bitableaux(bishape)}
 
-    records, words = _cell_records(
-        sorted(all_bishapes(n), key=bishape_sort_key), cell)
-    return MurphyBasis(records, words, signed_perms(n),
-                       bishape_strictly_dominates, _inflated)
+    records = _cell_records(sorted(all_bishapes(n), key=bishape_sort_key),
+                            cell)
+    return MurphyBasis(records, signed_perms(n), bishape_strictly_dominates,
+                       _inflated)
 
 
 @cache
 def product_murphy(s1, s2):
-    """Tensor basis of (signed perms on s1) x (perms on s2): a term
-    concatenates the images of one term of each factor, the second shifted
-    past the 2 s1 signed points."""
+    """Tensor basis of (signed perms on s1) x (perms on s2): the core of a
+    pair of labels is the tensor of theirs, and a word glues the images of
+    one word of each factor, the second shifted past the 2 s1 points."""
     wb = wreath_murphy(s1)
     sb = sym_murphy(s2)
     offset = 2 * s1
@@ -391,20 +395,15 @@ def product_murphy(s1, s2):
     def glued(gw, gs):
         return Perm(gw.images + tuple(offset + j for j in gs.images))
 
-    records = []
-    for wrec in wb.records:
-        for srec in sb.records:
-            terms = {}
-            for gw, cw in wrec.element.terms.items():
-                for gs, cs in srec.element.terms.items():
-                    terms[glued(gw, gs)] = cw * cs
-            records.append(MurphyRecord((wrec.label, srec.label),
-                                        (wrec.s, srec.s), (wrec.t, srec.t),
-                                        GAElement(terms)))
-    words = {(lw, ls): {(sw, ss): glued(ww, ws)
-                        for sw, ww in wb._words[lw].items()
-                        for ss, ws in sb._words[ls].items()}
-             for lw in wb._words for ls in sb._words}
+    cores = {(lw, ls): GAElement({glued(gw, gs): cw * cs
+                                  for gw, cw in core_w.terms.items()
+                                  for gs, cs in core_s.terms.items()})
+             for lw, core_w in wb._cores.items()
+             for ls, core_s in sb._cores.items()}
+    records = [MurphyRecord((w.label, r.label), (w.s, r.s), (w.t, r.t),
+                            glued(w.ws, r.ws), cores[w.label, r.label],
+                            glued(w.wt, r.wt))
+               for w in wb.records for r in sb.records]
 
     def label_lt(x, y):
         if x[0] != y[0]:
@@ -424,7 +423,7 @@ def product_murphy(s1, s2):
                       for i, cs in scols[srest].items()}
         return out
 
-    return MurphyBasis(records, words, signed_perms(s1, s2), label_lt,
+    return MurphyBasis(records, signed_perms(s1, s2), label_lt,
                        tensor_columns)
 
 

@@ -26,7 +26,6 @@ the test oracle.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import lcm, prod
 
@@ -58,11 +57,6 @@ class Poly:
 
     def is_const(self):
         return self.degree <= 0
-
-    def const_value(self):
-        if not self.is_const():
-            raise ValueError("not a constant polynomial")
-        return self.coeffs.get(0, 0)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -447,30 +441,11 @@ class ExactMatrix:
     def __eq__(self, other):
         return isinstance(other, ExactMatrix) and self.entries == other.entries
 
-    def transpose(self):
-        return ExactMatrix([[self.entries[i][j] for i in range(self.nrows)]
-                            for j in range(self.ncols)])
-
     def map(self, fn):
         return ExactMatrix([[fn(e) for e in row] for row in self.entries])
 
     def evaluate(self, scalar_field):
         return self.map(scalar_field.eval_poly)
-
-    def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = None
-                for l in range(self.ncols):
-                    term = self.entries[i][l] * other.entries[l][j]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out)
 
     def rank_det_symbolic(self):
         """(rank over Q(x), determinant as Poly when square else None) of a
@@ -755,11 +730,3 @@ def _rank_det_upper(upper, field):
                 upper[r] = [a - factor * b
                             for a, b in zip(upper[r], tail[off:])]
     return n, det
-
-
-def poly_matrix_from_csv(text):
-    rows = []
-    for line in text.strip().splitlines():
-        cells = next(iter(json.loads("[[%s]]" % line)))
-        rows.append([Poly.parse(c) for c in cells])
-    return ExactMatrix(rows)

@@ -435,17 +435,6 @@ def compose(d1, d2):
     return from_codes(list(groups.values()), d1.k, 2), loops
 
 
-def horizontal_counts(d):
-    """(He_top, Hz_top, He_bot, Hz_bot): one-row components of the quotient.
-
-    e-couple components count only at unsigned size >= 2; symmetric
-    components count at any size.
-    """
-    if d.rows != 2:
-        raise NotADiagram("horizontal counts need a two-row diagram")
-    return _row_counts(d)[2:]
-
-
 def identity_diagram(k):
     if k < 1:
         raise InvalidSize("k must be >= 1, got %r" % k)

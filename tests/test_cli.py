@@ -18,7 +18,7 @@ from zrelalg import cli, dalg, tabular
 from zrelalg.cli import build_parser, format_label, main, parse_label
 from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
 from zrelalg.errors import UsageError
-from zrelalg.ring import poly_matrix_from_csv
+from zrelalg.ring import Poly
 from zrelalg.repn import cell_module, gram, irreducible_table
 from zrelalg.tabular import CellLabel, cellular_basis
 from zrelalg.zpart import ZStablePartition
@@ -201,9 +201,10 @@ def test_gram_csv(tmp_path, capsys):
     code, out, _ = run(capsys, "gram", "--algebra", "z2rel", "--k", "1",
                        "--label", "0,0,0,-,-,-", "--out", str(path))
     assert code == 0
-    m = poly_matrix_from_csv(path.read_text())
-    assert m.nrows == m.ncols == 2
-    assert str(m.entries[0][0]) == "x^2"
+    rows = [json.loads("[%s]" % line)
+            for line in path.read_text().splitlines()]
+    assert len(rows) == 2 and [len(row) for row in rows] == [2, 2]
+    assert str(Poly.parse(rows[0][0])) == "x^2"
 
 
 def test_irreducibles_table(capsys):
@@ -271,6 +272,7 @@ rank-det-field   b4bc8b2f 233
 nullspace-field  9e70454e 233
 murphy-coords    ddc720be 92
 struct-const     25801725 92
+murphy-records   15019b8b 92
 symbolic-det     19787bfd 100
 phi              71cebe17 7188
 compose          a975269a 40408
@@ -456,6 +458,21 @@ def test_integer_options_are_ascii_digits(argv):
     assert_usage_error(done)
     option = next(a for a in reversed(argv) if a.startswith("--"))
     assert "argument %s:" % option in done.stderr    # the bad option last
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("irreducible_report.py", ["--k", " 1"]),
+    ("irreducible_report.py", ["--k", "1", "--char", "+3"]),
+    ("verification_sweep.py", ["--max-k", "0_1"]),
+    ("verification_sweep.py", ["--max-k", "0"]),
+    ("verification_sweep.py", ["--max-k", "1", "--seed", " 2"]),
+    ("dimension_table.py", ["--max-k", " 1"]),
+    ("dimension_table.py", ["--max-k", "1", "--check-k", "+1"])])
+def test_script_integer_options_are_ascii_digits(script, argv):
+    # the scripts read these with int(), so " 1" and "+3" exited 0
+    done = run_script(script, *argv)
+    assert_usage_error(done)
+    assert "argument %s:" % argv[-2] in done.stderr
 
 
 @pytest.mark.parametrize("x", ["1_0", " 1", "1 ", "\t1/2", "\uff11",

@@ -11,7 +11,7 @@ from zrelalg.errors import Incompatible, InvalidSize
 from zrelalg.groups import signed_perms
 from zrelalg.ring import Poly
 from zrelalg.tabular import decompose, enumerate_M, layer_for, reconstruct
-from zrelalg.zpart import (compose, enumerate_rk, horizontal_counts,
+from zrelalg.zpart import (_row_counts, compose, enumerate_rk,
                            identity_diagram, is_sign_constant,
                            propagating_data)
 
@@ -70,7 +70,7 @@ def test_in_basis_signed_oracle():
     # direct restatement of the membership condition from first principles
     for d in enumerate_rk(2, 2):
         pd = propagating_data(d)
-        he_t, hz_t, he_b, hz_b = horizontal_counts(d)
+        he_t, hz_t, he_b, hz_b = _row_counts(d)[2:]
         expected = (pd.s1 == d.k
                     or (pd.s1 <= d.k - 1 and pd.s2 <= d.k - 1
                         and pd.s1 + pd.s2 + he_t + hz_t <= d.k - 1

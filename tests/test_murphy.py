@@ -164,6 +164,52 @@ def test_cell_form_structure(build, args):
                         == GAElement.of(ws.inv()) * core * GAElement.of(wt))
 
 
+def _tensor_record(s1, s2, i):
+    """Oracle: record i = iw |S_s2| + is of product_murphy(s1, s2) as the
+    tensor of wreath record iw and symmetric record is, term by term; a
+    term concatenates the images, the second shifted past 2 s1 points."""
+    srecs = sym_murphy(s2).records
+    wrec = wreath_murphy(s1).records[i // len(srecs)]
+    srec = srecs[i % len(srecs)]
+    terms = {Perm(gw.images + tuple(2 * s1 + j for j in gs.images)): cw * cs
+             for gw, cw in wrec.element.terms.items()
+             for gs, cs in srec.element.terms.items()}
+    return ((wrec.label, srec.label), (wrec.s, srec.s), (wrec.t, srec.t),
+            GAElement(terms))
+
+
+def _named(rec):
+    return rec.label, rec.s, rec.t, rec.element
+
+
+@pytest.mark.parametrize("s1, s2", PRODUCT_SIZES,
+                         ids=["%d,%d" % size for size in PRODUCT_SIZES])
+def test_product_records_equal_tensor_oracle(s1, s2):
+    records = product_murphy(s1, s2).records
+    assert ([_named(rec) for rec in records]
+            == [_tensor_record(s1, s2, i) for i in range(len(records))])
+
+
+def test_product_records_equal_tensor_oracle_seeded():
+    records = product_murphy(3, 1).records
+    rng = random.Random(22)
+    for _ in range(2000):
+        i = rng.randrange(len(records))
+        assert _named(records[i]) == _tensor_record(3, 1, i)
+
+
+@pytest.mark.parametrize("build, args", [(product_murphy, (3, 1)),
+                                         (wreath_murphy, (3,))],
+                         ids=["product_murphy(3,1)", "wreath_murphy(3)"])
+def test_record_elements_are_built_on_first_read(build, args):
+    mb = build.__wrapped__(*args)       # a fresh basis, not the cached one
+    assert not any("element" in vars(rec) for rec in mb.records)
+    rec = mb.records[-1]
+    element = rec.element
+    assert rec.element is element and vars(rec)["element"] is element
+    assert sum("element" in vars(r) for r in mb.records) == 1
+
+
 def _check_cellularity(mb, group_elements):
     """Multiplying a basis element by a group element stays within the
     same label with the right tableau fixed, modulo strictly lower
@@ -248,10 +294,11 @@ def test_wreath_idempotent_layers():
         assert mb.struct_const(label, t, t, Perm.identity(2)) == ONE
     # the sign swap acts by +1 on one label and -1 on the other
     g = Perm((1, 0))
-    consts = sorted(mb.struct_const(label, mb.tableaux_for(label)[0],
-                                    mb.tableaux_for(label)[0], g).const_value()
-                    for label in mb.labels())
-    assert consts == [-1, 1]
+    consts = [mb.struct_const(label, mb.tableaux_for(label)[0],
+                              mb.tableaux_for(label)[0], g)
+              for label in mb.labels()]
+    assert all(c.is_const() for c in consts)
+    assert sorted(c.coeffs.get(0, 0) for c in consts) == [-1, 1]
 
 
 def test_layer_objects():
