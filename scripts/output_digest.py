@@ -33,7 +33,10 @@ Families (public API only):
   permutations;
 * ``star-reconstruct``: ``dalg.star_diagram(d)`` and
   ``tabular.reconstruct(*decompose(d))`` for every basis diagram of the
-  three algebras, k <= 3.
+  three algebras, k <= 3;
+* ``components``: ``d.components()`` of every partition in
+  ``zpart.enumerate_rk(k, rows)``, k <= 3, rows 1 and 2, with
+  ``propagating_data(d)`` and ``in_basis("signed", d)`` for two rows.
 
 Usage: ``PYTHONPATH=src python scripts/output_digest.py``, once on each
 tree, then ``diff`` the two outputs.
@@ -46,12 +49,12 @@ import zlib
 from fractions import Fraction
 
 from zrelalg import cli
-from zrelalg.dalg import ALGEBRAS, basis, star_diagram
+from zrelalg.dalg import ALGEBRAS, basis, in_basis, star_diagram
 from zrelalg.groups import GAElement
 from zrelalg.repn import gram
 from zrelalg.ring import ScalarField
 from zrelalg.tabular import cellular_basis, decompose, phi, reconstruct
-from zrelalg.zpart import compose
+from zrelalg.zpart import compose, enumerate_rk, propagating_data
 
 BIG_PRIME = 2147483647
 Q_POINTS = ("0", "1", "2", "-1/2")
@@ -91,7 +94,8 @@ def families():
                                  "nullspace-field", "murphy-coords",
                                  "struct-const", "murphy-records",
                                  "symbolic-det", "phi",
-                                 "compose", "decompose", "star-reconstruct")}
+                                 "compose", "decompose", "star-reconstruct",
+                                 "components")}
     layers = {}
     rng = random.Random(11)
     for algebra in ALGEBRAS:
@@ -164,6 +168,14 @@ def families():
                            for g, c in r.element.terms.items())
             out["murphy-records"].append("%r %r %r %r %s" % (
                 layer, r.label, r.s, r.t, terms))
+    for k in (1, 2, 3):
+        for rows in (1, 2):
+            for d in enumerate_rk(k, rows):
+                line = "%d %d %r %r" % (k, rows, d, d.components())
+                if rows == 2:
+                    line += " %r %r" % (propagating_data(d),
+                                        in_basis("signed", d))
+                out["components"].append(line)
     return out
 
 

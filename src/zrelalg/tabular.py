@@ -21,9 +21,9 @@ from .errors import Incompatible, NotADiagram, UnknownLabel
 from .groups import GAElement, Perm, split_signed
 from .murphy import SymLayer, WreathSymLayer
 from .ring import Poly
-from .zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, block_index,
-                    enumerate_rk, from_codes, is_sign_constant,
-                    propagating_data, restrict, roots)
+from .zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, _lead_blocks,
+                    block_index, enumerate_rk, from_codes, is_sign_constant,
+                    propagating_data, roots)
 
 
 class HalfDiagram:
@@ -33,7 +33,7 @@ class HalfDiagram:
     (EPair) and symmetric classes (Z2) are kept in separate lists, each
     sorted by minimal position -- that ordering is what the group-element
     coordinates refer to.  The package builds halves through
-    ``_half_diagram``, which returns one shared object per half.
+    ``_half_diagram``, which sorts the marks and shares one object a half.
     """
 
     __slots__ = ("base", "e_marks", "z_marks", "_hash", "_vertices",
@@ -43,8 +43,8 @@ class HalfDiagram:
         if base.rows != 1:
             raise NotADiagram("half diagrams live on one row")
         self.base = base
-        self.e_marks = tuple(sorted(tuple(m) for m in e_marks))
-        self.z_marks = tuple(sorted(tuple(m) for m in z_marks))
+        self.e_marks = e_marks
+        self.z_marks = z_marks
         kinds = {c.support: c.kind for c in base.components()}
         for m in self.e_marks:
             key = tuple((TOP, i) for i in m)
@@ -130,8 +130,8 @@ _halves = {}
 
 def _half_diagram(base, e_marks=(), z_marks=()):
     """The half with these marks, as one shared object per half: the marks
-    are sorted as ``HalfDiagram`` sorts them, and only a half that passes
-    its checks is stored, so a bad mark raises on every call."""
+    are sorted by least position, and only a half that passes its checks
+    is stored, so a bad mark raises on every call."""
     e_marks = tuple(sorted(map(tuple, e_marks)))
     z_marks = tuple(sorted(map(tuple, z_marks)))
     key = (base, e_marks, z_marks)
@@ -146,41 +146,35 @@ def variant_for(algebra):
     return {"z2rel": "plain", "signed": "signed", "partition": "partition"}[algebra]
 
 
-def _admit_half(half, k, variant):
-    if variant == "plain":
-        return True
-    if variant == "partition":
-        return half.s2 == 0 and is_sign_constant(half.base.blocks)
-    marked = set(half.e_marks) | set(half.z_marks)
-    he = hz = 0
-    for c in half.base.components():
-        if tuple(i for _, i in c.support) in marked:
-            continue
-        if c.kind != EPAIR:
-            hz += 1
-        elif len(c.support) >= 2:
-            he += 1
-    return signed_row_ok(k, half.s1, half.s2, he, hz)
-
-
 def enumerate_M(k, s1, s2, variant="plain"):
-    """All admissible marked one-row halves with the given mark counts."""
+    """All admissible marked one-row halves with the given mark counts.
+
+    Each base is classified once into its couples and symmetric classes;
+    the partition variant keeps sign-constant bases, at s2 = 0 only.  The
+    signed variant admits a choice of couple marks by ``signed_row_ok`` on
+    the unmarked couples of size >= 2 and the hz - s2 unmarked classes."""
     if variant not in ("plain", "signed", "partition"):
         raise Incompatible("unknown variant %r" % (variant,))
     out = []
     for base in enumerate_rk(k, 1):
-        comps = base.components()
-        e_supports = [tuple(i for _, i in c.support)
-                      for c in comps if c.kind == EPAIR]
-        z_supports = [tuple(i for _, i in c.support)
-                      for c in comps if c.kind == Z2CLASS]
-        if len(e_supports) < s1 or len(z_supports) < s2:
+        if variant == "partition" and (
+                s2 or not is_sign_constant(base.blocks)):
             continue
-        for emarks in combinations(e_supports, s1):
-            for zmarks in combinations(z_supports, s2):
-                half = _half_diagram(base, emarks, zmarks)
-                if _admit_half(half, k, variant):
-                    out.append(half)
+        couples = []
+        classes = []
+        for c in base.components():
+            support = tuple(i for _, i in c.support)
+            (couples if c.kind == EPAIR else classes).append(support)
+        if len(couples) < s1 or len(classes) < s2:
+            continue
+        he = sum(len(m) >= 2 for m in couples)
+        for emarks in combinations(couples, s1):
+            if variant == "signed" and not signed_row_ok(
+                    k, s1, s2, he - sum(len(m) >= 2 for m in emarks),
+                    len(classes) - s2):
+                continue
+            for zmarks in combinations(classes, s2):
+                out.append(_half_diagram(base, emarks, zmarks))
     out.sort()
     return out
 
@@ -188,31 +182,37 @@ def enumerate_M(k, s1, s2, variant="plain"):
 def decompose(d):
     """Split a diagram into (top half, bottom half, f, sigma1, sigma2).
 
-    The through classes give the marks of both halves.  Top mark point a
-    goes to the bottom mark point whose vertex shares its block; that
+    One walk of ``block_index(d)`` cuts every block to each row: the bases.
+    The lead blocks of the through classes give the marks.  Top mark point
+    a goes to the bottom mark point whose vertex shares its block; that
     permutation is ``signed_perm(f, sigma1, sigma2)``, so f(i) = 1 exactly
     when the block of the least top e-vertex of couple i holds the least
     bottom g-vertex of couple sigma1(i).
     """
     if d.rows != 2:
         raise NotADiagram("decompose needs a two-row diagram")
-    e_through = []
-    z_through = []
-    for c in d.components():
-        if len(c.rows_met()) != 2:
-            continue
-        tsup = tuple(i for row, i in c.support if row == TOP)
-        bsup = tuple(i for row, i in c.support if row == BOTTOM)
-        if c.kind == EPAIR:
-            e_through.append((tsup, bsup))
-        else:
-            z_through.append((tsup, bsup))
-    top = _half_diagram(restrict(d, "top"), [t for t, _ in e_through],
-                        [t for t, _ in z_through])
-    bot = _half_diagram(restrict(d, "bottom"), [b for _, b in e_through],
-                        [b for _, b in z_through])
     index = block_index(d)
     k2 = 2 * d.k
+    top_cuts = {}
+    bot_cuts = {}
+    for c in range(k2):
+        top_cuts.setdefault(index[c], []).append(c)
+        bot_cuts.setdefault(index[k2 + c], []).append(c)
+    top_marks = ([], [])        # couples, symmetric classes
+    bot_marks = ([], [])
+    for b, symmetric in _lead_blocks(d):
+        lead = d.blocks[b]
+        if lead[0][0] != lead[-1][0]:
+            # one vertex per position: a symmetric block pairs e and g
+            points = lead[::2] if symmetric else lead
+            top_marks[symmetric].append(
+                tuple([i for row, i, _ in points if row == TOP]))
+            bot_marks[symmetric].append(
+                tuple([i for row, i, _ in points if row == BOTTOM]))
+    top = _half_diagram(from_codes(list(top_cuts.values()), d.k, 1),
+                        *top_marks)
+    bot = _half_diagram(from_codes(list(bot_cuts.values()), d.k, 1),
+                        *bot_marks)
     point = {index[k2 + v]: b for b, v in enumerate(bot.mark_vertices())}
     g = Perm([point[index[v]] for v in top.mark_vertices()])
     return (top, bot) + split_signed(g, top.s1)

@@ -11,15 +11,19 @@ vertex) permutes its blocks.  Stability forces a rigid structure that the
 whole package leans on: every connected component of the unsigned quotient
 is covered either by a single sign-symmetric block (a "Z2" component, even
 cardinality) or by exactly two blocks swapped by the flip (an "e" couple,
-one vertex of each sign pair per block).
+one vertex of each sign pair per block).  So a class is read off its
+*lead block*, the one whose first vertex has sign e: it also holds the
+g-vertex there exactly when the class is symmetric, and otherwise the
+couple's other block does.
 
 ``from_codes`` is the only place a partition is built: ``canonicalize``,
-composition, restriction, star, reconstruction and both enumerations end
-in it.  It returns one shared object per canonical partition: a table per
-(k, rows) holds every partition it has returned, is never evicted, and so
-holds at most the stable partitions of that size.  What is derived from a
-partition (its components, its block index) is computed once and kept
-on the object.  Equality, hashing and order stay by value.
+composition, decomposition's halves, star, reconstruction and both
+enumerations end in it.  It returns one shared object per canonical
+partition: a table per (k, rows) holds every partition it has returned,
+is never evicted, and so holds at most the stable partitions of that
+size.  What is derived from a partition (its components, its block
+index, its row counts) is computed once, on first use, and kept on the
+object.  Equality, hashing and order stay by value.
 """
 
 from __future__ import annotations
@@ -119,11 +123,6 @@ class Component(NamedTuple):
     support: tuple          # sorted (row, index) pairs
     blocks: tuple           # one block (Z2CLASS) or the sign-paired couple (EPAIR)
     kind: str               # EPAIR or Z2CLASS
-
-    def rows_met(self):
-        """The rows the support meets, ascending."""
-        first, last = self.support[0][0], self.support[-1][0]
-        return (first,) if first == last else (first, last)
 
 
 @dataclass(frozen=True)
@@ -330,26 +329,33 @@ def roots(n, links):
     return root
 
 
+def _lead_blocks(d):
+    """(b, symmetric) for the lead block of every class of ``d``, in block
+    order, i.e. in order of the class's least position: b indexes
+    ``d.blocks`` and symmetric tells whether the block also holds the
+    g-vertex at its first position."""
+    for b, block in enumerate(d.blocks):
+        row, i, s = block[0]
+        if s == E:
+            yield b, len(block) > 1 and block[1] == (row, i, G)
+
+
 def _analyze_components(d):
-    # Linking the two sign copies of every position leaves one class per
-    # quotient component.  Classes come in order of least block, blocks
-    # are sorted by least vertex, so the components come out sorted by
-    # support and each one's blocks sorted.  The support is read off the
-    # first block, already in order: a symmetric block holds both signs of
-    # each of its positions, and a couple's block one of them.
+    # Lead blocks come by least vertex, so the components come sorted by
+    # support; a couple's other block follows its lead block.
     index = block_index(d)
-    members = {}
-    for b, r in enumerate(roots(len(d.blocks), zip(index[E::2], index[G::2]))):
-        members.setdefault(r, []).append(b)
+    k2 = 2 * d.k
     comps = []
-    for cls in members.values():
-        first = d.blocks[cls[0]]
-        if len(cls) == 1:
-            comps.append(Component(tuple([(row, i) for row, i, s in first
-                                          if s == E]), (first,), Z2CLASS))
+    for b, symmetric in _lead_blocks(d):
+        lead = d.blocks[b]
+        if symmetric:
+            comps.append(Component(tuple([(row, i) for row, i, s in lead
+                                          if s == E]), (lead,), Z2CLASS))
         else:
-            comps.append(Component(tuple([(row, i) for row, i, _ in first]),
-                                   (first, d.blocks[cls[1]]), EPAIR))
+            row, i, _ = lead[0]
+            other = d.blocks[index[k2 * row + 2 * i - 1]]
+            comps.append(Component(tuple([(row, i) for row, i, _ in lead]),
+                                   (lead, other), EPAIR))
     return tuple(comps)
 
 
@@ -362,28 +368,27 @@ def _shared(counts):
 
 def _row_counts(d):
     """(s1, s2, He_top, Hz_top, He_bot, Hz_bot) of a two-row diagram (the
-    caller checks the rows), from one pass over its components, kept on
+    caller checks the rows), from one pass over its lead blocks, kept on
     the diagram.
 
-    s1 and s2 count the through couples and symmetric classes; He and Hz
-    the one-row components of each row, couples only at unsigned size >= 2
-    and symmetric classes at any size."""
+    s1 and s2 count the through couples and symmetric classes, whose lead
+    blocks end on the other row than they start; He and Hz the one-row
+    classes of each row, couples only at unsigned size >= 2 (a lead block
+    of 2 vertices or more) and symmetric classes at any size."""
     if d._counts is None:
-        s1 = s2 = 0
+        through = [0, 0]            # couples, symmetric classes
         he = [0, 0]
         hz = [0, 0]
-        for c in d.components():
-            rows = c.rows_met()
-            if len(rows) == 2:
-                if c.kind == EPAIR:
-                    s1 += 1
-                else:
-                    s2 += 1
-            elif c.kind != EPAIR:
-                hz[rows[0]] += 1
-            elif len(c.support) >= 2:
-                he[rows[0]] += 1
-        d._counts = _shared((s1, s2, he[TOP], hz[TOP], he[BOTTOM],
+        for b, symmetric in _lead_blocks(d):
+            block = d.blocks[b]
+            row = block[0][0]
+            if block[-1][0] != row:
+                through[symmetric] += 1
+            elif symmetric:
+                hz[row] += 1
+            elif len(block) >= 2:
+                he[row] += 1
+        d._counts = _shared((*through, he[TOP], hz[TOP], he[BOTTOM],
                              hz[BOTTOM]))
     return d._counts
 
@@ -394,18 +399,6 @@ def propagating_data(d):
         raise NotADiagram("propagating data needs a two-row diagram")
     s1, s2 = _row_counts(d)[:2]
     return PropagatingData(s1, s2)
-
-
-def restrict(d, which):
-    """Restrict a two-row diagram to its top or bottom row (primes erased)."""
-    if d.rows != 2:
-        raise NotADiagram("restriction needs a two-row diagram")
-    k2 = 2 * d.k
-    start = k2 * {"top": TOP, "bottom": BOTTOM}[which]
-    groups = {}
-    for c, b in enumerate(block_index(d)[start:start + k2]):
-        groups.setdefault(b, []).append(c)
-    return from_codes(list(groups.values()), d.k, 1)
 
 
 def compose(d1, d2):

@@ -278,6 +278,7 @@ phi              71cebe17 7188
 compose          a975269a 40408
 decompose        82dc681a 12375
 star-reconstruct 66118c20 12375
+components       2a3ce6cc 7052
 """
 
 

@@ -141,8 +141,8 @@ def test_struct_const_equals_product_oracle_seeded(build, args):
                          ids=_ids(ORACLE_BASES + SEEDED_BASES))
 def test_cell_form_structure(build, args):
     """Each label's core c = m_{t0,t0} is kappa sum chi(x) x over a
-    subgroup H, with chi a +/-1 character, and every record is w_s^{-1} c
-    w_t with w_{t0} the identity: what struct_const's formula assumes."""
+    subgroup H, with chi a +/-1 character, and w_{t0} is the identity:
+    what struct_const's formula assumes."""
     mb = build(*args)
     identity = Perm.identity(mb.elements[0].n)
     assert list(mb._words) == list(dict.fromkeys(r.label
@@ -158,10 +158,34 @@ def test_cell_form_structure(build, args):
         for x, cx in core.terms.items():
             for y, cy in core.terms.items():
                 assert core.terms.get(x * y, 0) * unit == cx * cy
-        for s, ws in words.items():
-            for t, wt in words.items():
-                assert (mb.records[mb.position[(label, s, t)]].element
-                        == GAElement.of(ws.inv()) * core * GAElement.of(wt))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sym_records_equal_row_stabilizer_oracle(n):
+    """Oracle: m_{s,t} = d(s)^{-1} x_lambda d(t), with x_lambda the sum of
+    the permutations that keep every row of the row-reading tableau of
+    lambda, and d(s) sending each of its entries to the entry of s in the
+    same cell."""
+    mb = sym_murphy(n)
+    for rec in mb.records:
+        canon, pos = [], 0
+        for width in rec.label:
+            canon.append(range(pos, pos + width))
+            pos += width
+        row_of = {a: r for r, row in enumerate(canon) for a in row}
+        x = GAElement({p: 1 for p in Perm.all(n)
+                       if all(row_of[p(a)] == row_of[a] for a in range(n))})
+
+        def d(tab):
+            images = [None] * n
+            for crow, trow in zip(canon, tab):
+                for a, b in zip(crow, trow):
+                    images[a] = b - 1
+            return Perm(images)
+
+        assert len(canon) == len(rec.s) == len(rec.t)
+        assert rec.element == (GAElement.of(d(rec.s).inv()) * x
+                               * GAElement.of(d(rec.t)))
 
 
 def _tensor_record(s1, s2, i):

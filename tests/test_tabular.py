@@ -1,11 +1,16 @@
 """Half-diagram factorization, phi-map, tabular axiom, cellular basis."""
 
+import os
 import random
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zrelalg
 from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
 from zrelalg.errors import Incompatible, UnknownLabel
 from zrelalg.groups import Perm
@@ -98,15 +103,15 @@ def _halves_k1():
 def test_phi_hand_examples():
     split, joined = _halves_k1()
     # no marks: phi always succeeds; l counts the join classes
-    h_split = HalfDiagram(split)
-    h_joined = HalfDiagram(joined)
+    h_split = _half_diagram(split)
+    h_joined = _half_diagram(joined)
     assert phi(h_split, h_split) == (2, (), Perm(()), Perm(()))
     assert phi(h_split, h_joined) == (1, (), Perm(()), Perm(()))
     assert phi(h_joined, h_joined) == (1, (), Perm(()), Perm(()))
     # one couple mark on each side: the marked blocks pair off, l = 0
-    m = HalfDiagram(split, e_marks=[(1,)])
+    m = _half_diagram(split, e_marks=[(1,)])
     assert phi(m, m) == (0, (0,), Perm((0,)), Perm(()))
-    z = HalfDiagram(joined, z_marks=[(1,)])
+    z = _half_diagram(joined, z_marks=[(1,)])
     assert phi(z, z) == (0, (), Perm(()), Perm((0,)))
     # mismatched mark counts are a usage error, not a zero
     with pytest.raises(Incompatible):
@@ -120,10 +125,10 @@ def test_phi_failure_two_marks_in_one_join_class():
                              [(TOP, 2, E)], [(TOP, 2, G)]], 2, 1)
     bot_base = canonicalize([[(TOP, 1, E), (TOP, 2, E)],
                              [(TOP, 1, G), (TOP, 2, G)]], 2, 1)
-    bot = HalfDiagram(bot_base, e_marks=[(1, 2)])
-    top1 = HalfDiagram(top_base, e_marks=[(1,)])
+    bot = _half_diagram(bot_base, e_marks=[(1, 2)])
+    top1 = _half_diagram(top_base, e_marks=[(1,)])
     assert phi(top1, bot) == (0, (0,), Perm((0,)), Perm(()))
-    two_marked = HalfDiagram(top_base, e_marks=[(1,), (2,)])
+    two_marked = _half_diagram(top_base, e_marks=[(1,), (2,)])
     assert phi(two_marked, two_marked) == (0, (0, 0), Perm((0, 1)),
                                            Perm(()))
 
@@ -135,21 +140,21 @@ def test_phi_none_when_marks_collide_or_miss():
         return canonicalize(blocks, 3, 1)
 
     # the bottom base merges the two marked classes of the top half
-    top = HalfDiagram(zbase((1,), (2,), (3,)), z_marks=[(1,), (2,)])
-    bot = HalfDiagram(zbase((1, 2), (3,)), z_marks=[(1, 2), (3,)])
+    top = _half_diagram(zbase((1,), (2,), (3,)), z_marks=[(1,), (2,)])
+    bot = _half_diagram(zbase((1, 2), (3,)), z_marks=[(1, 2), (3,)])
     assert phi(top, bot) is None
     # disjoint marked supports: the join classes do not line up
-    a = HalfDiagram(zbase((1,), (2,), (3,)), z_marks=[(1,)])
-    b = HalfDiagram(zbase((1,), (2,), (3,)), z_marks=[(2,)])
+    a = _half_diagram(zbase((1,), (2,), (3,)), z_marks=[(1,)])
+    b = _half_diagram(zbase((1,), (2,), (3,)), z_marks=[(2,)])
     assert phi(a, b) is None
     assert phi(a, a) == (2, (), Perm(()), Perm((0,)))
 
 
 def test_phi_element_values():
     split, joined = _halves_k1()
-    m = HalfDiagram(split, e_marks=[(1,)])
+    m = _half_diagram(split, e_marks=[(1,)])
     assert phi(m, m) is not None
-    h = HalfDiagram(split)
+    h = _half_diagram(split)
     assert phi(h, h)[0] == 2
 
     def zbase(*groups):
@@ -157,8 +162,8 @@ def test_phi_element_values():
                   for grp in groups]
         return canonicalize(blocks, 3, 1)
 
-    a = HalfDiagram(zbase((1,), (2,), (3,)), z_marks=[(1,)])
-    b = HalfDiagram(zbase((1,), (2,), (3,)), z_marks=[(2,)])
+    a = _half_diagram(zbase((1,), (2,), (3,)), z_marks=[(1,)])
+    b = _half_diagram(zbase((1,), (2,), (3,)), z_marks=[(2,)])
     assert phi(a, b) is None
 
 
@@ -424,6 +429,32 @@ def test_half_json_rejects_non_integer_marks(marks):
         HalfDiagram.from_json({"base": split.to_json(), "e_marks": marks,
                                "z_marks": []})
     assert _half_diagram(split, [(1,)]).mark_vertices() == (0, 1)
+
+
+# Run in a fresh interpreter, where no earlier test has asked a two-row
+# partition for its components.
+_LEAD_BLOCKS_ONLY = """
+from zrelalg import zpart
+from zrelalg.dalg import basis
+from zrelalg.tabular import cellular_basis, decompose
+for algebra in ("z2rel", "signed"):
+    cellular_basis(algebra, 3)
+    for d in basis(algebra, 3):
+        decompose(d)
+diagrams = zpart._interned(3, 2).values()
+built = [d for d in diagrams if d._components is not None]
+assert len(diagrams) == 6841 and not built, built[:3]
+"""
+
+
+def test_two_row_diagrams_build_no_components():
+    """Bases, cellular bases and decompose read each two-row class off its
+    lead block, so no two-row partition builds its components."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(zrelalg.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", _LEAD_BLOCKS_ONLY],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 def test_enumerate_M_variants_nest():

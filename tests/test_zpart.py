@@ -11,11 +11,11 @@ from test_tabular import _join
 from zrelalg import zpart
 from zrelalg.dalg import ALGEBRAS, basis, signed_row_ok, star_diagram
 from zrelalg.errors import InvalidSize, MalformedPartition, NotZ2Stable
+from zrelalg.tabular import decompose
 from zrelalg.zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, Component,
                            ZStablePartition, _row_counts, _set_partitions,
                            block_index, canonicalize, compose, enumerate_rk,
-                           from_codes, identity_diagram,
-                           propagating_data, restrict)
+                           from_codes, identity_diagram, propagating_data)
 
 
 def flip_sign(v):
@@ -246,12 +246,14 @@ def test_equal_partitions_are_one_object():
         assert star_diagram(star_diagram(d)) is shared
         flipped = [[(1 - row, i, s) for row, i, s in b] for b in d.blocks]
         assert star_diagram(d) is canonicalize(_shuffled(flipped, rng), k, 2)
-        for which, row in (("top", TOP), ("bottom", BOTTOM)):
+        # the base of each half of decompose is the diagram's restriction
+        # to that row, primes erased
+        top, bot = decompose(d)[:2]
+        for base, row in ((top.base, TOP), (bot.base, BOTTOM)):
             half = [[(TOP, i, s) for r, i, s in b if r == row]
                     for b in d.blocks]
             half = [b for b in half if b]
-            assert restrict(d, which) is canonicalize(_shuffled(half, rng),
-                                                      k, 1)
+            assert base is canonicalize(_shuffled(half, rng), k, 1)
 
 
 @pytest.mark.parametrize("k", [64, 65])
@@ -459,7 +461,7 @@ def test_propagating_and_horizontal_hand_examples():
 def _propagating_oracle(d):
     s1 = s2 = 0
     for c in d.components():
-        if len(c.rows_met()) == 2:
+        if c.support[0][0] != c.support[-1][0]:
             if c.kind == EPAIR:
                 s1 += 1
             else:
@@ -471,10 +473,9 @@ def _horizontal_oracle(d):
     he = {TOP: 0, BOTTOM: 0}
     hz = {TOP: 0, BOTTOM: 0}
     for c in d.components():
-        rows = c.rows_met()
-        if len(rows) != 1:
+        row = c.support[0][0]
+        if c.support[-1][0] != row:
             continue
-        (row,) = rows
         if c.kind == EPAIR:
             if len(c.support) >= 2:
                 he[row] += 1
@@ -512,11 +513,11 @@ def test_horizontal_size_two_couple_counts():
 
 @given(_diagrams(2, 2))
 def test_restrict_rows(d):
-    top = restrict(d, "top")
-    bot = restrict(d, "bottom")
+    """The bases of decompose's halves restrict the diagram to its rows."""
+    top, bot = (half.base for half in decompose(d)[:2])
     assert top.rows == bot.rows == 1
     n_top = len({c.support for c in d.components()
-                 if TOP in c.rows_met()})
+                 if c.support[0][0] == TOP})
     assert len(top.components()) >= n_top  # splitting only refines
 
 
