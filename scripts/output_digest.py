@@ -34,9 +34,10 @@ Families (public API only):
 * ``star-reconstruct``: ``dalg.star_diagram(d)`` and
   ``tabular.reconstruct(*decompose(d))`` for every basis diagram of the
   three algebras, k <= 3;
-* ``components``: ``d.components()`` of every partition in
-  ``zpart.enumerate_rk(k, rows)``, k <= 3, rows 1 and 2, with
-  ``propagating_data(d)`` and ``in_basis("signed", d)`` for two rows.
+* ``classes``: every partition d in ``zpart.enumerate_rk(k, rows)``,
+  k <= 3, rows 1 and 2, with ``tuple(d.index)`` and its lead blocks as
+  (b, symmetric), and ``propagating_data(d)`` and ``in_basis("signed", d)``
+  for two rows.
 
 Usage: ``PYTHONPATH=src python scripts/output_digest.py``, once on each
 tree, then ``diff`` the two outputs.
@@ -54,7 +55,8 @@ from zrelalg.groups import GAElement
 from zrelalg.repn import gram
 from zrelalg.ring import ScalarField
 from zrelalg.tabular import cellular_basis, decompose, phi, reconstruct
-from zrelalg.zpart import compose, enumerate_rk, propagating_data
+from zrelalg.zpart import (_lead_blocks, compose, enumerate_rk,
+                           propagating_data)
 
 BIG_PRIME = 2147483647
 Q_POINTS = ("0", "1", "2", "-1/2")
@@ -95,7 +97,7 @@ def families():
                                  "struct-const", "murphy-records",
                                  "symbolic-det", "phi",
                                  "compose", "decompose", "star-reconstruct",
-                                 "components")}
+                                 "classes")}
     layers = {}
     rng = random.Random(11)
     for algebra in ALGEBRAS:
@@ -171,11 +173,13 @@ def families():
     for k in (1, 2, 3):
         for rows in (1, 2):
             for d in enumerate_rk(k, rows):
-                line = "%d %d %r %r" % (k, rows, d, d.components())
+                lead = tuple([(b, symmetric)
+                              for b, symmetric, _ in _lead_blocks(d)])
+                line = "%d %d %r %r %r" % (k, rows, d, tuple(d.index), lead)
                 if rows == 2:
                     line += " %r %r" % (propagating_data(d),
                                         in_basis("signed", d))
-                out["components"].append(line)
+                out["classes"].append(line)
     return out
 
 

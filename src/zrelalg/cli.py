@@ -86,7 +86,8 @@ def _load(path, from_json):
     with open(path) as fh:
         try:
             return from_json(json.load(fh))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError,
+                RecursionError) as exc:
             raise UsageError("%s is not a valid operand file: %s: %s"
                              % (path, type(exc).__name__, exc))
 

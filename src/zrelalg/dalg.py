@@ -20,9 +20,8 @@ from functools import cache
 from .errors import Incompatible, InvalidSize, NotADiagram
 from .ring import ONE, Poly
 from .zpart import (E, ZStablePartition, _block_codes, _row_counts,
-                    _set_partitions, block_index, compose, enumerate_rk,
-                    from_codes, identity_diagram, is_sign_constant,
-                    json_size)
+                    _set_partitions, compose, enumerate_rk, from_codes,
+                    identity_diagram, is_sign_constant, json_size)
 
 ALGEBRAS = ("z2rel", "signed", "partition")
 
@@ -253,7 +252,7 @@ def star_diagram(d):
         raise NotADiagram("star needs a two-row diagram")
     k2 = 2 * d.k
     groups = [[] for _ in d.blocks]
-    for c, b in enumerate(block_index(d)):
+    for c, b in enumerate(d.index):
         groups[b].append((c + k2) % (2 * k2))
     return from_codes(groups, d.k, 2)
 

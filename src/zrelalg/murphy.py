@@ -354,7 +354,7 @@ def wreath_murphy(n):
 
     m^{(l1,l2)}_{s,t} = d(s)^{-1} . prod(e+ over the first block) .
     prod(e- over the second block) . x_{l1} x_{l2} . d(t), with blocks the
-    canonical positions of the two components and e+/- = (1 +/- g_i)/2 for
+    canonical positions of the shapes l1 and l2, and e+/- = (1 +/- g_i)/2 for
     the sign swap g_i = (2i 2i+1).
     """
     unsigned = (0,) * n

@@ -43,7 +43,7 @@ def standard_tableaux(shape, letters=None):
     """All standard fillings of a shape, as tuples of row tuples.
 
     letters defaults to 1..n; any sorted sequence may be supplied (used for
-    bitableaux, where the two components split a common alphabet).
+    bitableaux, where the two tableaux split a common alphabet).
     """
     shape = check_shape(shape)
     n = sum(shape)
@@ -77,7 +77,7 @@ def standard_tableaux(shape, letters=None):
 
 
 def standard_bitableaux(bishape):
-    """Standard pairs: split 1..n between the components, each filled standardly."""
+    """Standard pairs: split 1..n between the two tableaux, each filled standardly."""
     l1, l2 = bishape
     n = sum(l1) + sum(l2)
     out = []

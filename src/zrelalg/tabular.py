@@ -2,7 +2,7 @@
 
 Every basis diagram with propagating data (s1, s2) factors uniquely as a
 triple (top half, group element, bottom half): the halves are one-row
-partitions with 2s1+s2 marked components (the traces of the through
+partitions with 2s1+s2 marked blocks (the traces of the through
 classes) and the group element of (Z2 wr S_s1) x S_s2 records how top
 marks connect to bottom marks, including the sign twist.  Replacing the
 group coordinate by Murphy basis elements produces a cellular basis whose
@@ -21,23 +21,36 @@ from .errors import Incompatible, NotADiagram, UnknownLabel
 from .groups import GAElement, Perm, split_signed
 from .murphy import SymLayer, WreathSymLayer
 from .ring import Poly
-from .zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, _lead_blocks,
-                    block_index, enumerate_rk, from_codes, is_sign_constant,
-                    propagating_data, roots)
+from .zpart import (BOTTOM, E, G, TOP, _lead_blocks, enumerate_rk,
+                    from_codes, is_sign_constant, propagating_data, roots)
+
+
+def _classes(base):
+    """The positions of the couples and of the symmetric classes of a
+    one-row partition, each list in order of least position."""
+    classes = ([], [])
+    for _, symmetric, points in _lead_blocks(base):
+        classes[symmetric].append(tuple([i for _, i, _ in points]))
+    return classes
 
 
 class HalfDiagram:
-    """A one-row stable partition with ordered marked components.
+    """A one-row stable partition with ordered marked classes.
 
-    Marks are recorded by the unsigned support of the component; couples
-    (EPair) and symmetric classes (Z2) are kept in separate lists, each
-    sorted by minimal position -- that ordering is what the group-element
-    coordinates refer to.  The package builds halves through
-    ``_half_diagram``, which sorts the marks and shares one object a half.
+    Marks are recorded by the positions of the class; couples and
+    symmetric classes are kept in separate lists, each sorted by minimal
+    position -- that ordering is what the group-element coordinates refer
+    to.  The package builds halves through ``_half_diagram``, which sorts
+    the marks and shares one object a half.
+
+    ``block_ids`` is (index, number of blocks, marks) with blocks numbered
+    as in ``base.blocks``: index = ``base.index``, so index[2(i-1) + s] is
+    the block of vertex (TOP, i, s), and marks[a] is the block of mark
+    point a.
     """
 
     __slots__ = ("base", "e_marks", "z_marks", "_hash", "_vertices",
-                 "_block_ids")
+                 "block_ids")
 
     def __init__(self, base, e_marks=(), z_marks=()):
         if base.rows != 1:
@@ -45,40 +58,29 @@ class HalfDiagram:
         self.base = base
         self.e_marks = e_marks
         self.z_marks = z_marks
-        kinds = {c.support: c.kind for c in base.components()}
+        couples, classes = _classes(base)
         for m in self.e_marks:
-            key = tuple((TOP, i) for i in m)
-            if kinds.get(key) != EPAIR:
+            if m not in couples:
                 raise Incompatible("support %r is not a couple of %r" % (m, base))
         for m in self.z_marks:
-            key = tuple((TOP, i) for i in m)
-            if kinds.get(key) != Z2CLASS:
+            if m not in classes:
                 raise Incompatible("support %r is not a symmetric class of %r"
                                    % (m, base))
         self._hash = hash((base, self.e_marks, self.z_marks))
         self._vertices = tuple(
             [2 * m[0] - 2 + s for m in self.e_marks for s in (E, G)]
             + [2 * m[0] - 2 + E for m in self.z_marks])
-        self._block_ids = None
+        index = base.index
+        self.block_ids = (index, len(base.blocks),
+                          tuple([index[v] for v in self._vertices]))
 
     def mark_vertices(self):
         """The vertex of every mark point, as its offset 2(i-1) + s in
-        ``block_index(base)``, a tuple computed once per half.  Points are
+        ``base.index``, a tuple computed once per half.  Points are
         numbered as the points of ``groups.signed_perm``: point 2i + s is
         the sign-s vertex at the least position of couple mark i, point
         2s1 + l the e-vertex at the least position of symmetric mark l."""
         return self._vertices
-
-    def block_ids(self):
-        """(index, number of blocks, marks) with blocks numbered as in
-        ``base.blocks``: index = ``block_index(base)``, so index[2(i-1) + s]
-        is the block of vertex (TOP, i, s), and marks[a] is the block of
-        mark point a."""
-        if self._block_ids is None:
-            index = block_index(self.base)
-            self._block_ids = (index, len(self.base.blocks),
-                               tuple(index[v] for v in self._vertices))
-        return self._block_ids
 
     @property
     def k(self):
@@ -149,7 +151,7 @@ def variant_for(algebra):
 def enumerate_M(k, s1, s2, variant="plain"):
     """All admissible marked one-row halves with the given mark counts.
 
-    Each base is classified once into its couples and symmetric classes;
+    Each base is read once into its couples and symmetric classes;
     the partition variant keeps sign-constant bases, at s2 = 0 only.  The
     signed variant admits a choice of couple marks by ``signed_row_ok`` on
     the unmarked couples of size >= 2 and the hz - s2 unmarked classes."""
@@ -160,11 +162,7 @@ def enumerate_M(k, s1, s2, variant="plain"):
         if variant == "partition" and (
                 s2 or not is_sign_constant(base.blocks)):
             continue
-        couples = []
-        classes = []
-        for c in base.components():
-            support = tuple(i for _, i in c.support)
-            (couples if c.kind == EPAIR else classes).append(support)
+        couples, classes = _classes(base)
         if len(couples) < s1 or len(classes) < s2:
             continue
         he = sum(len(m) >= 2 for m in couples)
@@ -182,7 +180,7 @@ def enumerate_M(k, s1, s2, variant="plain"):
 def decompose(d):
     """Split a diagram into (top half, bottom half, f, sigma1, sigma2).
 
-    One walk of ``block_index(d)`` cuts every block to each row: the bases.
+    One walk of ``d.index`` cuts every block to each row: the bases.
     The lead blocks of the through classes give the marks.  Top mark point
     a goes to the bottom mark point whose vertex shares its block; that
     permutation is ``signed_perm(f, sigma1, sigma2)``, so f(i) = 1 exactly
@@ -191,7 +189,7 @@ def decompose(d):
     """
     if d.rows != 2:
         raise NotADiagram("decompose needs a two-row diagram")
-    index = block_index(d)
+    index = d.index
     k2 = 2 * d.k
     top_cuts = {}
     bot_cuts = {}
@@ -200,11 +198,8 @@ def decompose(d):
         bot_cuts.setdefault(index[k2 + c], []).append(c)
     top_marks = ([], [])        # couples, symmetric classes
     bot_marks = ([], [])
-    for b, symmetric in _lead_blocks(d):
-        lead = d.blocks[b]
-        if lead[0][0] != lead[-1][0]:
-            # one vertex per position: a symmetric block pairs e and g
-            points = lead[::2] if symmetric else lead
+    for _, symmetric, points in _lead_blocks(d):
+        if points[0][0] != points[-1][0]:
             top_marks[symmetric].append(
                 tuple([i for row, i, _ in points if row == TOP]))
             bot_marks[symmetric].append(
@@ -235,8 +230,8 @@ def reconstruct(top, bottom, f, sigma1, sigma2):
         g = WreathSymLayer(top.s1, top.s2).from_glue(f, sigma1, sigma2)
     except ValueError as err:
         raise Incompatible(str(err)) from None
-    top_of, nt, top_marks = top.block_ids()
-    bot_of, nb, bot_marks = bottom.block_ids()
+    top_of, nt, top_marks = top.block_ids
+    bot_of, nb, bot_marks = bottom.block_ids
     root = roots(nt + nb, [(a, nt + bot_marks[b])
                            for a, b in zip(top_marks, g.images)])
     k2 = 2 * top.k
@@ -267,8 +262,8 @@ def phi(top, bottom):
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
-    top_of, nt, top_marks = top.block_ids()
-    bot_of, nb, bot_marks = bottom.block_ids()
+    top_of, nt, top_marks = top.block_ids
+    bot_of, nb, bot_marks = bottom.block_ids
     root = roots(nt + nb, zip(top_of, [nt + b for b in bot_of]))
     point = {root[nt + b]: a for a, b in enumerate(bot_marks)}
     images = [point.get(root[b]) for b in top_marks]

@@ -4,7 +4,7 @@ Vertices are triples ``(row, index, sign)`` with ``row`` 0 (top) or 1
 (bottom, rendered primed), ``index`` in 1..k and ``sign`` 0 ("e") or 1
 ("g").  The total order on vertices is plain tuple order, i.e.
 (row, index, sign) with top < bottom and e < g; canonical forms and all
-orderings of marked components derive from it.
+orderings of marked classes derive from it.
 
 A partition is *stable* when the sign-flip involution (e <-> g on every
 vertex) permutes its blocks.  Stability forces a rigid structure that the
@@ -14,16 +14,18 @@ cardinality) or by exactly two blocks swapped by the flip (an "e" couple,
 one vertex of each sign pair per block).  So a class is read off its
 *lead block*, the one whose first vertex has sign e: it also holds the
 g-vertex there exactly when the class is symmetric, and otherwise the
-couple's other block does.
+couple's other block does.  ``_lead_blocks`` is the one place that reads
+them.
 
 ``from_codes`` is the only place a partition is built: ``canonicalize``,
 composition, decomposition's halves, star, reconstruction and both
 enumerations end in it.  It returns one shared object per canonical
 partition: a table per (k, rows) holds every partition it has returned,
 is never evicted, and so holds at most the stable partitions of that
-size.  What is derived from a partition (its components, its block
-index, its row counts) is computed once, on first use, and kept on the
-object.  Equality, hashing and order stay by value.
+size.  The table's key, the canonical block of every vertex code, is
+kept on the partition as its block ``index``; its row counts are computed
+once, on first use, and kept too.  Equality, hashing and order stay by
+value.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import NamedTuple
 
 from .errors import (InvalidSize, MalformedPartition, NotADiagram,
                      NotZ2Stable, SizeMismatch)
@@ -40,23 +41,23 @@ from .errors import (InvalidSize, MalformedPartition, NotADiagram,
 TOP, BOTTOM = 0, 1
 E, G = 0, 1
 
-EPAIR = "e"
-Z2CLASS = "z2"
-
 
 class ZStablePartition:
-    """A canonical sign-stable set partition on one or two rows of k doubled points."""
+    """A canonical sign-stable set partition on one or two rows of k doubled
+    points.
 
-    __slots__ = ("k", "rows", "blocks", "_hash", "_components", "_index",
-                 "_counts")
+    ``index`` is the block of every vertex: entry 2k*row + 2(i-1) + s is
+    the index in ``blocks`` of the block holding vertex (row, i, s).  It is
+    ``bytes`` while 2k*rows <= 256 and a tuple beyond."""
 
-    def __init__(self, k, rows, blocks):
+    __slots__ = ("k", "rows", "blocks", "index", "_hash", "_counts")
+
+    def __init__(self, k, rows, blocks, index):
         self.k = k
         self.rows = rows
         self.blocks = blocks
+        self.index = index
         self._hash = hash((k, rows, blocks))
-        self._components = None
-        self._index = None
         self._counts = None
 
     def __eq__(self, other):
@@ -74,12 +75,6 @@ class ZStablePartition:
         def vname(v):
             return "%d%s%s" % (v[1], "'" if v[0] == BOTTOM else "", "eg"[v[2]])
         return "{" + " | ".join(" ".join(vname(v) for v in b) for b in self.blocks) + "}"
-
-    def components(self):
-        """Connected components of the unsigned quotient, with their block structure."""
-        if self._components is None:
-            self._components = _analyze_components(self)
-        return self._components
 
     def to_json(self):
         def vjson(v):
@@ -115,14 +110,6 @@ def json_size(value):
     elif not isinstance(value, int) or isinstance(value, bool):
         raise ValueError("size must be an integer, got %r" % (value,))
     return int(value)
-
-
-class Component(NamedTuple):
-    """One quotient component: its unsigned support, its blocks and its kind."""
-
-    support: tuple          # sorted (row, index) pairs
-    blocks: tuple           # one block (Z2CLASS) or the sign-paired couple (EPAIR)
-    kind: str               # EPAIR or Z2CLASS
 
 
 @dataclass(frozen=True)
@@ -180,8 +167,9 @@ def from_codes(groups, k, rows):
     """The canonical partition with blocks ``groups`` of vertex codes, after
     checking that they partition the vertices and that the sign flip
     permutes them.  The code of vertex (row, i, s) is 2k*row + 2(i-1) + s,
-    as in ``block_index``, so the flip is ``c ^ 1``; every code must lie in
-    range(2k*rows).  Equal partitions come back as one shared object."""
+    as in the partition's ``index``, so the flip is ``c ^ 1``; every code
+    must lie in range(2k*rows).  Equal partitions come back as one shared
+    object."""
     n = 2 * k * rows
     total = 0
     for group in groups:
@@ -219,8 +207,9 @@ def from_codes(groups, k, rows):
                 raise NotZ2Stable("sign flip does not permute the blocks")
     # Only a checked partition is looked up.  Renumbering the blocks in
     # order of first appearance, i.e. of least code, gives the owner array
-    # of the canonical block order: the key, and on a miss the blocks.
-    # Bytes hold it compactly while every rank, below n, fits in a byte.
+    # of the canonical block order: the key, and on a miss the blocks and
+    # the block index.  Bytes hold it compactly while every rank, below n,
+    # fits in a byte.
     rank = dict(zip(dict.fromkeys(owner), range(n)))
     key = (bytes if n <= 256 else tuple)(map(rank.__getitem__, owner))
     table = _interned(k, rows)
@@ -229,7 +218,8 @@ def from_codes(groups, k, rows):
         blocks = [[] for _ in groups]
         for c, r in enumerate(key):
             blocks[r].append(vertex[c])
-        d = table[key] = ZStablePartition(k, rows, tuple(map(tuple, blocks)))
+        d = table[key] = ZStablePartition(k, rows, tuple(map(tuple, blocks)),
+                                          key)
     return d
 
 
@@ -296,20 +286,6 @@ def enumerate_rk(k, rows):
     return out
 
 
-def block_index(d):
-    """The block of every vertex, as a tuple computed once per partition:
-    entry 2k*row + 2(i-1) + s is the index in ``d.blocks`` of the block
-    holding vertex (row, i, s)."""
-    if d._index is None:
-        k2 = 2 * d.k
-        out = [0] * (k2 * d.rows)
-        for b, block in enumerate(d.blocks):
-            for row, i, s in block:
-                out[k2 * row + 2 * i - 2 + s] = b
-        d._index = tuple(out)
-    return d._index
-
-
 def roots(n, links):
     """Union-find on 0..n-1: the list of each element's class root once
     every pair (a, b) of links is joined."""
@@ -330,33 +306,17 @@ def roots(n, links):
 
 
 def _lead_blocks(d):
-    """(b, symmetric) for the lead block of every class of ``d``, in block
-    order, i.e. in order of the class's least position: b indexes
-    ``d.blocks`` and symmetric tells whether the block also holds the
-    g-vertex at its first position."""
+    """(b, symmetric, points) for the lead block of every class of ``d``,
+    in block order, i.e. in order of the class's least position: b indexes
+    ``d.blocks``, symmetric tells whether the block also holds the g-vertex
+    at its first position, and points are the lead block's vertices, one
+    per position of the class (a symmetric block pairs e and g, so its
+    e-vertices)."""
     for b, block in enumerate(d.blocks):
         row, i, s = block[0]
         if s == E:
-            yield b, len(block) > 1 and block[1] == (row, i, G)
-
-
-def _analyze_components(d):
-    # Lead blocks come by least vertex, so the components come sorted by
-    # support; a couple's other block follows its lead block.
-    index = block_index(d)
-    k2 = 2 * d.k
-    comps = []
-    for b, symmetric in _lead_blocks(d):
-        lead = d.blocks[b]
-        if symmetric:
-            comps.append(Component(tuple([(row, i) for row, i, s in lead
-                                          if s == E]), (lead,), Z2CLASS))
-        else:
-            row, i, _ = lead[0]
-            other = d.blocks[index[k2 * row + 2 * i - 1]]
-            comps.append(Component(tuple([(row, i) for row, i, _ in lead]),
-                                   (lead, other), EPAIR))
-    return tuple(comps)
+            symmetric = len(block) > 1 and block[1] == (row, i, G)
+            yield b, symmetric, block[::2] if symmetric else block
 
 
 @cache
@@ -379,14 +339,13 @@ def _row_counts(d):
         through = [0, 0]            # couples, symmetric classes
         he = [0, 0]
         hz = [0, 0]
-        for b, symmetric in _lead_blocks(d):
-            block = d.blocks[b]
-            row = block[0][0]
-            if block[-1][0] != row:
+        for _, symmetric, points in _lead_blocks(d):
+            row = points[0][0]
+            if points[-1][0] != row:
                 through[symmetric] += 1
             elif symmetric:
                 hz[row] += 1
-            elif len(block) >= 2:
+            elif len(points) >= 2:
                 he[row] += 1
         d._counts = _shared((*through, he[TOP], hz[TOP], he[BOTTOM],
                              hz[BOTTOM]))
@@ -416,8 +375,8 @@ def compose(d1, d2):
         raise SizeMismatch("k=%d vs k=%d" % (d1.k, d2.k))
     k2 = 2 * d1.k
     n1 = len(d1.blocks)
-    index1 = block_index(d1)
-    index2 = [n1 + b for b in block_index(d2)]
+    index1 = d1.index
+    index2 = [n1 + b for b in d2.index]
     root = roots(n1 + len(d2.blocks), zip(index1[k2:], index2[:k2]))
     groups = {}
     for c in range(k2):

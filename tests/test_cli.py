@@ -278,7 +278,7 @@ phi              71cebe17 7188
 compose          a975269a 40408
 decompose        82dc681a 12375
 star-reconstruct 66118c20 12375
-components       2a3ce6cc 7052
+classes          bba3014f 7052
 """
 
 
@@ -406,6 +406,17 @@ def test_empty_block_is_usage_error(tmp_path):
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error:")
         assert "empty block" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("verb", ["mul", "decompose"])
+def test_deeply_nested_operand_is_usage_error(tmp_path, verb):
+    # json.load raised RecursionError, which escaped as a traceback, exit 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000)
+    argv = [verb, "--k", "1", str(deep)]
+    if verb == "mul":
+        argv.append(str(deep))
+    assert_usage_error(run_cli(*argv))
 
 
 @pytest.mark.parametrize("where, key, value", [

@@ -1,16 +1,11 @@
 """Half-diagram factorization, phi-map, tabular axiom, cellular basis."""
 
-import os
 import random
-import subprocess
-import sys
 from functools import cache
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import zrelalg
 from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
 from zrelalg.errors import Incompatible, UnknownLabel
 from zrelalg.groups import Perm
@@ -429,32 +424,6 @@ def test_half_json_rejects_non_integer_marks(marks):
         HalfDiagram.from_json({"base": split.to_json(), "e_marks": marks,
                                "z_marks": []})
     assert _half_diagram(split, [(1,)]).mark_vertices() == (0, 1)
-
-
-# Run in a fresh interpreter, where no earlier test has asked a two-row
-# partition for its components.
-_LEAD_BLOCKS_ONLY = """
-from zrelalg import zpart
-from zrelalg.dalg import basis
-from zrelalg.tabular import cellular_basis, decompose
-for algebra in ("z2rel", "signed"):
-    cellular_basis(algebra, 3)
-    for d in basis(algebra, 3):
-        decompose(d)
-diagrams = zpart._interned(3, 2).values()
-built = [d for d in diagrams if d._components is not None]
-assert len(diagrams) == 6841 and not built, built[:3]
-"""
-
-
-def test_two_row_diagrams_build_no_components():
-    """Bases, cellular bases and decompose read each two-row class off its
-    lead block, so no two-row partition builds its components."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(zrelalg.__file__).parent.parent))
-    done = subprocess.run([sys.executable, "-c", _LEAD_BLOCKS_ONLY],
-                          capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
 
 
 def test_enumerate_M_variants_nest():

@@ -3,6 +3,7 @@
 import ast
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,10 @@ from zrelalg import zpart
 from zrelalg.dalg import ALGEBRAS, basis, signed_row_ok, star_diagram
 from zrelalg.errors import InvalidSize, MalformedPartition, NotZ2Stable
 from zrelalg.tabular import decompose
-from zrelalg.zpart import (BOTTOM, E, EPAIR, G, TOP, Z2CLASS, Component,
-                           ZStablePartition, _row_counts, _set_partitions,
-                           block_index, canonicalize, compose, enumerate_rk,
-                           from_codes, identity_diagram, propagating_data)
+from zrelalg.zpart import (BOTTOM, E, G, TOP, ZStablePartition, _interned,
+                           _lead_blocks, _row_counts, _set_partitions,
+                           canonicalize, compose, enumerate_rk, from_codes,
+                           identity_diagram, propagating_data)
 
 
 def flip_sign(v):
@@ -60,7 +61,9 @@ def _canonicalize_by_sets(blocks, k, rows):
     if not is_z2_stable(norm):
         raise NotZ2Stable("sign flip does not permute the blocks")
     norm.sort(key=lambda b: b[0])
-    return ZStablePartition(k, rows, tuple(norm))
+    index = {v: b for b, block in enumerate(norm) for v in block}
+    return ZStablePartition(k, rows, tuple(norm),
+                            tuple(index[v] for v in vertex_set(k, rows)))
 
 
 def enumerate_rk_bruteforce(k, rows):
@@ -109,9 +112,9 @@ def test_canonicalize_idempotent_and_json_roundtrip(d):
 @given(_diagrams(2, 2))
 def test_components_cover_and_classify(d):
     covered = []
-    for c in d.components():
+    for c in _components_by_join(d):
         covered.extend(c.support)
-        if c.kind == Z2CLASS:
+        if c.symmetric:
             (b,) = c.blocks
             assert frozenset(flip_sign(v) for v in b) == frozenset(b)
         else:
@@ -180,8 +183,8 @@ def _corruptions(d, rng):
         b = rng.randrange(len(blocks))
         blocks[b][rng.randrange(len(blocks[b]))] = bad
         out.append(blocks)
-    couples = [c for c in d.components()
-               if c.kind == EPAIR and len(c.support) > 1]
+    couples = [c for c in _components_by_join(d)
+               if not c.symmetric and len(c.support) > 1]
     if couples:                              # split one block of an e-couple
         block = list(rng.choice(rng.choice(couples).blocks))
         rng.shuffle(block)
@@ -262,7 +265,8 @@ def test_interning_past_one_byte_ranks(k):
     singletons = [[v] for v in vertex_set(k, 2)]
     d = canonicalize(singletons, k, 2)
     assert canonicalize(singletons[::-1], k, 2) is d
-    assert block_index(d) == tuple(range(4 * k))
+    assert tuple(d.index) == tuple(range(4 * k))
+    assert tuple(d.index) == _block_index_oracle(d)
     assert compose(d, identity_diagram(k))[0] is d
 
 
@@ -306,10 +310,11 @@ def _block_index_oracle(d):
 def test_block_index_is_cached_tuple(k, rows):
     for d in enumerate_rk(k, rows):
         for e in (d, canonicalize([list(b) for b in d.blocks], k, rows)):
-            index = block_index(e)
-            assert isinstance(index, tuple)
-            assert index == _block_index_oracle(e)
-            assert block_index(e) is index
+            index = e.index
+            assert tuple(index) == _block_index_oracle(e)
+            assert e.index is index
+            # the index is the key under which the partition is interned
+            assert _interned(k, rows)[index] is e
 
 
 def test_enumeration_and_bases_share_objects():
@@ -403,8 +408,18 @@ def _compose_by_join(d1, d2):
     return canonicalize(outer_blocks, d1.k, 2), loops
 
 
+class _Class(NamedTuple):
+    """One class of the unsigned quotient: its positions, its blocks (one
+    symmetric block or a sign-flipped couple) and its kind."""
+
+    support: tuple
+    blocks: tuple
+    symmetric: bool
+
+
 def _components_by_join(d):
-    """Oracle for ``components``: a union-find on unsigned positions."""
+    """Oracle for the classes read off lead blocks: a union-find on
+    unsigned positions."""
     root = _join([(row, i) for row, i, _ in b] for b in d.blocks)
     groups = {}
     for pos, r in root.items():
@@ -413,9 +428,8 @@ def _components_by_join(d):
         groups[root[b[0][:2]]][1].append(b)
     comps = []
     for positions, cblocks in groups.values():
-        kind = Z2CLASS if len(cblocks) == 1 else EPAIR
-        comps.append(Component(tuple(sorted(positions)),
-                               tuple(sorted(cblocks)), kind))
+        comps.append(_Class(tuple(sorted(positions)), tuple(sorted(cblocks)),
+                            len(cblocks) == 1))
     comps.sort(key=lambda c: c.support)
     return tuple(comps)
 
@@ -435,11 +449,16 @@ def test_compose_equals_join_oracle(algebra):
     assert loops > 0
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("rows", [1, 2])
-def test_components_equal_join_oracle(k, rows):
+@pytest.mark.parametrize("rows,k", [(1, 1), (1, 2), (1, 3), (1, 4),
+                                    (2, 1), (2, 2), (2, 3)])
+def test_components_equal_join_oracle(rows, k):
+    """The lead blocks give every class, in order of least position, with
+    its support (the points' positions) and its kind."""
     for d in enumerate_rk(k, rows):
-        assert d.components() == _components_by_join(d), d
+        lead = [(tuple([(row, i) for row, i, _ in points]), symmetric)
+                for _, symmetric, points in _lead_blocks(d)]
+        oracle = [(c.support, c.symmetric) for c in _components_by_join(d)]
+        assert lead == oracle, d
 
 
 def test_propagating_and_horizontal_hand_examples():
@@ -460,27 +479,26 @@ def test_propagating_and_horizontal_hand_examples():
 
 def _propagating_oracle(d):
     s1 = s2 = 0
-    for c in d.components():
+    for c in _components_by_join(d):
         if c.support[0][0] != c.support[-1][0]:
-            if c.kind == EPAIR:
-                s1 += 1
-            else:
+            if c.symmetric:
                 s2 += 1
+            else:
+                s1 += 1
     return s1, s2
 
 
 def _horizontal_oracle(d):
     he = {TOP: 0, BOTTOM: 0}
     hz = {TOP: 0, BOTTOM: 0}
-    for c in d.components():
+    for c in _components_by_join(d):
         row = c.support[0][0]
         if c.support[-1][0] != row:
             continue
-        if c.kind == EPAIR:
-            if len(c.support) >= 2:
-                he[row] += 1
-        else:
+        if c.symmetric:
             hz[row] += 1
+        elif len(c.support) >= 2:
+            he[row] += 1
     return (he[TOP], hz[TOP], he[BOTTOM], hz[BOTTOM])
 
 
@@ -516,12 +534,12 @@ def test_restrict_rows(d):
     """The bases of decompose's halves restrict the diagram to its rows."""
     top, bot = (half.base for half in decompose(d)[:2])
     assert top.rows == bot.rows == 1
-    n_top = len({c.support for c in d.components()
+    n_top = len({c.support for c in _components_by_join(d)
                  if c.support[0][0] == TOP})
-    assert len(top.components()) >= n_top  # splitting only refines
+    assert len(_components_by_join(top)) >= n_top  # splitting only refines
 
 
 @given(_diagrams(2, 2))
 def test_quotient_partitions_positions(d):
-    flat = [p for comp in d.components() for p in comp.support]
+    flat = [p for comp in _components_by_join(d) for p in comp.support]
     assert sorted(flat) == sorted({(r, i) for r, i, _ in vertex_set(2, 2)})
