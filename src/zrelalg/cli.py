@@ -8,16 +8,15 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import re
 import sys
 import time
-from fractions import Fraction
 
 from .dalg import (ALGEBRAS, AlgebraElement, basis as algebra_basis,
                    dim_formula)
 from .errors import UsageError, ZRelError
 from .repn import (cell_module, gram, gram_bruteforce_entry,
                    irreducible_table, is_plain_shape)
+from .ring import parse_rational
 from .tabular import (CellLabel, cellular_basis, decompose, reconstruct,
                       verify_table_datum)
 from .zpart import ZStablePartition, json_size
@@ -273,14 +272,11 @@ def cmd_gram(args):
 
 
 def _rational(text):
-    """argparse type: a rational number, in ASCII with no ``_`` or
-    whitespace (``Fraction`` would read "1_0" as 10 and skip spaces)."""
-    if text.isascii() and not re.search(r"[_\s]", text):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise argparse.ArgumentTypeError("not a rational number: %r" % text)
+    """argparse type: a rational number by ``ring.parse_rational``."""
+    try:
+        return parse_rational(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a rational number: %r" % text)
 
 
 def cmd_irreducibles(args):

@@ -98,7 +98,8 @@ def signed_perms(n, m=0):
 
 class GAElement:
     """Formal sum of group elements; coefficients are kept as given (int,
-    Fraction or Poly), zeros dropped."""
+    Fraction, or a polynomial from the cellular layer), zeros dropped.
+    The product is what builds the Murphy records."""
 
     __slots__ = ("terms",)
 
@@ -108,31 +109,6 @@ class GAElement:
     @staticmethod
     def of(g, coeff=1):
         return GAElement({g: coeff})
-
-    @staticmethod
-    def zero():
-        return GAElement()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            nc = terms.get(g, 0) + c
-            if nc:
-                terms[g] = nc
-            else:
-                terms.pop(g, None)
-        out = GAElement()
-        out.terms = terms
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, coeff):
-        return GAElement({g: c * coeff for g, c in self.terms.items()})
 
     def __mul__(self, other):
         terms = {}
@@ -145,10 +121,6 @@ class GAElement:
                 else:
                     terms[g] = c
         return GAElement(terms)
-
-    def star(self):
-        """The anti-automorphism g -> g^{-1} extended linearly."""
-        return GAElement({g.inv(): c for g, c in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, GAElement) and self.terms == other.terms

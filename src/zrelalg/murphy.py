@@ -32,6 +32,11 @@ m_{t,t} is r(w_s delta w_t^{-1}).  And c h c = kappa^2 (|H|^2 / |HhH|)
 sum_z sgn(z) z over the double coset HhH, or 0 when chi disagrees with
 itself on it, so one walk of a double coset gives r on all of it.
 
+The layer computes in numbers: r is an int, or a Fraction when it is not
+whole, and the coordinates of a group element are numbers too.  The
+parameter x enters only where the cellular layer glues two halves, so
+``repn.gram`` makes each Gram entry x^l r itself.
+
 The builders are memoized, so each group has one basis, shared by every
 layer and algebra that uses it.
 """
@@ -44,7 +49,7 @@ from functools import cache, cached_property
 from typing import NamedTuple
 
 from .groups import GAElement, Perm, signed_perm, signed_perms, split_signed
-from .ring import ExactMatrix, Poly
+from .ring import ExactMatrix
 from .tableaux import (all_bishapes, all_shapes, bishape_sort_key,
                        bishape_strictly_dominates, canonical_tableau,
                        shape_sort_key, standard_bitableaux,
@@ -194,14 +199,15 @@ def _generators(support, identity):
 
 class _CellForm(NamedTuple):
     """One label's cell form: r(h), the coefficient of the core c in c h c,
-    tabulated one double coset H h H at a time (``MurphyBasis._fill``)."""
+    tabulated one double coset H h H at a time (``MurphyBasis._fill``) as
+    a number, 0 on a coset where chi disagrees with itself."""
 
     words: dict         # tableau s -> w_s
     inverses: dict      # tableau t -> w_t^{-1}
     core: int           # record index of c = m_{t0,t0}
     gens: list          # (g, chi(g) == 1) for generators g of H
     scale: object       # kappa^2 |H|^2
-    values: dict        # group element h -> r(h), as a Poly
+    values: dict        # group element h -> r(h), an int or a Fraction
 
 
 class MurphyBasis:
@@ -228,7 +234,7 @@ class MurphyBasis:
         self.position = {}
         self._words = {}                # label -> {s: w_s}
         self._cores = {}                # label -> core c
-        self._struct_consts = {}        # (label, s, t, delta) -> Poly
+        self._struct_consts = {}        # (label, s, t, delta) -> r
         self._forms = {}                # label -> _CellForm
         for i, rec in enumerate(records):
             self.position[(rec.label, rec.s, rec.t)] = i
@@ -241,8 +247,11 @@ class MurphyBasis:
         return self._solve(self)
 
     def coords(self, ga):
-        """Exact coordinates of a group-algebra element in this basis (Poly)."""
-        out = [Poly()] * len(self.records)
+        """Exact coordinates of a group-algebra element in this basis, one
+        per record, summed from 0 in the ring of its coefficients: numbers
+        for a numeric element, polynomials when the cellular layer passes
+        polynomial coefficients."""
+        out = [0] * len(self.records)
         for g, c in ga.terms.items():
             for i, q in self._columns[g].items():
                 out[i] = out[i] + c * q
@@ -282,18 +291,16 @@ class MurphyBasis:
                         todo.append(y)
                     elif seen != sy:
                         vanishes = True
-        if vanishes:
-            plus = minus = Poly()
-        else:
+        value = 0
+        if not vanishes:
             columns, i = self._columns, form.core
             total = sum(columns[z].get(i, 0) if sz else -columns[z].get(i, 0)
                         for z, sz in signs.items())
             value = Fraction(form.scale * total) / len(signs)
             if value.denominator == 1:
                 value = value.numerator
-            plus, minus = Poly({0: value}), Poly({0: -value})
         for z, sz in signs.items():
-            form.values[z] = plus if sz else minus
+            form.values[z] = value if sz else -value
 
     def struct_const(self, label, s, t, delta):
         """phi_delta(s, t): coefficient of m_{s,t} in m_{s,s} delta m_{t,t}.
@@ -302,10 +309,10 @@ class MurphyBasis:
         c in c h c (see the module docstring): reduction mod lower labels
         cannot change it, and c h c = r(h) c modulo them.  On the first h
         of a double coset H h H, r is filled on the whole coset from the
-        columns of its elements at c.  A whole value is stored as an int,
-        so Gram entries stay integer polynomials.  Memoized by (label, s,
-        t, delta) in front of the form: a Gram matrix asks for the same
-        entry many times, and the hit skips two products.
+        columns of its elements at c.  The value is a number: an int when
+        it is whole, else a Fraction.  Memoized by (label, s, t, delta) in
+        front of the form: a Gram matrix asks for the same entry many
+        times, and the hit skips two products.
         """
         key = (label, s, t, delta)
         value = self._struct_consts.get(key)

@@ -59,9 +59,11 @@ def gram(label, algebra, k):
     x^l times the Murphy structure constant at (s, t; delta), where
     (l, delta) is the glue of P and Q in ``CellularBasis.glue``.
 
-    A cell form is symmetric (Graham-Lehrer), so the upper triangle is
-    filled and mirrored.  Rows are tableau-major: row a * |M| + i is
-    (P_i, s_a)."""
+    The structure constant r is a number, so each entry is the one
+    monomial Poly({l: r}), or the shared ZERO where the glue is None or r
+    is 0.  A cell form is symmetric (Graham-Lehrer), so the upper triangle
+    is filled and mirrored by reference.  Rows are tableau-major: row
+    a * |M| + i is (P_i, s_a)."""
     cb = cellular_basis(algebra, k)
     tableaux = cb.tableaux(label)
     murphy = cb.layers[(label.s1, label.s2)].murphy()
@@ -75,10 +77,9 @@ def gram(label, algebra, k):
         for v in range(u, n):
             b, j = divmod(v, m)
             pair = glue_row[j]
-            row[v] = entries[v][u] = (
-                ZERO if pair is None else
-                murphy.struct_const(label.glabel, s, tableaux[b], pair[1])
-                * Poly.x(pair[0]))
+            r = 0 if pair is None else murphy.struct_const(
+                label.glabel, s, tableaux[b], pair[1])
+            row[v] = entries[v][u] = Poly({pair[0]: r}) if r else ZERO
     return ExactMatrix(entries)
 
 

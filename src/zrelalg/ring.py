@@ -26,8 +26,21 @@ the test oracle.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm, prod
+
+
+def parse_rational(text):
+    """A rational number in ASCII with no ``_`` or whitespace (``Fraction``
+    alone reads "1_0" as 10, skips spaces and takes non-ASCII digits);
+    anything else, a zero denominator included, is a ValueError."""
+    if not text.isascii() or re.search(r"[_\s]", text):
+        raise ValueError("not a rational number: %r" % (text,))
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,)) from None
 
 
 class Poly:
@@ -94,7 +107,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
+            return Poly({d: v * other for d, v in self.coeffs.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         c = {}
@@ -141,20 +154,21 @@ class Poly:
 
     @staticmethod
     def from_json(obj):
-        """Inverse of to_json; a negative degree (a Laurent term), a zero
-        denominator, or a coefficient that is neither a string nor an int
-        (a float or a bool) is a ValueError."""
-        raw = obj["coeffs"]
-        if not all(isinstance(v, (str, int)) and not isinstance(v, bool)
-                   for v in raw.values()):
-            raise ValueError("coefficients must be strings or integers: %r"
-                             % (raw,))
-        try:
-            coeffs = {int(d): Fraction(v) for d, v in raw.items()}
-        except ZeroDivisionError as exc:
-            raise ValueError("zero denominator in %r" % (raw,)) from exc
-        if any(d < 0 for d in coeffs):
-            raise ValueError("negative degree in %r" % (raw,))
+        """Inverse of to_json.  A degree key must be ``0`` or digits with no
+        leading zero, as to_json writes it, so no two keys name one degree
+        and no Laurent term passes; a coefficient is an int or a string
+        read by ``parse_rational``.  Anything else is a ValueError."""
+        coeffs = {}
+        for d, v in obj["coeffs"].items():
+            if not isinstance(d, str) or not re.fullmatch("0|[1-9][0-9]*", d):
+                raise ValueError("degree %r is not 0 or digits with no "
+                                 "leading zero" % (d,))
+            if isinstance(v, str):
+                v = parse_rational(v)
+            elif not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError("coefficient %r is neither a string nor an "
+                                 "integer" % (v,))
+            coeffs[int(d)] = Fraction(v)
         return Poly(coeffs)
 
     def __str__(self):

@@ -462,7 +462,7 @@ class CellularBasis:
             s1, s2 = P.s1, P.s2
             murphy = self.layers[(s1, s2)].murphy()
             for rec, c in zip(murphy.records, murphy.coords(GAElement(terms))):
-                if not c.is_zero():
+                if c:
                     label = CellLabel(s1, s2, rec.label)
                     out[(label, (P, rec.s), (Q, rec.t))] = c
         return out

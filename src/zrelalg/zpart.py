@@ -84,10 +84,17 @@ class ZStablePartition:
 
     @staticmethod
     def from_json(obj):
+        """Inverse of to_json.  A vertex must be an array of two strings:
+        "1e" or {"1": 0, "e": 0} would also unpack as (name, sign)."""
         blocks = []
         for b in obj["blocks"]:
             block = []
-            for name, sign in b:
+            for vertex in b:
+                if (type(vertex) is not list
+                        or [type(x) for x in vertex] != [str, str]):
+                    raise ValueError("vertex %r is not two strings"
+                                     % (vertex,))
+                name, sign = vertex
                 if re.fullmatch("[0-9]+'?", name) is None:
                     raise ValueError("vertex name %r is not digits with at "
                                      "most one prime" % (name,))

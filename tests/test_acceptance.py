@@ -230,7 +230,7 @@ def test_criterion_10_murphy_layer():
             ga = GAElement.of(g)
             for rec in mb.records:
                 for c, rec2 in zip(mb.coords(ga * rec.element), mb.records):
-                    if c.is_zero():
+                    if not c:
                         continue
                     if rec2.label == rec.label:
                         if rec2.t != rec.t:

@@ -334,6 +334,17 @@ def _with_coeffs(coeffs):
     return json.dumps(obj)
 
 
+def _with_vertex(old, new, element):
+    """The z2rel k = 1 identity, as an operand file (``element``) or as a
+    bare diagram, with the vertex ``old`` written as the JSON value
+    ``new``."""
+    obj = AlgebraElement.identity("z2rel", 1).to_json()
+    diagram = obj["terms"][0]["diagram"]
+    diagram["blocks"] = [[new if vertex == old else vertex for vertex in block]
+                         for block in diagram["blocks"]]
+    return json.dumps(obj if element else diagram)
+
+
 def _with_vertex_name(old, new, element):
     """The z2rel k = 1 identity, as an operand file (``element``) or as a
     bare diagram, with vertex name ``old`` written ``new``."""
@@ -371,12 +382,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                       ("zero-denominator.json", _with_coeffs({"0": "1/0"})),
                       ("laurent.json", _with_coeffs({"-1": "1"})),
                       ("float.json", _with_coeffs({"0": 0.1})),
-                      ("bool.json", _with_coeffs({"0": True}))] + [
+                      ("bool.json", _with_coeffs({"0": True})),
+                      # int and Fraction read "01" as degree 1 (dropping
+                      # the 2x), "1_0" as 10, and " 3" and an Arabic-Indic 3
+                      ("same-degree.json",
+                       _with_coeffs({"1": "2", "01": "3"})),
+                      ("degree-underscore.json", _with_coeffs({"1_0": "1"})),
+                      ("coeff-underscore.json", _with_coeffs({"0": "1_5"})),
+                      ("coeff-space.json", _with_coeffs({"0": " 3"})),
+                      ("coeff-arabic.json", _with_coeffs({"0": "\u0663"}))] + [
             ("name-%d-%s.json" % (n, form),
              _with_vertex_name(old, new, form == "element"))
             for n, (old, new) in enumerate([("1'", "1''"), ("1", " +1"),
                                             ("1", "1_0"), ("1", "0_1"),
                                             ("1", "\uff11"), ("1'", "'")])
+            for form in ("element", "diagram")] + [
+            # both unpacked into ("1", "e") and were read as vertex 1e
+            ("vertex-%d-%s.json" % (n, form),
+             _with_vertex(["1", "e"], new, form == "element"))
+            for n, new in enumerate(["1e", {"1": 0, "e": 0}])
             for form in ("element", "diagram")]:
         bad.append(tmp_path / name)
         bad[-1].write_text(text)

@@ -1,7 +1,5 @@
 """Permutations, signed permutations, and group-algebra elements."""
 
-from fractions import Fraction
-
 from hypothesis import given, strategies as st
 
 from zrelalg.groups import (GAElement, Perm, signed_perm, signed_perms,
@@ -91,25 +89,25 @@ ga_elts = st.dictionaries(perms3, coeffs, max_size=3).map(
     lambda d: GAElement({g: Poly.const(c) for g, c in d.items()}))
 
 
+def _sum(a, b):
+    """a + b as a term map, zeros dropped by the constructor."""
+    terms = dict(a.terms)
+    for g, c in b.terms.items():
+        terms[g] = terms.get(g, 0) + c
+    return GAElement(terms)
+
+
 @given(ga_elts, ga_elts, ga_elts)
 def test_group_algebra_ring_axioms(a, b, c):
-    assert a + b == b + a
     assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert (a - a).is_zero()
+    assert a * _sum(b, c) == _sum(a * b, a * c)
+    assert _sum(a, b) * c == _sum(a * c, b * c)
 
 
-@given(ga_elts, ga_elts)
-def test_star_is_an_antihomomorphism(a, b):
-    assert (a * b).star() == b.star() * a.star()
-    assert a.star().star() == a
-
-
-def test_scale_and_of():
+def test_of():
     g = Perm((1, 0, 2))
-    a = GAElement.of(g, Poly.x())
-    assert a.scale(Fraction(1, 2)).terms[g] == Poly({1: Fraction(1, 2)})
-    assert GAElement.zero().is_zero()
+    assert GAElement.of(g, Poly.x()).terms == {g: Poly.x()}
+    assert GAElement.of(g).terms == {g: 1}
 
 
 def test_perm_constructors():

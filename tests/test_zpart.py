@@ -361,6 +361,18 @@ def test_half_diagram_factory_is_the_only_constructor():
     assert _constructor_calls(factory, "HalfDiagram") == calls
 
 
+def test_group_layer_names_no_poly():
+    # the Murphy and group layers compute in numbers; x enters at repn
+    src = Path(zpart.__file__).parent
+    for name in ("murphy.py", "groups.py"):
+        tree = ast.parse((src / name).read_text())
+        # a Name, an Attribute, an imported alias or a definition
+        assert not any("Poly" in (getattr(node, "id", None),
+                                  getattr(node, "attr", None),
+                                  getattr(node, "name", None))
+                       for node in ast.walk(tree)), name
+
+
 def test_is_z2_stable_direct():
     assert is_z2_stable([[(TOP, 1, E)], [(TOP, 1, G)]])
     assert is_z2_stable([[(TOP, 1, E), (TOP, 1, G)]])
