@@ -236,13 +236,16 @@ class AlgebraElement:
 
     @staticmethod
     def from_json(obj):
+        """Inverse of to_json, which writes each diagram once: a diagram in
+        two terms is a ValueError rather than a sum of its coefficients."""
         algebra = obj["algebra"]
         k = json_size(obj["k"])
         terms = {}
         for t in obj["terms"]:
             d = ZStablePartition.from_json(t["diagram"])
-            c = Poly.from_json(t["coeff"])
-            terms[d] = terms.get(d, Poly()) + c
+            if d in terms:
+                raise ValueError("diagram %r is listed twice" % (d,))
+            terms[d] = Poly.from_json(t["coeff"])
         return AlgebraElement(algebra, k, terms)
 
 

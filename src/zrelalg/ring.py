@@ -68,9 +68,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_const(self):
-        return self.degree <= 0
-
     def __bool__(self):
         return bool(self.coeffs)
 

@@ -41,7 +41,8 @@ class HalfDiagram:
     symmetric classes are kept in separate lists, each sorted by minimal
     position -- that ordering is what the group-element coordinates refer
     to.  The package builds halves through ``_half_diagram``, which sorts
-    the marks and shares one object a half.
+    the marks and shares one object a half, so equal halves are one object
+    and compare by identity; order stays by value.
 
     ``block_ids`` is (index, number of blocks, marks) with blocks numbered
     as in ``base.blocks``: index = ``base.index``, so index[2(i-1) + s] is
@@ -49,8 +50,7 @@ class HalfDiagram:
     point a.
     """
 
-    __slots__ = ("base", "e_marks", "z_marks", "_hash", "_vertices",
-                 "block_ids")
+    __slots__ = ("base", "e_marks", "z_marks", "_vertices", "block_ids")
 
     def __init__(self, base, e_marks=(), z_marks=()):
         if base.rows != 1:
@@ -66,7 +66,6 @@ class HalfDiagram:
             if m not in classes:
                 raise Incompatible("support %r is not a symmetric class of %r"
                                    % (m, base))
-        self._hash = hash((base, self.e_marks, self.z_marks))
         self._vertices = tuple(
             [2 * m[0] - 2 + s for m in self.e_marks for s in (E, G)]
             + [2 * m[0] - 2 + E for m in self.z_marks])
@@ -93,13 +92,6 @@ class HalfDiagram:
     @property
     def s2(self):
         return len(self.z_marks)
-
-    def __eq__(self, other):
-        return (isinstance(other, HalfDiagram) and self.base == other.base
-                and self.e_marks == other.e_marks and self.z_marks == other.z_marks)
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return ((self.base, self.e_marks, self.z_marks)

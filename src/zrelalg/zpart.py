@@ -24,8 +24,9 @@ partition: a table per (k, rows) holds every partition it has returned,
 is never evicted, and so holds at most the stable partitions of that
 size.  The table's key, the canonical block of every vertex code, is
 kept on the partition as its block ``index``; its row counts are computed
-once, on first use, and kept too.  Equality, hashing and order stay by
-value.
+once, on first use, and kept too.  Since equal partitions are one
+object, equality and hashing are Python's, by identity; order stays by
+value, for sorting.
 """
 
 from __future__ import annotations
@@ -50,23 +51,14 @@ class ZStablePartition:
     the index in ``blocks`` of the block holding vertex (row, i, s).  It is
     ``bytes`` while 2k*rows <= 256 and a tuple beyond."""
 
-    __slots__ = ("k", "rows", "blocks", "index", "_hash", "_counts")
+    __slots__ = ("k", "rows", "blocks", "index", "_counts")
 
     def __init__(self, k, rows, blocks, index):
         self.k = k
         self.rows = rows
         self.blocks = blocks
         self.index = index
-        self._hash = hash((k, rows, blocks))
         self._counts = None
-
-    def __eq__(self, other):
-        return (isinstance(other, ZStablePartition)
-                and self.k == other.k and self.rows == other.rows
-                and self.blocks == other.blocks)
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return (self.rows, self.k, self.blocks) < (other.rows, other.k, other.blocks)

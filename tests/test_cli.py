@@ -334,6 +334,16 @@ def _with_coeffs(coeffs):
     return json.dumps(obj)
 
 
+def _twice():
+    """The z2rel k = 1 identity as an operand file listing its diagram in
+    two terms, the second with its blocks in reverse order."""
+    obj = AlgebraElement.identity("z2rel", 1).to_json()
+    (term,) = obj["terms"]
+    diagram = dict(term["diagram"], blocks=term["diagram"]["blocks"][::-1])
+    obj["terms"].append({"coeff": term["coeff"], "diagram": diagram})
+    return json.dumps(obj)
+
+
 def _with_vertex(old, new, element):
     """The z2rel k = 1 identity, as an operand file (``element``) or as a
     bare diagram, with the vertex ``old`` written as the JSON value
@@ -390,7 +400,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                       ("degree-underscore.json", _with_coeffs({"1_0": "1"})),
                       ("coeff-underscore.json", _with_coeffs({"0": "1_5"})),
                       ("coeff-space.json", _with_coeffs({"0": " 3"})),
-                      ("coeff-arabic.json", _with_coeffs({"0": "\u0663"}))] + [
+                      ("coeff-arabic.json", _with_coeffs({"0": "\u0663"})),
+                      # the coefficients were summed: the square read 4
+                      ("repeated-diagram.json", _twice())] + [
             ("name-%d-%s.json" % (n, form),
              _with_vertex_name(old, new, form == "element"))
             for n, (old, new) in enumerate([("1'", "1''"), ("1", " +1"),

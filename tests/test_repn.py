@@ -1,6 +1,9 @@
 """Cell modules, Gram matrices, radicals, irreducibles."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+from math import factorial, prod
 
 import pytest
 
@@ -217,7 +220,69 @@ def test_partition_degenerates_only_at_small_delta(k):
             rest, exponent = quotient, exponent + 1
             quotient, remainder = rest.divmod(factor)
         assert exponent >= 1, factor
-    assert rest.is_const()
+    assert rest.degree <= 0
+
+
+def _partitions(n, most=None):
+    """The partitions of n with parts at most ``most``, largest part first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, n if most is None else most), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+@cache
+def _character(shape, cycles):
+    """chi^shape at cycle type ``cycles`` by Murnaghan-Nakayama: remove a
+    border strip of length cycles[0], i.e. lower one beta number by it,
+    with sign (-1)^height."""
+    if not cycles:
+        return 1
+    m, r = len(shape), cycles[0]
+    beta = [p + m - 1 - i for i, p in enumerate(shape)]
+    total = 0
+    for b in beta:
+        if b - r >= 0 and b - r not in beta:
+            new = sorted([c for c in beta if c != b] + [b - r], reverse=True)
+            smaller = tuple(c - (m - 1 - i) for i, c in enumerate(new))
+            total += ((-1) ** sum(b - r < c < b for c in beta)
+                      * _character(tuple(p for p in smaller if p), cycles[1:]))
+    return total
+
+
+def _tensor_multiplicity(shape, k):
+    """The multiplicity of the S_n-irreducible ``shape`` in (C^n)^{(x)k}:
+    (1/n!) sum over cycle types rho of (n!/z_rho) chi(rho) fix(rho)^k."""
+    total = Fraction(0)
+    for rho in _partitions(sum(shape)):
+        z = prod(i ** m * factorial(m) for i, m in Counter(rho).items())
+        total += Fraction(_character(shape, rho) * rho.count(1) ** k, z)
+    return total
+
+
+@pytest.mark.parametrize("k, x0", [(k, x0) for k in (1, 2, 3)
+                                   for x0 in (1, -1, 2, -2, 3, -3)]
+                         + [(4, 1), (4, 2)])
+def test_partition_dims_match_schur_weyl(k, x0):
+    """Schur-Weyl duality: with n = x0^2 (loops count x^2), P_k(n) acts on
+    (C^n)^{(x)k} through its centraliser of S_n, and dim D^mu is the
+    multiplicity of the S_n-irreducible (n - |mu|, mu) there (Halverson-Ram
+    2005).  A row whose (n - |mu|, mu) is no partition has no
+    S_n-irreducible to compare with, and is skipped.  At n >= 2k the
+    algebra is semisimple, so also dim D = dim W."""
+    n = x0 * x0
+    checked = 0
+    for row in irreducible_table("partition", k, 0, x0):
+        mu = row["label"].glabel
+        if mu and n - sum(mu) < mu[0]:
+            continue
+        assert row["dim_D"] == _tensor_multiplicity((n - sum(mu),) + mu,
+                                                    k), row
+        if n >= 2 * k:
+            assert row["dim_D"] == row["dim_W"], row
+        checked += 1
+    assert checked > 0
 
 
 @pytest.mark.parametrize("algebra, k",
