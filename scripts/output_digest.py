@@ -25,6 +25,9 @@ Families (public API only):
 * ``phi``: ``tabular.phi(P, Q)`` for every pair of halves of every
   (s1, s2) of the three algebras, k <= 3, as l, f and the image tuples of
   both permutations (or None);
+* ``glue``: every entry of ``CellularBasis.glue(s1, s2)`` for every layer
+  of the three algebras, k <= 3, as l and the image tuple of delta (or
+  None), row by row;
 * ``compose``: ``zpart.compose(d1, d2)``, diagram and loop count, for
   every pair of basis diagrams of the three algebras at k <= 2 and for
   2,000 pairs per algebra at k = 3 drawn with ``random.Random(11)``;
@@ -95,7 +98,7 @@ def families():
     out = {name: [] for name in ("gram-csv", "irreducibles", "rank-det-field",
                                  "nullspace-field", "murphy-coords",
                                  "struct-const", "murphy-records",
-                                 "symbolic-det", "phi",
+                                 "symbolic-det", "phi", "glue",
                                  "compose", "decompose", "star-reconstruct",
                                  "classes")}
     layers = {}
@@ -133,6 +136,13 @@ def families():
                             res = (l, f, sigma1.images, sigma2.images)
                         out["phi"].append("%s %d %r %r %r"
                                           % (algebra, k, P, Q, res))
+            for (s1, s2), halves in cb.M.items():
+                for P, row in zip(halves, cb.glue(s1, s2)):
+                    for Q, pair in zip(halves, row):
+                        if pair is not None:
+                            pair = (pair[0], pair[1].images)
+                        out["glue"].append("%s %d %r %r %r"
+                                           % (algebra, k, P, Q, pair))
             common = ["--algebra", algebra, "--k", str(k)]
             if k <= 2:
                 out["irreducibles"].append(_irreducibles(common))

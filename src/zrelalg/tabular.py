@@ -37,7 +37,8 @@ def _classes(base):
 class HalfDiagram:
     """A one-row stable partition with ordered marked classes.
 
-    Marks are recorded by the positions of the class; couples and
+    Marks are recorded by the positions of the class, a class at most
+    once (a repeated mark raises Incompatible); couples and
     symmetric classes are kept in separate lists, each sorted by minimal
     position -- that ordering is what the group-element coordinates refer
     to.  The package builds halves through ``_half_diagram``, which sorts
@@ -59,6 +60,10 @@ class HalfDiagram:
         self.e_marks = e_marks
         self.z_marks = z_marks
         couples, classes = _classes(base)
+        for marks in (e_marks, z_marks):
+            if len(set(marks)) != len(marks):
+                raise Incompatible("repeated mark in %r of %r"
+                                   % (marks, base))
         for m in self.e_marks:
             if m not in couples:
                 raise Incompatible("support %r is not a couple of %r" % (m, base))
@@ -235,16 +240,49 @@ def reconstruct(top, bottom, f, sigma1, sigma2):
     return from_codes(list(groups.values()), top.k, 2)
 
 
+@cache
+def _join(top_base, bottom_base):
+    """The join of two one-row bases along their shared row: the class of
+    every top block, then of every bottom block, numbered 0, 1, ... by
+    first appearance, as bytes (a tuple past 256 classes).
+
+    It is ``zpart.roots`` on block numbers, top blocks first, then bottom
+    blocks shifted by their count, linked along each shared vertex.  Bases
+    are interned and never evicted, so each pair of bases is joined once,
+    whichever marks its halves carry."""
+    nt = len(top_base.blocks)
+    root = roots(nt + len(bottom_base.blocks),
+                 zip(top_base.index, [nt + b for b in bottom_base.index]))
+    number = {}
+    classes = [number.setdefault(r, len(number)) for r in root]
+    return (bytes if len(number) <= 256 else tuple)(classes)
+
+
+def _phi_perm(top, bottom):
+    """(l, g) of ``phi``, with g = ``signed_perm(f, sigma1, sigma2)`` as
+    one Perm of the mark points, or None; the classes of the mark points
+    are read off the bases' ``_join``."""
+    if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
+        raise Incompatible("halves do not match: %r / %r" % (top, bottom))
+    join = _join(top.base, bottom.base)
+    _, nt, top_marks = top.block_ids
+    point = {join[nt + b]: a for a, b in enumerate(bottom.block_ids[2])}
+    images = [point.get(join[b]) for b in top_marks]
+    if None in images or len(set(images)) != len(images):
+        return None
+    return max(join) + 1 - len(images), Perm(images)
+
+
 def phi(top, bottom):
     """Glue two halves along their shared row.
 
-    The glue is ``zpart.roots`` on block numbers, top blocks first, then
-    bottom blocks shifted by their count, linked along each shared vertex.
-    Top mark point a goes to the bottom mark point in its glued class.
-    Returns (l, f, sigma1, sigma2) when every top mark point goes to a
-    different bottom mark point -- that permutation being
-    ``signed_perm(f, sigma1, sigma2)`` -- and None otherwise.  l counts the
-    glued classes meeting no marked block of either half.
+    The glue is the join of the two bases (``_join``): a class of blocks
+    of either half, linked along each shared vertex.  Top mark point a goes
+    to the bottom mark point in its glued class.  Returns (l, f, sigma1,
+    sigma2) when every top mark point goes to a different bottom mark
+    point -- that permutation being ``signed_perm(f, sigma1, sigma2)`` --
+    and None otherwise.  l counts the glued classes meeting no marked block
+    of either half.
 
     Mark kinds need no check: the sign flip permutes the glued classes, so
     a class holding a symmetric (flip-invariant) block is flip-invariant,
@@ -252,17 +290,11 @@ def phi(top, bottom):
     in one class, which the distinct-images test rejects.  Likewise a top
     e-block going to point 2j + s sends the top g-block to 2j + 1 - s.
     """
-    if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
-        raise Incompatible("halves do not match: %r / %r" % (top, bottom))
-    top_of, nt, top_marks = top.block_ids
-    bot_of, nb, bot_marks = bottom.block_ids
-    root = roots(nt + nb, zip(top_of, [nt + b for b in bot_of]))
-    point = {root[nt + b]: a for a, b in enumerate(bot_marks)}
-    images = [point.get(root[b]) for b in top_marks]
-    if None in images or len(set(images)) != len(images):
+    res = _phi_perm(top, bottom)
+    if res is None:
         return None
-    l = len(set(root)) - len(images)
-    return (l,) + split_signed(Perm(images), top.s1)
+    l, g = res
+    return (l,) + split_signed(g, top.s1)
 
 
 def layer_for(algebra, s1, s2):
@@ -461,26 +493,35 @@ class CellularBasis:
 
     def glue(self, s1, s2):
         """The glue table of layer (s1, s2), built on first use: row i,
-        column j is (l, delta) for the halves M[(s1, s2)][i] and [j], from
-        phi with delta = layer.from_glue(f, sigma1, sigma2), or None where
-        phi fails.  Each distinct (l, delta) is stored once and shared.
+        column j is (l, delta) for the halves M[(s1, s2)][i] and [j], or
+        None where phi fails.  Each distinct (l, delta) is stored once and
+        shared.
 
-        The cellular anti-involution (flip top and bottom, invert the group
-        element) gives glue[j][i] = (l, delta^-1), so phi runs for j >= i
-        only and the lower triangle is mirrored."""
+        Entries are read off the join of the halves' bases, shared by
+        every pair of halves on the same bases (``_phi_perm``).  On a wreath
+        layer delta is phi's permutation itself: its distinct images make
+        it a group element, as phi's docstring argues, so ``from_glue``
+        would only repeat that check; the partition layer keeps
+        ``from_glue``.  The cellular anti-involution (flip top and bottom,
+        invert the group element) gives glue[j][i] = (l, delta^-1), so
+        entries are computed for j >= i only and the lower triangle is
+        mirrored."""
         table = self._glue.get((s1, s2))
         if table is None:
             halves = self.M[(s1, s2)]
             layer = self.layers[(s1, s2)]
+            wreath = isinstance(layer, WreathSymLayer)
             shared = {}
             table = [[None] * len(halves) for _ in halves]
             for i, P in enumerate(halves):
                 row = table[i]
                 for j in range(i, len(halves)):
-                    res = phi(P, halves[j])
+                    res = _phi_perm(P, halves[j])
                     if res is None:
                         continue
-                    l, delta = res[0], layer.from_glue(*res[1:])
+                    l, delta = res
+                    if not wreath:
+                        delta = layer.from_glue(*split_signed(delta, s1))
                     row[j] = shared.setdefault((l, delta), (l, delta))
                     if j != i:
                         pair = (l, delta.inv())

@@ -275,6 +275,7 @@ struct-const     25801725 92
 murphy-records   15019b8b 92
 symbolic-det     19787bfd 100
 phi              71cebe17 7188
+glue             076e1aba 7188
 compose          a975269a 40408
 decompose        82dc681a 12375
 star-reconstruct 66118c20 12375

@@ -1,5 +1,6 @@
 """Cell modules, Gram matrices, radicals, irreducibles."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -12,8 +13,9 @@ from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
 from zrelalg.errors import (Incompatible, InvalidPoint, UnknownLabel,
                             UnsupportedCharacteristic)
 from zrelalg.repn import (action_matrix, cell_module, gram, gram_bruteforce,
-                          irreducible_table, is_p_restricted,
-                          label_p_restricted, radical_and_irreducible)
+                          gram_bruteforce_entry, irreducible_table,
+                          is_p_restricted, label_p_restricted,
+                          radical_and_irreducible)
 from zrelalg.ring import (ZERO, ExactMatrix, Poly, PrimeField, Rationals,
                           ScalarField)
 from zrelalg.tabular import CellLabel, cellular_basis, phi
@@ -383,6 +385,40 @@ def test_gram_bruteforce_matches_factorized_sampled_k2():
         g = gram(label, "signed", 2)
         gb = gram_bruteforce(label, "signed", 2)
         assert g.entries == gb.entries
+
+
+# The one-dimensional labels ((4), ()) and ((), (4)) of layer (4, 0): the
+# one basis element of each sums all 384 elements of Z2 wr S_4, so one
+# oracle entry takes about 9 s.  Their structure constants are checked by
+# test_murphy.py::test_struct_const_equals_product_oracle_seeded[
+# wreath_murphy(4)] (which draws both labels) and
+# test_murphy.py::test_cell_form_structure[wreath_murphy(4)], and their
+# one glue entry by test_tabular.py::
+# test_glue_equals_join_oracle_every_pair_k4.
+K4_FULL_GROUP_LABELS = ((((4,), ()), ()), (((), (4,)), ()))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("algebra, checked", [("signed", 212),
+                                              ("z2rel", 336)])
+def test_gram_bruteforce_sampled_k4(algebra, checked):
+    """Four seeded entries of every k = 4 Gram matrix but the two of
+    ``K4_FULL_GROUP_LABELS`` against the product of basis elements."""
+    cb = cellular_basis(algebra, 4)
+    rng = random.Random(4)
+    n = 0
+    for label in cb.labels():
+        if label.s1 == 4 and label.glabel in K4_FULL_GROUP_LABELS:
+            continue
+        entries = gram(label, algebra, 4).entries
+        basis = cell_module(label, algebra, 4).basis
+        diagonal = {}
+        for _ in range(4):
+            u, v = rng.randrange(len(basis)), rng.randrange(len(basis))
+            assert entries[u][v] == gram_bruteforce_entry(
+                cb, label, basis[u], basis[v], diagonal), (label, u, v)
+            n += 1
+    assert n == checked
 
 
 # Sum of dim D(mu)^2 at x = -2, ..., 3 (partition k = 3: at x = 1, 2).

@@ -284,6 +284,53 @@ def test_mirrored_glue_is_phi_every_pair_k_le_3():
     assert pairs == 7188
 
 
+def _glue_by_join(cb, s1, s2):
+    """(pairs, mismatches) of the glue table of layer (s1, s2) against
+    ``_phi_by_join`` and ``layer.from_glue``, entry by entry: an oracle
+    that shares no join with ``CellularBasis.glue``."""
+    layer = cb.layers[(s1, s2)]
+    halves = cb.M[(s1, s2)]
+    table = cb.glue(s1, s2)
+    assert len(table) == len(halves)
+    pairs, wrong = 0, []
+    for P, row in zip(halves, table):
+        assert len(row) == len(halves)
+        for Q, pair in zip(halves, row):
+            res = _phi_by_join(P, Q)
+            if pair != (None if res is None else
+                        (res[0], layer.from_glue(*res[1:]))):
+                wrong.append((P, Q, pair))
+            pairs += 1
+    return pairs, wrong
+
+
+def test_glue_equals_join_oracle_every_pair_k_le_3():
+    pairs = 0
+    for algebra in ALGEBRAS:
+        for k in (1, 2, 3):
+            cb = cellular_basis(algebra, k)
+            for s1, s2 in cb.layers:
+                n, wrong = _glue_by_join(cb, s1, s2)
+                assert wrong == []
+                pairs += n
+    assert pairs == 7188
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("algebra, checked", [
+    ("signed", 166772), ("z2rel", 179508), ("partition", 2656)])
+def test_glue_equals_join_oracle_every_pair_k4(algebra, checked):
+    # k = 4 one-row bases have up to eight blocks, two more than any base
+    # of the k <= 3 tests
+    cb = cellular_basis(algebra, 4)
+    pairs = 0
+    for s1, s2 in cb.layers:
+        n, wrong = _glue_by_join(cb, s1, s2)
+        assert wrong[:3] == []
+        pairs += n
+    assert pairs == checked
+
+
 def test_index_pairs_and_order():
     assert index_pairs("partition", 2) == [(0, 0), (1, 0), (2, 0)]
     assert (0, 1) in index_pairs("z2rel", 2)
@@ -402,10 +449,22 @@ def test_halves_are_one_object(k):
             assert halves[top] is top and halves[bot] is bot
             assert decompose(d)[:2] == (top, bot)
     # A bad mark raises on every attempt: the failed half is not stored.
+    # A repeated mark is bad too: couple 1 twice on {1e | 1g | 2e | 2g}
+    # was accepted as s1 = 2 with mark vertices (0, 1, 0, 1), and class 2
+    # twice on {1e | 1g | 2e 2g} as a half that reconstruct glued into a
+    # diagram with propagating data (0, 1), not the halves' (0, 2).
     split = canonicalize([[(TOP, 1, E)], [(TOP, 1, G)]], 1, 1)
     joined = canonicalize([[(TOP, 1, E), (TOP, 1, G)]], 1, 1)
+    split2 = canonicalize([[(TOP, i, s)] for i in (1, 2) for s in (E, G)],
+                          2, 1)
+    joined2 = canonicalize([[(TOP, 1, E)], [(TOP, 1, G)],
+                            [(TOP, 2, E), (TOP, 2, G)]], 2, 1)
     for base, e_marks, z_marks in ((split, (), [(1,)]),
-                                   (joined, [(1,)], ())):
+                                   (joined, [(1,)], ()),
+                                   (split2, [(1,), (1,)], ()),
+                                   (split2, [(1,), (2,), (1,)], ()),
+                                   (joined2, (), [(2,), (2,)]),
+                                   (joined2, [(1,), (1,)], [(2,)])):
         bad = {"base": base.to_json(), "e_marks": [list(m) for m in e_marks],
                "z_marks": [list(m) for m in z_marks]}
         for _ in range(3):
