@@ -19,7 +19,7 @@ from functools import cache
 
 from .errors import Incompatible, InvalidSize, NotADiagram
 from .ring import ONE, Poly
-from .zpart import (E, ZStablePartition, _block_codes, _row_counts,
+from .zpart import (E, ZStablePartition, _owners, _row_counts,
                     _set_partitions, compose, enumerate_rk, from_codes,
                     identity_diagram, is_sign_constant, json_size)
 
@@ -70,8 +70,8 @@ def _doubled_partition_diagrams(k):
     2k positions, each part gives its e-block and its g-block."""
     if k < 1:
         raise InvalidSize("k must be >= 1, got %r" % k)
-    out = [from_codes(_block_codes((cell, (E,) * len(cell)) for cell in part),
-                      k, 2)
+    out = [from_codes(_owners(4 * k, ((cell, (E,) * len(cell))
+                                      for cell in part)), k, 2)
            for part in _set_partitions(list(range(2 * k)))]
     out.sort(key=lambda d: d.blocks)
     return out
@@ -254,8 +254,5 @@ def star_diagram(d):
     if d.rows != 2:
         raise NotADiagram("star needs a two-row diagram")
     k2 = 2 * d.k
-    groups = [[] for _ in d.blocks]
-    for c, b in enumerate(d.index):
-        groups[b].append((c + k2) % (2 * k2))
-    return from_codes(groups, d.k, 2)
+    return from_codes(d.index[k2:] + d.index[:k2], d.k, 2)
 

@@ -45,10 +45,8 @@ class HalfDiagram:
     the marks and shares one object a half, so equal halves are one object
     and compare by identity; order stays by value.
 
-    ``block_ids`` is (index, number of blocks, marks) with blocks numbered
-    as in ``base.blocks``: index = ``base.index``, so index[2(i-1) + s] is
-    the block of vertex (TOP, i, s), and marks[a] is the block of mark
-    point a.
+    ``block_ids`` is the block of every mark point: block_ids[a] indexes
+    ``base.blocks``, read off ``base.index`` at ``mark_vertices()[a]``.
     """
 
     __slots__ = ("base", "e_marks", "z_marks", "_vertices", "block_ids")
@@ -74,9 +72,7 @@ class HalfDiagram:
         self._vertices = tuple(
             [2 * m[0] - 2 + s for m in self.e_marks for s in (E, G)]
             + [2 * m[0] - 2 + E for m in self.z_marks])
-        index = base.index
-        self.block_ids = (index, len(base.blocks),
-                          tuple([index[v] for v in self._vertices]))
+        self.block_ids = tuple([base.index[v] for v in self._vertices])
 
     def mark_vertices(self):
         """The vertex of every mark point, as its offset 2(i-1) + s in
@@ -177,22 +173,18 @@ def enumerate_M(k, s1, s2, variant="plain"):
 def decompose(d):
     """Split a diagram into (top half, bottom half, f, sigma1, sigma2).
 
-    One walk of ``d.index`` cuts every block to each row: the bases.
-    The lead blocks of the through classes give the marks.  Top mark point
-    a goes to the bottom mark point whose vertex shares its block; that
-    permutation is ``signed_perm(f, sigma1, sigma2)``, so f(i) = 1 exactly
-    when the block of the least top e-vertex of couple i holds the least
-    bottom g-vertex of couple sigma1(i).
+    The two rows of ``d.index`` are the owner arrays of the bases: a block
+    cut to one row owns the codes it keeps there.  The lead blocks of the
+    through classes give the marks.  Top mark point a goes to the bottom
+    mark point whose vertex shares its block; that permutation is
+    ``signed_perm(f, sigma1, sigma2)``, so f(i) = 1 exactly when the block
+    of the least top e-vertex of couple i holds the least bottom g-vertex
+    of couple sigma1(i).
     """
     if d.rows != 2:
         raise NotADiagram("decompose needs a two-row diagram")
     index = d.index
     k2 = 2 * d.k
-    top_cuts = {}
-    bot_cuts = {}
-    for c in range(k2):
-        top_cuts.setdefault(index[c], []).append(c)
-        bot_cuts.setdefault(index[k2 + c], []).append(c)
     top_marks = ([], [])        # couples, symmetric classes
     bot_marks = ([], [])
     for _, symmetric, points in _lead_blocks(d):
@@ -201,10 +193,8 @@ def decompose(d):
                 tuple([i for row, i, _ in points if row == TOP]))
             bot_marks[symmetric].append(
                 tuple([i for row, i, _ in points if row == BOTTOM]))
-    top = _half_diagram(from_codes(list(top_cuts.values()), d.k, 1),
-                        *top_marks)
-    bot = _half_diagram(from_codes(list(bot_cuts.values()), d.k, 1),
-                        *bot_marks)
+    top = _half_diagram(from_codes(index[:k2], d.k, 1), *top_marks)
+    bot = _half_diagram(from_codes(index[k2:], d.k, 1), *bot_marks)
     point = {index[k2 + v]: b for b, v in enumerate(bot.mark_vertices())}
     g = Perm([point[index[v]] for v in top.mark_vertices()])
     return (top, bot) + split_signed(g, top.s1)
@@ -217,9 +207,8 @@ def reconstruct(top, bottom, f, sigma1, sigma2):
     The glue is a union-find on block numbers, top blocks first, then
     bottom blocks shifted by their count: with g = ``signed_perm(f,
     sigma1, sigma2)``, the block of top mark point a is linked to the
-    block of bottom mark point g(a).  Each glued class is a block of the
-    result, holding the top codes of its top blocks and, shifted by 2k to
-    the bottom row, the codes of its bottom blocks.
+    block of bottom mark point g(a).  The owner array of the result is the
+    class of the block of each top code, then of each bottom code.
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
@@ -227,17 +216,12 @@ def reconstruct(top, bottom, f, sigma1, sigma2):
         g = WreathSymLayer(top.s1, top.s2).from_glue(f, sigma1, sigma2)
     except ValueError as err:
         raise Incompatible(str(err)) from None
-    top_of, nt, top_marks = top.block_ids
-    bot_of, nb, bot_marks = bottom.block_ids
-    root = roots(nt + nb, [(a, nt + bot_marks[b])
-                           for a, b in zip(top_marks, g.images)])
-    k2 = 2 * top.k
-    groups = {}
-    for c, b in enumerate(top_of):
-        groups.setdefault(root[b], []).append(c)
-    for c, b in enumerate(bot_of, k2):
-        groups.setdefault(root[nt + b], []).append(c)
-    return from_codes(list(groups.values()), top.k, 2)
+    nt = len(top.base.blocks)
+    root = roots(nt + len(bottom.base.blocks),
+                 [(a, nt + bottom.block_ids[b])
+                  for a, b in zip(top.block_ids, g.images)])
+    return from_codes([root[b] for b in top.base.index]
+                      + [root[nt + b] for b in bottom.base.index], top.k, 2)
 
 
 @cache
@@ -265,9 +249,9 @@ def _phi_perm(top, bottom):
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
     join = _join(top.base, bottom.base)
-    _, nt, top_marks = top.block_ids
-    point = {join[nt + b]: a for a, b in enumerate(bottom.block_ids[2])}
-    images = [point.get(join[b]) for b in top_marks]
+    nt = len(top.base.blocks)
+    point = {join[nt + b]: a for a, b in enumerate(bottom.block_ids)}
+    images = [point.get(join[b]) for b in top.block_ids]
     if None in images or len(set(images)) != len(images):
         return None
     return max(join) + 1 - len(images), Perm(images)

@@ -17,9 +17,12 @@ g-vertex there exactly when the class is symmetric, and otherwise the
 couple's other block does.  ``_lead_blocks`` is the one place that reads
 them.
 
-``from_codes`` is the only place a partition is built: ``canonicalize``,
-composition, decomposition's halves, star, reconstruction and both
-enumerations end in it.  It returns one shared object per canonical
+``from_codes`` is the only place a partition is built, from its owner
+array: one block label per vertex code.  Composition, decomposition's
+halves, star, reconstruction and both enumerations pass the owner data
+they already hold; ``canonicalize`` alone reads a block list, from
+outside the program, and checks it before turning it into an owner
+array.  ``from_codes`` returns one shared object per canonical
 partition: a table per (k, rows) holds every partition it has returned,
 is never evicted, and so holds at most the stable partitions of that
 size.  The table's key, the canonical block of every vertex code, is
@@ -124,15 +127,28 @@ class PropagatingData:
 
 
 def canonicalize(blocks, k, rows):
-    """Validate and bring a raw block list of vertex triples to canonical
-    form (idempotent): the triples become vertex codes, which ``from_codes``
-    checks."""
+    """Validate a raw block list of vertex triples and return its canonical
+    partition (idempotent).  This is the one check of a block list, which
+    arrives only from outside the program (JSON, tests): sizes first, then
+    empty blocks and the vertex count, before anything of size 2k*rows is
+    allocated, then each vertex's shape and range and no vertex met twice.
+    ``from_codes`` checks the sign flip."""
     if k < 1 or rows not in (1, 2):
         raise InvalidSize("k=%r rows=%r" % (k, rows))
-    k2 = 2 * k
-    groups = []
+    n = 2 * k * rows
+    total = 0
     for b in blocks:
-        group = []
+        if not b:
+            raise MalformedPartition("empty block")
+        total += len(b)
+    if total != n:
+        raise MalformedPartition("coverage violation: %d vertices listed, "
+                                 "k=%d and rows=%d have %d"
+                                 % (total, k, rows, n))
+    # With as many vertices as points, no point met twice means every
+    # point is met: coverage needs no separate pass.
+    owner = [None] * n
+    for label, b in enumerate(blocks):
         for v in b:
             try:
                 row, i, s = v
@@ -143,9 +159,13 @@ def canonicalize(blocks, k, rows):
                     or s not in (E, G):
                 raise MalformedPartition("vertex %r outside rows=%d, k=%d"
                                          % (v, rows, k))
-            group.append(k2 * int(row) + 2 * int(i) - 2 + int(s))
-        groups.append(group)
-    return from_codes(groups, k, rows)
+            c = 2 * k * int(row) + 2 * int(i) - 2 + int(s)
+            if owner[c] is not None:
+                raise MalformedPartition("vertex %r %s" % (
+                    v, "repeated in its block" if owner[c] == label
+                    else "in two blocks"))
+            owner[c] = label
+    return from_codes(owner, k, rows)
 
 
 @cache
@@ -162,59 +182,36 @@ def _interned(k, rows):
     return {}
 
 
-def from_codes(groups, k, rows):
-    """The canonical partition with blocks ``groups`` of vertex codes, after
-    checking that they partition the vertices and that the sign flip
-    permutes them.  The code of vertex (row, i, s) is 2k*row + 2(i-1) + s,
-    as in the partition's ``index``, so the flip is ``c ^ 1``; every code
-    must lie in range(2k*rows).  Equal partitions come back as one shared
-    object."""
+def from_codes(owner, k, rows):
+    """The canonical partition with owner array ``owner``: one block label
+    per vertex code, any hashable labels, in the shape of ``index``.  The
+    code of vertex (row, i, s) is 2k*row + 2(i-1) + s, so the flip is
+    ``c ^ 1``.  Only the length and the flip are checked: the program
+    builds every owner array from partitions it holds, and ``canonicalize``
+    checks block lists from outside.  Equal partitions come back as one
+    shared object."""
     n = 2 * k * rows
-    total = 0
-    for group in groups:
-        if not group:
-            raise MalformedPartition("empty block")
-        total += len(group)
-    if total != n:
-        raise MalformedPartition("coverage violation: %d vertices listed, "
-                                 "k=%d and rows=%d have %d"
-                                 % (total, k, rows, n))
-    # With as many vertices as points, no point met twice means every
-    # point is met: coverage needs no separate pass.  A code out of range
-    # would index past the owner array, or alias a vertex if negative.
-    # Two comparisons per code cost less here than a min and a max per
-    # block, which are builtin calls.
-    vertex = _vertices(k, rows)
-    owner = [-1] * n
-    for b, group in enumerate(groups):
-        for c in group:
-            if c < 0 or c >= n:
-                raise MalformedPartition("vertex code %r outside range(%d)"
-                                         % (c, n))
-            if owner[c] >= 0:
-                raise MalformedPartition("vertex %r %s" % (
-                    vertex[c], "repeated in its block" if owner[c] == b
-                    else "in two blocks"))
-            owner[c] = b
-    # Every block b must flip into one block p(b).  That is enough: the
-    # flips of the blocks partition the vertices, so p is onto, hence a
-    # bijection, and flip(b), inside p(b), is all of it by counting.
-    for group in groups:
-        p = owner[group[0] ^ 1]
-        for c in group:
-            if owner[c ^ 1] != p:
-                raise NotZ2Stable("sign flip does not permute the blocks")
-    # Only a checked partition is looked up.  Renumbering the blocks in
-    # order of first appearance, i.e. of least code, gives the owner array
-    # of the canonical block order: the key, and on a miss the blocks and
-    # the block index.  Bytes hold it compactly while every rank, below n,
-    # fits in a byte.
+    if len(owner) != n:
+        raise MalformedPartition("owner array of %d codes, k=%d and rows=%d "
+                                 "have %d" % (len(owner), k, rows, n))
+    # Every class must flip into one class p(b).  That is enough: the flips
+    # of the classes partition the vertices, so p is onto, hence a
+    # bijection, and the flip of b, inside p(b), is all of it by counting.
+    flip = {}
+    for a, b in zip(owner[::2], owner[1::2]):
+        if flip.setdefault(a, b) != b or flip.setdefault(b, a) != a:
+            raise NotZ2Stable("sign flip does not permute the blocks")
+    # Renumbering the labels in order of first appearance, i.e. of least
+    # code, gives the owner array of the canonical block order: the key,
+    # and on a miss the blocks and the block index.  Bytes hold it
+    # compactly while every rank, below n, fits in a byte.
     rank = dict(zip(dict.fromkeys(owner), range(n)))
     key = (bytes if n <= 256 else tuple)(map(rank.__getitem__, owner))
     table = _interned(k, rows)
     d = table.get(key)
     if d is None:
-        blocks = [[] for _ in groups]
+        vertex = _vertices(k, rows)
+        blocks = [[] for _ in rank]
         for c, r in enumerate(key):
             blocks[r].append(vertex[c])
         d = table[key] = ZStablePartition(k, rows, tuple(map(tuple, blocks)),
@@ -240,19 +237,22 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-def _block_codes(parts):
-    """The blocks, as vertex codes, over quotient parts ``(positions,
+def _owners(n, parts):
+    """The owner array of n codes over quotient parts ``(positions,
     signs)``: position p = k*row + i - 1 has codes 2p + s.  A part with
-    signs None is one symmetric block; otherwise it is the couple of the
-    block giving positions[j] sign signs[j] and its flip."""
-    groups = []
-    for positions, signs in parts:
+    signs None is one symmetric block, labelled by the part's number j;
+    otherwise it is the couple of the block giving positions[m] sign
+    signs[m], labelled j, and its flip, labelled ~j."""
+    owner = [0] * n
+    for j, (positions, signs) in enumerate(parts):
         if signs is None:
-            groups.append([2 * p + s for p in positions for s in (E, G)])
+            for p in positions:
+                owner[2 * p] = owner[2 * p + 1] = j
         else:
-            block = [2 * p + s for p, s in zip(positions, signs)]
-            groups += [block, [c ^ 1 for c in block]]
-    return groups
+            for p, s in zip(positions, signs):
+                owner[2 * p + s] = j
+                owner[2 * p + 1 - s] = ~j
+    return owner
 
 
 @cache
@@ -278,8 +278,8 @@ def enumerate_rk(k, rows):
                              in product((E, G), repeat=len(part) - 1)]
                    for part in quotient]
         for signs in product(*choices):
-            out.append(from_codes(_block_codes(zip(quotient, signs)),
-                                  k, rows))
+            out.append(from_codes(_owners(2 * k * rows,
+                                          zip(quotient, signs)), k, rows))
     # k and rows are the same throughout, so the blocks alone decide the order.
     out.sort(key=lambda d: d.blocks)
     return out
@@ -365,8 +365,9 @@ def compose(d1, d2):
     Returns (outer diagram, l) with l the number of glued classes lying
     wholly in the identified middle row.  The glue is a union-find on
     block indices: d1's blocks, then d2's shifted by their count, linked
-    along every middle vertex.  The outer blocks are the classes of the
-    top codes of d1 and the bottom codes of d2; every other class is a loop.
+    along every middle vertex.  The owner array of the outer diagram is the
+    class of each top code of d1 and each bottom code of d2; every other
+    class is a loop.
     """
     if d1.rows != 2 or d2.rows != 2:
         raise NotADiagram("compose needs two-row diagrams")
@@ -377,16 +378,12 @@ def compose(d1, d2):
     index1 = d1.index
     index2 = [n1 + b for b in d2.index]
     root = roots(n1 + len(d2.blocks), zip(index1[k2:], index2[:k2]))
-    groups = {}
-    for c in range(k2):
-        groups.setdefault(root[index1[c]], []).append(c)
-    for c in range(k2, 2 * k2):
-        groups.setdefault(root[index2[c]], []).append(c)
-    loops = len(set(root)) - len(groups)
-    return from_codes(list(groups.values()), d1.k, 2), loops
+    owner = [root[b] for b in index1[:k2]] + [root[b] for b in index2[k2:]]
+    loops = len(set(root)) - len(set(owner))
+    return from_codes(owner, d1.k, 2), loops
 
 
 def identity_diagram(k):
     if k < 1:
         raise InvalidSize("k must be >= 1, got %r" % k)
-    return from_codes([[c, 2 * k + c] for c in range(2 * k)], k, 2)
+    return from_codes(list(range(2 * k)) * 2, k, 2)

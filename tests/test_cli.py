@@ -445,6 +445,19 @@ def test_empty_block_is_usage_error(tmp_path):
         assert "empty block" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_huge_size_is_usage_error(tmp_path):
+    # two vertices against 2k*rows = 4 * 10^5: rejected by the count, before
+    # anything of that size is built
+    element = AlgebraElement.identity("z2rel", 1).to_json()
+    element["terms"][0]["diagram"] = {
+        "k": 10 ** 5, "rows": 2, "blocks": [[["1", "e"]], [["1", "g"]]]}
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(element))
+    done = run_cli("mul", "--k", "1", str(a), str(a))
+    assert_usage_error(done)
+    assert "coverage violation" in done.stderr
+
+
 @pytest.mark.parametrize("verb", ["mul", "decompose"])
 def test_deeply_nested_operand_is_usage_error(tmp_path, verb):
     # json.load raised RecursionError, which escaped as a traceback, exit 1

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -291,22 +292,77 @@ def test_checks_run_before_the_lookup():
                     == want), blocks
 
 
-def test_from_codes_rejects_codes_out_of_range():
-    # -1 aliased the last vertex through negative indexing, and 2 indexed
-    # past the owner array
-    for groups in ([[0, -1]], [[0, 2]], [[-2, -1]], [[1], [5]]):
-        with pytest.raises(MalformedPartition, match="outside range"):
-            from_codes(groups, 1, 1)
-    # -1 is reported as out of range, not as vertex 3 met twice
-    with pytest.raises(MalformedPartition, match="outside range"):
-        from_codes([[0, 1, 3], [-1]], 1, 2)
-    # the existing checks keep their order
-    with pytest.raises(MalformedPartition, match="empty block"):
-        from_codes([[], [-1, 5]], 1, 1)
-    with pytest.raises(MalformedPartition, match="coverage"):
-        from_codes([[-1, 5, 7]], 1, 1)
-    assert from_codes([[1, 0]], 1, 1) is canonicalize(
+def _owner_sample():
+    """Every partition at k <= 2 and a seeded sample at k = 3."""
+    rng = random.Random(28)
+    k3 = enumerate_rk(3, 2)
+    return rng, ([d for k in (1, 2) for rows in (1, 2)
+                  for d in enumerate_rk(k, rows)]
+                 + [rng.choice(enumerate_rk(3, 1)) for _ in range(50)]
+                 + [rng.choice(k3) for _ in range(300)])
+
+
+def test_from_codes_reads_owner_arrays():
+    _, diagrams = _owner_sample()
+    for d in diagrams:
+        k, rows = d.k, d.rows
+        assert from_codes(d.index, k, rows) is d
+        # any hashable labels name the blocks: ints in any order, strings
+        # and tuples give the same object
+        for owner in ([-3 * b - 1 for b in d.index],
+                      ["b%d" % b for b in d.index],
+                      [(b, "x") for b in d.index]):
+            assert from_codes(owner, k, rows) is d, owner
+    assert from_codes(["x", "x"], 1, 1) is canonicalize(
         [[(TOP, 1, E), (TOP, 1, G)]], 1, 1)
+
+
+def test_from_codes_checks_length_and_flip():
+    rng, diagrams = _owner_sample()
+    kinds = {}
+    for d in diagrams:
+        k, rows = d.k, d.rows
+        for owner in (d.index[:-1], list(d.index) + [0], []):
+            with pytest.raises(MalformedPartition, match="owner array"):
+                from_codes(owner, k, rows)
+        # relabel one code, to a label in use or a fresh one; the set
+        # oracle decides whether the flip still permutes the blocks
+        for _ in range(3):
+            owner = list(d.index)
+            owner[rng.randrange(len(owner))] = rng.choice(
+                [rng.choice(owner), "fresh"])
+            blocks = {}
+            for v, b in zip(vertex_set(k, rows), owner):
+                blocks.setdefault(b, []).append(v)
+            want = _outcome(_canonicalize_by_sets, blocks.values(), k, rows)
+            try:
+                got = _value(from_codes(owner, k, rows))
+            except NotZ2Stable:
+                got = NotZ2Stable
+            assert got == want, owner
+            name = want.__name__ if isinstance(want, type) else "ok"
+            kinds[name] = kinds.get(name, 0) + 1
+    assert set(kinds) == {"ok", "NotZ2Stable"}, kinds
+    with pytest.raises(NotZ2Stable):
+        # e-e joined but g-g split: flip does not permute blocks
+        from_codes([0, 0, 0, 1], 2, 1)
+
+
+def test_huge_size_is_rejected_before_allocation():
+    # The vertex count is checked before anything of size 2k*rows exists.
+    # k = 10^5 keeps a regression cheap: an owner array allocated first
+    # would take 3.2 MB here (and 16 GB at k = 10^9).
+    obj = {"k": 10 ** 5, "rows": 2, "blocks": [[["1", "e"]], [["1", "g"]]]}
+    # a first call compiles the vertex-name pattern outside the trace
+    ZStablePartition.from_json({"k": 1, "rows": 1, "blocks": obj["blocks"]})
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedPartition, match="coverage"):
+            ZStablePartition.from_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def _block_index_oracle(d):
