@@ -3,6 +3,11 @@
 For each algebra and k, prints the symbolic (generic) table and then the
 table at chosen degenerate points -- by default x=0 and x=1 over the
 rationals -- so rank drops of the Gram forms are visible side by side.
+
+Under each algebra's rows, a ``quasi-hereditary`` line says per table
+whether every cell form is nonzero (every dim_D > 0).  That is when the
+cellular algebra over that field is quasi-hereditary (Graham-Lehrer,
+Invent. Math. 1996, section 3; Koenig-Xi, Math. Ann. 1999).
 """
 
 import argparse
@@ -31,6 +36,9 @@ def run(k, points, char):
                             for _, table in tables)
             print("%-16s %6d %s" % (format_label(label),
                                     generic[i]["dim_W"], dims))
+        print("%-16s %6s %s" % ("quasi-hereditary", "", " ".join(
+            "%8s" % ("yes" if all(row["dim_D"] for row in table) else "no")
+            for _, table in tables)))
         print()
 
 

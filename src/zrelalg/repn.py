@@ -5,6 +5,10 @@ lets the algebra act on the left halves; its bilinear form is x^l times
 structure constants of the Murphy layer, with (l, delta) read from the
 cellular basis's glue table of pairs of halves.  Radical = kernel of the
 Gram matrix; dim of the irreducible head = Gram rank.
+
+Symbolic tables build the Gram matrix over Z[x]; tables at a point x0 over
+a field (Graham-Lehrer: dim D = rank of the cell form at x0) build it
+directly as field scalars, one value per glue pair and tableau pair.
 """
 
 from __future__ import annotations
@@ -54,32 +58,53 @@ def action_matrix(a, module):
     return ExactMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
-def gram(label, algebra, k):
+def gram(label, algebra, k, scalar_field=None):
     """Gram matrix by the factorized formula: entry ((P, s), (Q, t)) is
-    x^l times the Murphy structure constant at (s, t; delta), where
+    x^l times the Murphy structure constant r at (s, t; delta), where
     (l, delta) is the glue of P and Q in ``CellularBasis.glue``.
 
-    The structure constant r is a number, so each entry is the one
-    monomial Poly({l: r}), or the shared ZERO where the glue is None or r
-    is 0.  A cell form is symmetric (Graham-Lehrer), so the upper triangle
-    is filled and mirrored by reference.  Rows are tableau-major: row
-    a * |M| + i is (P_i, s_a)."""
+    Without a scalar field each entry is the one monomial Poly({l: r}), or
+    the shared ZERO where the glue is None or r is 0.  With one, it is the
+    field scalar reduce(field(r) * x0^l), or 0, equal to the same entry of
+    ``gram(...).evaluate(scalar_field)`` with no Poly built.
+
+    Rows are tableau-major: row a * |M| + i is (P_i, s_a).  The loop runs
+    over tableau pairs a <= b; inside that block the glue table's shared
+    (l, delta) tuples repeat, so each entry value is computed once per
+    tuple, keyed by its identity.  A cell form is symmetric
+    (Graham-Lehrer), so the upper triangle is filled and mirrored by
+    reference."""
     cb = cellular_basis(algebra, k)
     tableaux = cb.tableaux(label)
-    murphy = cb.layers[(label.s1, label.s2)].murphy()
+    struct_const = cb.layers[(label.s1, label.s2)].murphy().struct_const
+    glabel = label.glabel
     table = cb.glue(label.s1, label.s2)
     m = len(table)
     n = len(tableaux) * m
+    if scalar_field is None:
+        zero, term = ZERO, lambda r, l: Poly({l: r})
+    else:
+        field, power = scalar_field.field, scalar_field.power
+        zero, term = 0, lambda r, l: field.reduce(field(r) * power(l))
     entries = [[None] * n for _ in range(n)]
-    for u in range(n):
-        a, i = divmod(u, m)
-        s, glue_row, row = tableaux[a], table[i], entries[u]
-        for v in range(u, n):
-            b, j = divmod(v, m)
-            pair = glue_row[j]
-            r = 0 if pair is None else murphy.struct_const(
-                label.glabel, s, tableaux[b], pair[1])
-            row[v] = entries[v][u] = Poly({pair[0]: r}) if r else ZERO
+    for a, s in enumerate(tableaux):
+        for b in range(a, len(tableaux)):
+            t, values = tableaux[b], {}
+            for i, glue_row in enumerate(table):
+                u = a * m + i
+                row = entries[u]
+                for j in range(i if a == b else 0, m):
+                    pair = glue_row[j]
+                    if pair is None:
+                        value = zero
+                    else:
+                        value = values.get(id(pair))
+                        if value is None:
+                            r = struct_const(glabel, s, t, pair[1])
+                            value = values[id(pair)] = (
+                                term(r, pair[0]) if r else zero)
+                    v = b * m + j
+                    row[v] = entries[v][u] = value
     return ExactMatrix(entries)
 
 
@@ -109,8 +134,8 @@ def radical_and_irreducible(label, algebra, k, scalar_field):
     dim Rad = dim W - rank."""
     if scalar_field.characteristic == 2:
         raise UnsupportedCharacteristic("2 must be invertible")
-    g = gram(label, algebra, k)
-    rank, _ = g.evaluate(scalar_field).rank_det_field(scalar_field.field)
+    g = gram(label, algebra, k, scalar_field)
+    rank, _ = g.rank_det_field(scalar_field.field)
     return (g.nrows - rank, rank)
 
 
@@ -155,7 +180,7 @@ def irreducible_table(algebra, k, char=0, x_value=None):
     """Per-label table of cell-module and irreducible dimensions.
 
     char 0 with x_value None works symbolically over the rational function
-    field; otherwise the Gram matrix is evaluated at the given x in QQ or
+    field; otherwise the Gram matrix is assembled at the given x over QQ or
     the prime field, and a prime char without x_value is an error.  Rows:
     label, dim W, dim D, whether the form is nonzero (dim D > 0, over the
     field the table works in), det (symbolic runs only) and p_restricted
@@ -166,12 +191,12 @@ def irreducible_table(algebra, k, char=0, x_value=None):
     cb = cellular_basis(algebra, k)
     rows = []
     for label in cb.labels():
-        g = gram(label, algebra, k)
+        g = gram(label, algebra, k, sf)
         entry = {"label": label, "dim_W": g.nrows}
         if symbolic:
             rank, entry["det"] = g.rank_det_symbolic()
         else:
-            rank, _ = g.evaluate(sf).rank_det_field(sf.field)
+            rank, _ = g.rank_det_field(sf.field)
             if char != 0:
                 entry["p_restricted"] = label_p_restricted(label, char)
         entry["dim_D"] = rank

@@ -416,15 +416,21 @@ class ScalarField:
     def characteristic(self):
         return self.field.p
 
+    def power(self, d):
+        """x_value^d, read off the table of powers of x_value, which is
+        grown on demand and kept here only."""
+        powers = self._powers
+        while len(powers) <= d:
+            powers.append(self.field.reduce(powers[-1] * self.x_value))
+        return powers[d]
+
     def eval_poly(self, poly):
-        """The value at x_value, term by term from a table of the powers of
-        x_value (grown on demand), so a sparse entry c*x^l costs one product."""
+        """The value at x_value, term by term from the table of powers, so
+        a sparse entry c*x^l costs one product."""
         f, powers = self.field, self._powers
         total = 0
         for d, c in poly.coeffs.items():
-            while len(powers) <= d:
-                powers.append(f.reduce(powers[-1] * self.x_value))
-            total += f(c) * powers[d]
+            total += f(c) * (powers[d] if d < len(powers) else self.power(d))
         return f.reduce(total)
 
     def __repr__(self):

@@ -204,11 +204,13 @@ def reconstruct(top, bottom, f, sigma1, sigma2):
     """Inverse of decompose: glue marks along (f, sigma1, sigma2), which
     must be a group element of the halves' layer (``WreathSymLayer.from_glue``).
 
-    The glue is a union-find on block numbers, top blocks first, then
-    bottom blocks shifted by their count: with g = ``signed_perm(f,
-    sigma1, sigma2)``, the block of top mark point a is linked to the
-    block of bottom mark point g(a).  The owner array of the result is the
-    class of the block of each top code, then of each bottom code.
+    With g = ``signed_perm(f, sigma1, sigma2)``, the block of top mark
+    point a joins the block of bottom mark point g(a).  A half's mark
+    points lie in distinct blocks (a repeated mark raises) and g is a
+    permutation, so these links are a matching: no union-find is needed.
+    Each top code keeps its top block as owner, a matched bottom block
+    takes its top block's number, and an unmatched one the number nt + b
+    past the nt top blocks.
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
@@ -217,11 +219,10 @@ def reconstruct(top, bottom, f, sigma1, sigma2):
     except ValueError as err:
         raise Incompatible(str(err)) from None
     nt = len(top.base.blocks)
-    root = roots(nt + len(bottom.base.blocks),
-                 [(a, nt + bottom.block_ids[b])
-                  for a, b in zip(top.block_ids, g.images)])
-    return from_codes([root[b] for b in top.base.index]
-                      + [root[nt + b] for b in bottom.base.index], top.k, 2)
+    match = {bottom.block_ids[b]: a for a, b in zip(top.block_ids, g.images)}
+    return from_codes([*top.base.index]
+                      + [match.get(b, nt + b) for b in bottom.base.index],
+                      top.k, 2)
 
 
 @cache

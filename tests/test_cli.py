@@ -557,6 +557,22 @@ def test_irreducible_report_usage_errors(argv):
     assert "Traceback" not in done.stderr and "error:" in done.stderr
 
 
+def test_irreducible_report_says_quasi_hereditary():
+    # one line per algebra under its rows, one verdict per table: at x = 0
+    # the lowest cell form 0,0,0,-,-,- vanishes (dim_D 0), so "no"
+    done = run_script("irreducible_report.py", "--k", "1")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    heads = [i for i, line in enumerate(lines) if line.startswith("label")]
+    assert len(heads) == len(ALGEBRAS)
+    for i in heads:
+        assert lines[i].split()[2:] == ["generic", "x=0", "x=1"]
+        rows = [line.split() for line in lines[i + 1:lines.index("", i)]]
+        assert [row[3] for row in rows if row[0] == "0,0,0,-,-,-"] == ["0"]
+        assert rows[-1] == ["quasi-hereditary", "yes", "no", "yes"]
+        assert [row[0] for row in rows].count("quasi-hereditary") == 1
+
+
 def test_verification_sweep_times_are_monotonic(monkeypatch, capsys):
     """The sweep times its suites with a monotonic clock: a wall clock
     stepping backwards does not show as a negative time."""

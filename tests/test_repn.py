@@ -1,17 +1,21 @@
 """Cell modules, Gram matrices, radicals, irreducibles."""
 
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
+from zrelalg import repn
 from zrelalg.cli import format_label
 from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
 from zrelalg.errors import (Incompatible, InvalidPoint, UnknownLabel,
                             UnsupportedCharacteristic)
+from zrelalg.murphy import MurphyBasis
 from zrelalg.repn import (action_matrix, cell_module, gram, gram_bruteforce,
                           gram_bruteforce_entry, irreducible_table,
                           is_p_restricted, label_p_restricted,
@@ -70,6 +74,70 @@ def test_gram_is_the_unmirrored_assembly(algebra, k):
         assert gram(label, algebra, k).entries == full
         entries += len(full) ** 2
     assert entries == dim_formula(algebra, k)
+
+
+# Points of the field assembly test: p = 3, 5, 7 and 2^31 - 1, and three
+# rationals; x = 0 checks that x0^0 = 1 while every higher power is 0.
+FIELD_POINTS = ([ScalarField.prime(p, x)
+                 for p, x in ((3, 2), (5, 3), (7, 4), (2 ** 31 - 1, 12345))]
+                + [ScalarField.rationals(x) for x in (0, 1, Fraction(-3, 2))])
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gram_over_a_field_is_the_evaluated_gram(algebra, k):
+    # entry by entry, equal and of the same type (0 as int, a nonzero QQ
+    # value or a QQ zero from x0 = 0 as Fraction, F_p values as int)
+    for label in cellular_basis(algebra, k).labels():
+        symbolic = gram(label, algebra, k)
+        for sf in FIELD_POINTS:
+            want = symbolic.evaluate(sf).entries
+            got = gram(label, algebra, k, sf).entries
+            assert [[(type(e), e) for e in row] for row in got] == \
+                [[(type(e), e) for e in row] for row in want]
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("field", [(), (FIELD_POINTS[0],)], ids=["Zx", "F3"])
+def test_gram_calls_struct_const_once_per_glue_pair_and_tableau_pair(
+        algebra, field, monkeypatch):
+    # a spy on struct_const: within a tableau pair a <= b, entries sharing
+    # a glue tuple (l, delta) share one value, so the upper triangle of
+    # that block asks for it once
+    calls = []
+    struct_const = MurphyBasis.struct_const
+
+    def spy(self, glabel, s, t, delta):
+        calls.append(1)
+        return struct_const(self, glabel, s, t, delta)
+
+    monkeypatch.setattr(MurphyBasis, "struct_const", spy)
+    cb = cellular_basis(algebra, 2)
+    repeats = 0
+    for label in cb.labels():
+        tableaux = cb.tableaux(label)
+        table = cb.glue(label.s1, label.s2)
+        entries = bound = 0
+        for a in range(len(tableaux)):
+            for b in range(a, len(tableaux)):
+                pairs = [pair for i, row in enumerate(table)
+                         for pair in row[i if a == b else 0:]
+                         if pair is not None]
+                bound += len({id(pair) for pair in pairs})
+                entries += len(pairs)
+        del calls[:]
+        gram(label, algebra, 2, *field)
+        assert len(calls) <= bound, label
+        repeats += entries - bound
+    assert repeats > 0      # some block repeats a glue tuple
+
+
+def test_repn_never_evaluates_a_matrix():
+    # point tables assemble over the field: no Poly matrix to evaluate
+    tree = ast.parse(Path(repn.__file__).read_text())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "evaluate"]
 
 
 def test_gram_hand_example():

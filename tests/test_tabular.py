@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
 from zrelalg.errors import Incompatible, UnknownLabel
 from zrelalg.groups import Perm
+from zrelalg.murphy import WreathSymLayer
 from zrelalg.ring import ONE
 from zrelalg.tabular import (CellLabel, HalfDiagram, _half_diagram,
                              cellular_basis, decompose, enumerate_M,
                              index_lt, index_pairs, layer_for, phi,
                              reconstruct, variant_for, verify_table_datum)
-from zrelalg.zpart import (BOTTOM, E, G, TOP, canonicalize,
-                           propagating_data)
+from zrelalg.zpart import (BOTTOM, E, G, TOP, canonicalize, from_codes,
+                           propagating_data, roots)
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
@@ -53,6 +54,49 @@ def _basis_k3(algebra):
 def test_decompose_reconstruct_roundtrip_k3(algebra, data):
     d = data.draw(st.sampled_from(_basis_k3(algebra)))
     assert reconstruct(*decompose(d)) == d
+
+
+def _reconstruct_by_roots(top, bottom, f, sigma1, sigma2):
+    """Oracle for reconstruct: a union-find on block numbers, top blocks
+    first, then bottom blocks shifted by their count, linking the block of
+    top mark point a to the block of bottom mark point g(a)."""
+    g = WreathSymLayer(top.s1, top.s2).from_glue(f, sigma1, sigma2)
+    nt = len(top.base.blocks)
+    root = roots(nt + len(bottom.base.blocks),
+                 [(a, nt + bottom.block_ids[b])
+                  for a, b in zip(top.block_ids, g.images)])
+    return from_codes([root[b] for b in top.base.index]
+                      + [root[nt + b] for b in bottom.base.index], top.k, 2)
+
+
+def _glued_triples(algebra, k):
+    """Every (P, Q, glue) of every layer: both halves from the layer's M,
+    the glue (f, sigma1, sigma2) of each element of its group."""
+    for s1, s2 in index_pairs(algebra, k):
+        halves = enumerate_M(k, s1, s2, variant_for(algebra))
+        layer = layer_for(algebra, s1, s2)
+        glues = [layer.to_glue(g) for g in layer.murphy().elements]
+        for P in halves:
+            for Q in halves:
+                for glue in glues:
+                    yield P, Q, glue
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_reconstruct_equals_union_find_oracle(algebra):
+    # the matching relabel gives the same interned diagram as the
+    # union-find: every triple at k <= 2, a seeded sample at k = 3
+    checked = 0
+    for k in (1, 2):
+        for P, Q, glue in _glued_triples(algebra, k):
+            assert reconstruct(P, Q, *glue) is _reconstruct_by_roots(
+                P, Q, *glue)
+            checked += 1
+    assert checked == dim_formula(algebra, 1) + dim_formula(algebra, 2)
+    triples = list(_glued_triples(algebra, 3))
+    for P, Q, glue in random.Random(29).sample(triples,
+                                               min(400, len(triples))):
+        assert reconstruct(P, Q, *glue) is _reconstruct_by_roots(P, Q, *glue)
 
 
 def test_reconstruct_rejects_glue_of_wrong_size():
