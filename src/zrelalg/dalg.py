@@ -207,7 +207,9 @@ class AlgebraElement:
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
                 d, loops = compose(d1, d2)
-                c = c1 * c2 * Poly.x(loops) if loops else c1 * c2
+                # c1 * c2 * x^loops as one product, c2's degrees shifted
+                c = c1 * (Poly({e + loops: v for e, v in c2.coeffs.items()})
+                          if loops else c2)
                 if d in out:
                     out[d] = out[d] + c
                 else:

@@ -22,7 +22,8 @@ from .groups import GAElement, Perm, split_signed
 from .murphy import SymLayer, WreathSymLayer
 from .ring import Poly
 from .zpart import (BOTTOM, E, G, TOP, _lead_blocks, enumerate_rk,
-                    from_codes, is_sign_constant, propagating_data, roots)
+                    from_codes, is_sign_constant, propagating_data,
+                    renumbered, roots)
 
 
 def _classes(base):
@@ -229,18 +230,19 @@ def reconstruct(top, bottom, f, sigma1, sigma2):
 def _join(top_base, bottom_base):
     """The join of two one-row bases along their shared row: the class of
     every top block, then of every bottom block, numbered 0, 1, ... by
-    first appearance, as bytes (a tuple past 256 classes).
+    first appearance (``zpart.renumbered``), as bytes up to 256 blocks and
+    a tuple beyond.
 
     It is ``zpart.roots`` on block numbers, top blocks first, then bottom
-    blocks shifted by their count, linked along each shared vertex.  Bases
-    are interned and never evicted, so each pair of bases is joined once,
-    whichever marks its halves carry."""
+    blocks shifted by their count, linked along each shared vertex.  Its
+    first n entries are the roots of the n blocks; a byte table, as
+    ``compose`` reads it, runs on past them.  Bases are interned and never
+    evicted, so each pair of bases is joined once, whichever marks its
+    halves carry."""
     nt = len(top_base.blocks)
-    root = roots(nt + len(bottom_base.blocks),
-                 zip(top_base.index, [nt + b for b in bottom_base.index]))
-    number = {}
-    classes = [number.setdefault(r, len(number)) for r in root]
-    return (bytes if len(number) <= 256 else tuple)(classes)
+    n = nt + len(bottom_base.blocks)
+    root = roots(n, zip(top_base.index, [nt + b for b in bottom_base.index]))
+    return renumbered(root[:n])[1]
 
 
 def _phi_perm(top, bottom):

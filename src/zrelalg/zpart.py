@@ -44,6 +44,7 @@ from .errors import (InvalidSize, MalformedPartition, NotADiagram,
 
 TOP, BOTTOM = 0, 1
 E, G = 0, 1
+_BYTES = bytes(range(256))
 
 
 class ZStablePartition:
@@ -182,6 +183,22 @@ def _interned(k, rows):
     return {}
 
 
+def renumbered(labels):
+    """(distinct, ranks): the distinct entries of a sequence in order of
+    first appearance, and the sequence with each entry replaced by its
+    rank among them.  The ranks are bytes while the sequence has at most
+    256 entries, so every rank fits in a byte, and a tuple beyond; bytes
+    are renumbered by one translate."""
+    if type(labels) is bytes and len(labels) <= 256:
+        distinct = bytes(dict.fromkeys(labels))
+        return distinct, labels.translate(
+            bytes.maketrans(distinct, _BYTES[:len(distinct)]))
+    distinct = dict.fromkeys(labels)
+    rank = dict(zip(distinct, range(len(labels))))
+    return distinct, (bytes if len(labels) <= 256 else tuple)(
+        map(rank.__getitem__, labels))
+
+
 def from_codes(owner, k, rows):
     """The canonical partition with owner array ``owner``: one block label
     per vertex code, any hashable labels, in the shape of ``index``.  The
@@ -194,24 +211,25 @@ def from_codes(owner, k, rows):
     if len(owner) != n:
         raise MalformedPartition("owner array of %d codes, k=%d and rows=%d "
                                  "have %d" % (len(owner), k, rows, n))
-    # Every class must flip into one class p(b).  That is enough: the flips
-    # of the classes partition the vertices, so p is onto, hence a
-    # bijection, and the flip of b, inside p(b), is all of it by counting.
-    flip = {}
-    for a, b in zip(owner[::2], owner[1::2]):
-        if flip.setdefault(a, b) != b or flip.setdefault(b, a) != a:
-            raise NotZ2Stable("sign flip does not permute the blocks")
     # Renumbering the labels in order of first appearance, i.e. of least
     # code, gives the owner array of the canonical block order: the key,
-    # and on a miss the blocks and the block index.  Bytes hold it
-    # compactly while every rank, below n, fits in a byte.
-    rank = dict(zip(dict.fromkeys(owner), range(n)))
-    key = (bytes if n <= 256 else tuple)(map(rank.__getitem__, owner))
+    # and on a miss the blocks and the block index.
+    labels, key = renumbered(owner)
     table = _interned(k, rows)
     d = table.get(key)
     if d is None:
+        # The table holds only partitions that passed this check, and
+        # stability depends on the partition alone, so a hit needs none.
+        # Every class must flip into one class p(b).  That is enough: the
+        # flips of the classes partition the vertices, so p is onto, hence
+        # a bijection, and the flip of b, inside p(b), is all of it by
+        # counting.
+        flip = {}
+        for a, b in zip(key[::2], key[1::2]):
+            if flip.setdefault(a, b) != b or flip.setdefault(b, a) != a:
+                raise NotZ2Stable("sign flip does not permute the blocks")
         vertex = _vertices(k, rows)
-        blocks = [[] for _ in rank]
+        blocks = [[] for _ in labels]
         for c, r in enumerate(key):
             blocks[r].append(vertex[c])
         d = table[key] = ZStablePartition(k, rows, tuple(map(tuple, blocks)),
@@ -286,9 +304,11 @@ def enumerate_rk(k, rows):
 
 
 def roots(n, links):
-    """Union-find on 0..n-1: the list of each element's class root once
-    every pair (a, b) of links is joined."""
-    parent = list(range(n))
+    """Union-find on 0..n-1: each element's class root once every pair
+    (a, b) of links is joined.  While every node fits in a byte (n <= 256)
+    it is a 256-byte ``bytes.translate`` table, entry a the root of a (and
+    a itself past n-1); beyond, a list of n roots."""
+    parent = bytearray(_BYTES) if n <= 256 else list(range(n))
     for a, b in links:
         while parent[a] != a:
             a = parent[a]
@@ -296,6 +316,13 @@ def roots(n, links):
             b = parent[b]
         if a != b:
             parent[a] = b
+    if n <= 256:
+        # Each pass sends every node to its parent's parent, halving the
+        # longest path, until every node points at its root.
+        table = bytes(parent)
+        while (settled := table.translate(table)) != table:
+            table = settled
+        return table
     root = []
     for a in range(n):
         while parent[a] != a:
@@ -363,11 +390,12 @@ def compose(d1, d2):
     """Glue d1 above d2 (bottom of d1 identified with top of d2).
 
     Returns (outer diagram, l) with l the number of glued classes lying
-    wholly in the identified middle row.  The glue is a union-find on
-    block indices: d1's blocks, then d2's shifted by their count, linked
-    along every middle vertex.  The owner array of the outer diagram is the
+    wholly in the identified middle row.  The glue is ``roots`` on block
+    indices: d1's blocks, then d2's shifted by their count, linked along
+    every middle vertex.  The owner array of the outer diagram is the
     class of each top code of d1 and each bottom code of d2; every other
-    class is a loop.
+    class is a loop.  While the indices are bytes and the blocks fit a
+    byte table, the shift and the owner array are each one translate.
     """
     if d1.rows != 2 or d2.rows != 2:
         raise NotADiagram("compose needs two-row diagrams")
@@ -375,11 +403,18 @@ def compose(d1, d2):
         raise SizeMismatch("k=%d vs k=%d" % (d1.k, d2.k))
     k2 = 2 * d1.k
     n1 = len(d1.blocks)
+    n = n1 + len(d2.blocks)
     index1 = d1.index
-    index2 = [n1 + b for b in d2.index]
-    root = roots(n1 + len(d2.blocks), zip(index1[k2:], index2[:k2]))
-    owner = [root[b] for b in index1[:k2]] + [root[b] for b in index2[k2:]]
-    loops = len(set(root)) - len(set(owner))
+    if n <= 256 and type(index1) is bytes:
+        index2 = d2.index.translate(bytes.maketrans(_BYTES[:n - n1],
+                                                    _BYTES[n1:n]))
+        root = roots(n, zip(index1[k2:], index2[:k2]))
+        owner = (index1[:k2] + index2[k2:]).translate(root)
+    else:
+        index2 = [n1 + b for b in d2.index]
+        root = roots(n, zip(index1[k2:], index2[:k2]))
+        owner = [root[b] for b in index1[:k2]] + [root[b] for b in index2[k2:]]
+    loops = len(set(root[:n])) - len(set(owner))
     return from_codes(owner, d1.k, 2), loops
 
 

@@ -15,9 +15,10 @@ from zrelalg.dalg import ALGEBRAS, basis, signed_row_ok, star_diagram
 from zrelalg.errors import InvalidSize, MalformedPartition, NotZ2Stable
 from zrelalg.tabular import HalfDiagram, decompose
 from zrelalg.zpart import (BOTTOM, E, G, TOP, ZStablePartition, _interned,
-                           _lead_blocks, _row_counts, _set_partitions,
-                           canonicalize, compose, enumerate_rk, from_codes,
-                           identity_diagram, propagating_data)
+                           _lead_blocks, _owners, _row_counts,
+                           _set_partitions, canonicalize, compose,
+                           enumerate_rk, from_codes, identity_diagram,
+                           propagating_data, roots)
 
 
 def flip_sign(v):
@@ -292,6 +293,19 @@ def test_checks_run_before_the_lookup():
                     == want), blocks
 
 
+def _few_class_diagram(rng, k, classes):
+    """A random two-row diagram of size k with at most ``classes`` classes,
+    so at most twice as many blocks: the 2k positions dealt into parts,
+    each one symmetric block or a couple with random signs."""
+    parts = {}
+    for p in range(2 * k):
+        parts.setdefault(rng.randrange(classes), []).append(p)
+    return from_codes(_owners(4 * k, [
+        (pos, None if rng.random() < 0.5
+         else tuple(rng.randrange(2) for _ in pos))
+        for pos in parts.values()]), k, 2)
+
+
 def _owner_sample():
     """Every partition at k <= 2 and a seeded sample at k = 3."""
     rng = random.Random(28)
@@ -303,15 +317,24 @@ def _owner_sample():
 
 
 def test_from_codes_reads_owner_arrays():
-    _, diagrams = _owner_sample()
+    rng, diagrams = _owner_sample()
+    # past 256 codes (k = 65) the index is a tuple, yet a diagram of few
+    # blocks still has a bytes owner array
+    diagrams += [_few_class_diagram(rng, 65, 3) for _ in range(5)]
+    assert type(diagrams[-1].index) is tuple
     for d in diagrams:
         k, rows = d.k, d.rows
         assert from_codes(d.index, k, rows) is d
         # any hashable labels name the blocks: ints in any order, strings
-        # and tuples give the same object
+        # and tuples give the same object, and so do bytes, renumbered by
+        # translate, and a list or tuple of the same labels
+        label = rng.sample(range(256), 256)
+        relabelled = [label[b] for b in d.index]
         for owner in ([-3 * b - 1 for b in d.index],
                       ["b%d" % b for b in d.index],
-                      [(b, "x") for b in d.index]):
+                      [(b, "x") for b in d.index],
+                      bytes(relabelled), relabelled, tuple(relabelled),
+                      bytes(d.index), list(d.index), tuple(d.index)):
             assert from_codes(owner, k, rows) is d, owner
     assert from_codes(["x", "x"], 1, 1) is canonicalize(
         [[(TOP, 1, E), (TOP, 1, G)]], 1, 1)
@@ -346,6 +369,38 @@ def test_from_codes_checks_length_and_flip():
     with pytest.raises(NotZ2Stable):
         # e-e joined but g-g split: flip does not permute blocks
         from_codes([0, 0, 0, 1], 2, 1)
+
+
+def test_from_codes_rejects_unstable_owners_of_every_type(monkeypatch):
+    # The flip is checked after the intern lookup, on a miss.  An unstable
+    # owner array misses a cold table and a filled one alike, in every type.
+    rng, diagrams = _owner_sample()
+    unstable = [([0, 0, 0, 1], 2, 1)]
+    for d in diagrams:
+        owner = list(d.index)
+        owner[rng.randrange(len(owner))] = rng.choice([rng.choice(owner),
+                                                       255])
+        blocks = {}
+        for v, b in zip(vertex_set(d.k, d.rows), owner):
+            blocks.setdefault(b, []).append(v)
+        if not is_z2_stable(blocks.values()):
+            unstable.append((owner, d.k, d.rows))
+    assert len(unstable) > 100
+
+    def rejects_all():
+        for owner, k, rows in unstable:
+            for o in (bytes(owner), owner, tuple(owner)):
+                with pytest.raises(NotZ2Stable):
+                    from_codes(o, k, rows)
+
+    cold = {}
+    monkeypatch.setattr(zpart, "_interned", lambda k, rows: cold)
+    rejects_all()
+    assert cold == {}
+    monkeypatch.undo()
+    for k, rows in {(k, rows) for _, k, rows in unstable}:
+        assert len(_interned(k, rows)) >= len(enumerate_rk(k, rows))
+    rejects_all()
 
 
 def test_huge_size_is_rejected_before_allocation():
@@ -535,6 +590,46 @@ def test_compose_equals_join_oracle(algebra):
         assert res == _compose_by_join(d1, d2), (d1, d2)
         loops += res[1]
     assert loops > 0
+
+
+@pytest.mark.parametrize("k", [33, 40, 64, 65, 70])
+def test_compose_crosses_the_byte_boundaries(k):
+    # Up to k = 64 the block index is bytes, past it a tuple.  A pair with
+    # more than 256 blocks between them joins through a list of roots, a
+    # pair with fewer through a byte table: every k here meets both, so
+    # each index type meets each kind of union-find.
+    rng = random.Random(k)
+    singletons = from_codes(list(range(4 * k)), k, 2)
+    assert type(singletons.index) is (bytes if k <= 64 else tuple)
+    diagrams = [singletons, identity_diagram(k)] + [
+        _few_class_diagram(rng, k, classes) for classes in (1, 2, 3, 8, 40)]
+    pairs = [(d1, d2) for d1 in diagrams for d2 in diagrams]
+    assert {len(d1.blocks) + len(d2.blocks) <= 256
+            for d1, d2 in pairs} == {True, False}
+    for d1, d2 in pairs:
+        assert compose(d1, d2) == _compose_by_join(d1, d2), (d1, d2)
+
+
+@pytest.mark.parametrize("n", [1, 6, 256, 257, 300])
+def test_roots_is_a_byte_table_up_to_256_nodes(n):
+    rng = random.Random(n)
+    links = [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 2 + 1)]
+    root = roots(n, links)
+    assert type(root) is (bytes if n <= 256 else list)
+    assert len(root) == (256 if n <= 256 else n)
+    # oracle: one set per class, merged along every link
+    cls = {a: {a} for a in range(n)}
+    for a, b in links:
+        if cls[a] is not cls[b]:
+            merged = cls[a] | cls[b]
+            for c in merged:
+                cls[c] = merged
+    for a in range(n):
+        assert root[a] in cls[a] and root[root[a]] == root[a]
+        assert {root[b] for b in cls[a]} == {root[a]}
+    assert len(set(root[:n])) == len({id(c) for c in cls.values()})
+    # a byte table leaves every node past n - 1 where it is
+    assert list(root[n:]) == list(range(n, len(root)))
 
 
 @pytest.mark.parametrize("rows,k", [(1, 1), (1, 2), (1, 3), (1, 4),
