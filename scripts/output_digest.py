@@ -32,8 +32,8 @@ Families (public API only):
   every pair of basis diagrams of the three algebras at k <= 2 and for
   2,000 pairs per algebra at k = 3 drawn with ``random.Random(11)``;
 * ``decompose``: ``tabular.decompose(d)`` for every basis diagram of the
-  three algebras, k <= 3, as both halves, f and the image tuples of both
-  permutations;
+  three algebras, k <= 3, as both halves and its group element split into
+  f and the image tuples of sigma1 and sigma2 (``groups.split_signed``);
 * ``star-reconstruct``: ``dalg.star_diagram(d)`` and
   ``tabular.reconstruct(*decompose(d))`` for every basis diagram of the
   three algebras, k <= 3;
@@ -54,7 +54,7 @@ from fractions import Fraction
 
 from zrelalg import cli
 from zrelalg.dalg import ALGEBRAS, basis, in_basis, star_diagram
-from zrelalg.groups import GAElement
+from zrelalg.groups import GAElement, split_signed
 from zrelalg.repn import gram
 from zrelalg.ring import ScalarField
 from zrelalg.tabular import cellular_basis, decompose, phi, reconstruct
@@ -116,14 +116,14 @@ def families():
                                       % ((algebra, k, d1, d2)
                                          + compose(d1, d2)))
             for d in diagrams:
-                top, bot, f, sigma1, sigma2 = decompose(d)
+                top, bot, g = decompose(d)
+                f, sigma1, sigma2 = split_signed(g, top.s1)
                 out["decompose"].append("%s %d %r %r %r %r %r %r"
                                         % (algebra, k, d, top, bot, f,
                                            sigma1.images, sigma2.images))
                 out["star-reconstruct"].append(
                     "%s %d %r %r %r" % (algebra, k, d, star_diagram(d),
-                                        reconstruct(top, bot, f, sigma1,
-                                                    sigma2)))
+                                        reconstruct(top, bot, g)))
             cb = cellular_basis(algebra, k)
             layers.update((layer, None) for layer in cb.layers.values())
             points = _points(algebra, k)

@@ -14,6 +14,7 @@ import time
 from .dalg import (ALGEBRAS, AlgebraElement, basis as algebra_basis,
                    dim_formula)
 from .errors import UsageError, ZRelError
+from .groups import split_signed
 from .repn import (cell_module, gram, gram_bruteforce_entry,
                    irreducible_table, is_plain_shape)
 from .ring import parse_rational
@@ -141,7 +142,8 @@ def cmd_decompose(args):
     d = _load(args.diagram, ZStablePartition.from_json)
     if d.k != args.k:
         raise UsageError("diagram has k=%d but --k %d" % (d.k, args.k))
-    top, bot, f, sigma1, sigma2 = decompose(d)
+    top, bot, g = decompose(d)
+    f, sigma1, sigma2 = split_signed(g, top.s1)
     print(json.dumps({
         "top": top.to_json(),
         "bottom": bot.to_json(),
@@ -174,9 +176,8 @@ def _suite_assoc(algebra, k, samples, seed):
 def _suite_roundtrip(algebra, k, samples, seed):
     report = {"checked": 0, "failures": []}
     for d in algebra_basis(algebra, k):
-        top, bot, f, s1, s2 = decompose(d)
         report["checked"] += 1
-        if reconstruct(top, bot, f, s1, s2) != d:
+        if reconstruct(*decompose(d)) is not d:
             report["failures"].append("roundtrip: %r" % (d,))
     return report
 

@@ -211,10 +211,16 @@ class AlgebraElement:
                 c = c1 * (Poly({e + loops: v for e, v in c2.coeffs.items()})
                           if loops else c2)
                 if d in out:
-                    out[d] = out[d] + c
-                else:
-                    out[d] = c
-        return AlgebraElement(self.algebra, self.k, out)
+                    c = out[d] + c
+                    if c.is_zero():
+                        del out[d]
+                        continue
+                out[d] = c
+        # The basis is closed under products, so in_basis is skipped; c1
+        # and c2 are nonzero Polys, so only a sum can vanish.
+        prod = AlgebraElement(self.algebra, self.k)
+        prod.terms = out
+        return prod
 
     def star(self):
         """The involution flipping top and bottom rows, extended linearly."""

@@ -43,11 +43,11 @@ layer and algebra that uses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import NamedTuple
 
+from .frozen import Frozen
 from .groups import GAElement, Perm, signed_perm, signed_perms, split_signed
 from .ring import ExactMatrix
 from .tableaux import (all_bishapes, all_shapes, bishape_sort_key,
@@ -57,14 +57,12 @@ from .tableaux import (all_bishapes, all_shapes, bishape_sort_key,
                        tableau_entries)
 
 
-@dataclass(frozen=True)
-class MurphyRecord:
-    label: object
-    s: object
-    t: object
-    ws: object       # Perm w_s
-    core: object     # GAElement c, shared by every record of the label
-    wt: object       # Perm w_t
+class MurphyRecord(Frozen):
+    """(label, s, t, w_s, c, w_t): the Perm words w_s and w_t and the
+    GAElement core c, shared by every record of the label.  It keeps a
+    ``__dict__``, where ``element`` is kept once read."""
+
+    _fields = ("label", "s", "t", "ws", "core", "wt")
 
     @cached_property
     def element(self):
@@ -434,12 +432,12 @@ def product_murphy(s1, s2):
                        tensor_columns)
 
 
-@dataclass(frozen=True)
-class WreathSymLayer:
-    """Hypergroup layer (Z2 wr S_s1) x S_s2 used by the z2rel/signed algebras."""
+class WreathSymLayer(Frozen):
+    """Hypergroup layer (Z2 wr S_s1) x S_s2 used by the z2rel/signed
+    algebras.  Its group elements are the permutations of the 2 s1 + s2
+    mark points themselves."""
 
-    s1: int
-    s2: int
+    __slots__ = _fields = ("s1", "s2")
 
     def from_glue(self, f, sigma1, sigma2):
         """The group element of the glue (f, sigma1, sigma2); ValueError
@@ -462,15 +460,27 @@ class WreathSymLayer:
     def to_glue(self, g):
         return split_signed(g, self.s1)
 
+    def from_points(self, g):
+        """The group element whose mark-point permutation is g: g itself.
+        Every caller passes a g that ``tabular`` read off a diagram or a
+        pair of halves, a group element by construction."""
+        return g
+
+    def to_points(self, g):
+        """The mark-point permutation of the group element g: g itself."""
+        return g
+
     def murphy(self):
         return product_murphy(self.s1, self.s2)
 
 
-@dataclass(frozen=True)
-class SymLayer:
-    """Plain S_s1 layer for the partition algebra (f = id, s2 = 0)."""
+class SymLayer(Frozen):
+    """Plain S_s1 layer for the partition algebra (f = id, s2 = 0).  Its
+    group elements are permutations of the s1 letters, so it is the one
+    layer whose elements differ from the mark-point permutations of
+    ``tabular``: ``from_points`` and ``to_points`` convert."""
 
-    s1: int
+    __slots__ = _fields = ("s1",)
 
     def from_glue(self, f, sigma1, sigma2):
         if not len(f) == sigma1.n == self.s1:
@@ -485,6 +495,15 @@ class SymLayer:
 
     def to_glue(self, g):
         return ((0,) * self.s1, g, Perm.identity(0))
+
+    def from_points(self, g):
+        """The permutation of the letters whose mark-point permutation is
+        g; ValueError unless g fixes every sign and has no S_s2 point."""
+        return self.from_glue(*split_signed(g, self.s1))
+
+    def to_points(self, g):
+        """The mark-point permutation of g, with trivial signs."""
+        return signed_perm((0,) * self.s1, g)
 
     def murphy(self):
         return sym_murphy(self.s1)

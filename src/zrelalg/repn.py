@@ -13,20 +13,18 @@ directly as field scalars, one value per glue pair and tableau pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import Incompatible, InvalidPoint, UnsupportedCharacteristic
+from .frozen import Frozen
 from .ring import (ExactMatrix, Poly, PrimeField, Rationals, ScalarField,
                    ZERO)
 from .tabular import cellular_basis
 
 
-@dataclass(frozen=True)
-class CellModule:
-    algebra: str
-    k: int
-    label: object            # CellLabel
-    basis: tuple             # left data (HalfDiagram, layer tableau datum)
+class CellModule(Frozen):
+    """(algebra, k, label, basis): the cell module of a CellLabel, its
+    basis the tuple of left data (HalfDiagram, layer tableau datum)."""
+
+    __slots__ = _fields = ("algebra", "k", "label", "basis")
 
     @property
     def dim(self):

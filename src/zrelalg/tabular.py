@@ -1,27 +1,34 @@
 """Tabular structure and cellular basis of the diagram algebras.
 
 Every basis diagram with propagating data (s1, s2) factors uniquely as a
-triple (top half, group element, bottom half): the halves are one-row
-partitions with 2s1+s2 marked blocks (the traces of the through
-classes) and the group element of (Z2 wr S_s1) x S_s2 records how top
-marks connect to bottom marks, including the sign twist.  Replacing the
-group coordinate by Murphy basis elements produces a cellular basis whose
-structure constants factor through the phi-map on pairs of halves.
+triple (top half, bottom half, g): the halves are one-row partitions with
+2s1+s2 marked blocks (the traces of the through classes), and the group
+element g of (Z2 wr S_s1) x S_s2 records how top marks connect to bottom
+marks, including the sign twist.  Replacing the group coordinate by Murphy
+basis elements produces a cellular basis whose structure constants factor
+through the phi-map on pairs of halves.
+
+``decompose`` and ``reconstruct`` carry g as one ``Perm`` of the mark
+points (the points of ``groups.signed_perm``), and so do the cellular
+basis and ``verify_table_datum``; a layer's ``from_points`` and
+``to_points`` convert it only for the partition algebra's S_s1 layer.
+The triple (f, sigma1, sigma2) of ``split_signed`` exists only at the
+edges: ``phi``, the ``decompose`` verb's JSON and ``from_glue``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
 from .dalg import (AlgebraElement, _check_algebra, basis as algebra_basis,
                    dim_formula, signed_row_ok)
 from .errors import Incompatible, NotADiagram, UnknownLabel
+from .frozen import Frozen
 from .groups import GAElement, Perm, split_signed
 from .murphy import SymLayer, WreathSymLayer
 from .ring import Poly
-from .zpart import (BOTTOM, E, G, TOP, _lead_blocks, enumerate_rk,
+from .zpart import (BOTTOM, E, G, TOP, _BYTES, _lead_blocks, enumerate_rk,
                     from_codes, is_sign_constant, propagating_data,
                     renumbered, roots)
 
@@ -172,15 +179,16 @@ def enumerate_M(k, s1, s2, variant="plain"):
 
 
 def decompose(d):
-    """Split a diagram into (top half, bottom half, f, sigma1, sigma2).
+    """Split a diagram into (top half, bottom half, g), with g one Perm of
+    the 2 s1 + s2 mark points: top mark point a goes to bottom mark point
+    g(a).  As ``signed_perm(f, sigma1, sigma2)``, f(i) = 1 exactly when
+    the block of the least top e-vertex of couple i holds the least bottom
+    g-vertex of couple sigma1(i).
 
     The two rows of ``d.index`` are the owner arrays of the bases: a block
     cut to one row owns the codes it keeps there.  The lead blocks of the
-    through classes give the marks.  Top mark point a goes to the bottom
-    mark point whose vertex shares its block; that permutation is
-    ``signed_perm(f, sigma1, sigma2)``, so f(i) = 1 exactly when the block
-    of the least top e-vertex of couple i holds the least bottom g-vertex
-    of couple sigma1(i).
+    through classes give the marks, and g sends each top mark point to the
+    bottom mark point whose vertex shares its block.
     """
     if d.rows != 2:
         raise NotADiagram("decompose needs a two-row diagram")
@@ -197,41 +205,55 @@ def decompose(d):
     top = _half_diagram(from_codes(index[:k2], d.k, 1), *top_marks)
     bot = _half_diagram(from_codes(index[k2:], d.k, 1), *bot_marks)
     point = {index[k2 + v]: b for b, v in enumerate(bot.mark_vertices())}
-    g = Perm([point[index[v]] for v in top.mark_vertices()])
-    return (top, bot) + split_signed(g, top.s1)
+    return top, bot, Perm([point[index[v]] for v in top.mark_vertices()])
 
 
-def reconstruct(top, bottom, f, sigma1, sigma2):
-    """Inverse of decompose: glue marks along (f, sigma1, sigma2), which
-    must be a group element of the halves' layer (``WreathSymLayer.from_glue``).
+def reconstruct(top, bottom, g):
+    """Inverse of decompose: the diagram whose top mark point a shares its
+    block with bottom mark point g(a).
 
-    With g = ``signed_perm(f, sigma1, sigma2)``, the block of top mark
-    point a joins the block of bottom mark point g(a).  A half's mark
-    points lie in distinct blocks (a repeated mark raises) and g is a
-    permutation, so these links are a matching: no union-find is needed.
-    Each top code keeps its top block as owner, a matched bottom block
-    takes its top block's number, and an unmatched one the number nt + b
-    past the nt top blocks.
+    The halves must match, and g must be a group element of their layer:
+    a permutation of the 2 s1 + s2 mark points sending each sign pair
+    {2i, 2i+1} onto a pair {2j, 2j+1} with j < s1.  Otherwise it raises
+    Incompatible.
+
+    A half's mark points lie in distinct blocks (a repeated mark raises)
+    and g is a permutation, so the links are a matching: no union-find is
+    needed.  Each top code keeps its top block as owner, a matched bottom
+    block takes its top block's number, and an unmatched one the number
+    nt + b past the nt top blocks.  While the bottom index is bytes and the
+    blocks fit a byte, that relabelling is one ``bytes.translate``.
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
-    try:
-        g = WreathSymLayer(top.s1, top.s2).from_glue(f, sigma1, sigma2)
-    except ValueError as err:
-        raise Incompatible(str(err)) from None
+    images = g.images
+    m = 2 * top.s1
+    heads = images[:m:2]
+    if (len(images) != m + top.s2 or sorted(images) != [*range(len(images))]
+            or images[1:m:2] != tuple([v ^ 1 for v in heads])
+            or m and max(heads) >= m):
+        raise Incompatible("%r is no group element of layer (%d, %d)"
+                           % (g, top.s1, top.s2))
+    tops, bots = top.block_ids, bottom.block_ids
     nt = len(top.base.blocks)
-    match = {bottom.block_ids[b]: a for a, b in zip(top.block_ids, g.images)}
-    return from_codes([*top.base.index]
-                      + [match.get(b, nt + b) for b in bottom.base.index],
-                      top.k, 2)
+    index = bottom.base.index
+    if nt + len(bottom.base.blocks) <= 256 and type(index) is bytes:
+        table = bytearray(_BYTES[nt:] + _BYTES[:nt])
+        for a, p in zip(tops, images):
+            table[bots[p]] = a
+        owner = top.base.index + index.translate(table)
+    else:
+        match = {bots[p]: a for a, p in zip(tops, images)}
+        owner = [*top.base.index] + [match.get(b, nt + b) for b in index]
+    return from_codes(owner, top.k, 2)
 
 
 @cache
 def _join(top_base, bottom_base):
-    """The join of two one-row bases along their shared row: the class of
-    every top block, then of every bottom block, numbered 0, 1, ... by
-    first appearance (``zpart.renumbered``), as bytes up to 256 blocks and
-    a tuple beyond.
+    """(count, join): the join of two one-row bases along their shared
+    row, as the class of every top block, then of every bottom block,
+    numbered 0, 1, ... by first appearance (``zpart.renumbered``), as
+    bytes up to 256 blocks and a tuple beyond, and the number of classes.
 
     It is ``zpart.roots`` on block numbers, top blocks first, then bottom
     blocks shifted by their count, linked along each shared vertex.  Its
@@ -242,7 +264,8 @@ def _join(top_base, bottom_base):
     nt = len(top_base.blocks)
     n = nt + len(bottom_base.blocks)
     root = roots(n, zip(top_base.index, [nt + b for b in bottom_base.index]))
-    return renumbered(root[:n])[1]
+    classes, join = renumbered(root[:n])
+    return len(classes), join
 
 
 def _phi_perm(top, bottom):
@@ -251,13 +274,13 @@ def _phi_perm(top, bottom):
     are read off the bases' ``_join``."""
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
-    join = _join(top.base, bottom.base)
+    count, join = _join(top.base, bottom.base)
     nt = len(top.base.blocks)
     point = {join[nt + b]: a for a, b in enumerate(bottom.block_ids)}
     images = [point.get(join[b]) for b in top.block_ids]
     if None in images or len(set(images)) != len(images):
         return None
-    return max(join) + 1 - len(images), Perm(images)
+    return count - len(images), Perm(images)
 
 
 def phi(top, bottom):
@@ -312,8 +335,8 @@ def index_lt(a, b):
 
 
 def _glue_of(d, layer):
-    top, bot, f, s1, s2 = decompose(d)
-    return top, bot, layer.from_glue(f, s1, s2)
+    top, bot, g = decompose(d)
+    return top, bot, layer.from_points(g)
 
 
 def verify_table_datum(algebra, k, samples=200, seed=0):
@@ -334,12 +357,11 @@ def verify_table_datum(algebra, k, samples=200, seed=0):
     report = {"checked": 0, "failures": []}
 
     def run_pair(a, c):
-        top, bot, f, sg1, sg2 = decompose(c)
+        top, bot, g = decompose(c)
         s1, s2 = top.s1, top.s2
         layer = layer_for(algebra, s1, s2)
-        g = layer.from_glue(f, sg1, sg2)
-        ref = reconstruct(top, top, (0,) * s1, Perm.identity(s1),
-                          Perm.identity(s2))
+        g = layer.from_points(g)
+        ref = reconstruct(top, top, Perm.identity(2 * s1 + s2))
         prod = AlgebraElement.of(algebra, a) * AlgebraElement.of(algebra, c)
         prod_ref = AlgebraElement.of(algebra, a) * AlgebraElement.of(algebra, ref)
         (d0, c0), = prod.terms.items()
@@ -381,8 +403,7 @@ def verify_table_datum(algebra, k, samples=200, seed=0):
     return report
 
 
-@dataclass(frozen=True)
-class CellLabel:
+class CellLabel(Frozen):
     """(r, (s1, s2)) plus the group-layer cell label.
 
     For the z2rel and signed algebras the group label is a pair
@@ -390,9 +411,7 @@ class CellLabel:
     a single partition of s1.
     """
 
-    s1: int
-    s2: int
-    glabel: object
+    __slots__ = _fields = ("s1", "s2", "glabel")
 
     @property
     def r(self):
@@ -449,7 +468,7 @@ class CellularBasis:
                                % ((label, left, right),))
         terms = {}
         for g, coeff in layer.murphy().records[i].element.terms.items():
-            d = reconstruct(P, Q, *layer.to_glue(g))
+            d = reconstruct(P, Q, layer.to_points(g))
             terms[d] = terms.get(d, Poly()) + coeff
         # reconstruct yields basis diagrams only, so in_basis is skipped
         elem = AlgebraElement(self.algebra, self.k)
@@ -465,8 +484,8 @@ class CellularBasis:
         Murphy coordinates alone."""
         blocks = {}
         for d, c in elem.terms.items():
-            P, Q, f, sg1, sg2 = decompose(d)
-            g = self.layers[(P.s1, P.s2)].from_glue(f, sg1, sg2)
+            P, Q, g = decompose(d)
+            g = self.layers[(P.s1, P.s2)].from_points(g)
             blocks.setdefault((P, Q), {})[g] = c
         out = {}
         for (P, Q), terms in blocks.items():
@@ -485,19 +504,17 @@ class CellularBasis:
         shared.
 
         Entries are read off the join of the halves' bases, shared by
-        every pair of halves on the same bases (``_phi_perm``).  On a wreath
-        layer delta is phi's permutation itself: its distinct images make
-        it a group element, as phi's docstring argues, so ``from_glue``
-        would only repeat that check; the partition layer keeps
-        ``from_glue``.  The cellular anti-involution (flip top and bottom,
-        invert the group element) gives glue[j][i] = (l, delta^-1), so
-        entries are computed for j >= i only and the lower triangle is
-        mirrored."""
+        every pair of halves on the same bases (``_phi_perm``), and delta
+        is phi's permutation of the mark points, taken into the layer by
+        ``from_points``: its distinct images make it a group element, as
+        phi's docstring argues.  The cellular anti-involution (flip top
+        and bottom, invert the group element) gives glue[j][i] =
+        (l, delta^-1), so entries are computed for j >= i only and the
+        lower triangle is mirrored."""
         table = self._glue.get((s1, s2))
         if table is None:
             halves = self.M[(s1, s2)]
-            layer = self.layers[(s1, s2)]
-            wreath = isinstance(layer, WreathSymLayer)
+            from_points = self.layers[(s1, s2)].from_points
             shared = {}
             table = [[None] * len(halves) for _ in halves]
             for i, P in enumerate(halves):
@@ -507,8 +524,7 @@ class CellularBasis:
                     if res is None:
                         continue
                     l, delta = res
-                    if not wreath:
-                        delta = layer.from_glue(*split_signed(delta, s1))
+                    delta = from_points(delta)
                     row[j] = shared.setdefault((l, delta), (l, delta))
                     if j != i:
                         pair = (l, delta.inv())

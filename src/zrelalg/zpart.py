@@ -35,12 +35,12 @@ value, for sorting.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
 from .errors import (InvalidSize, MalformedPartition, NotADiagram,
                      NotZ2Stable, SizeMismatch)
+from .frozen import Frozen
 
 TOP, BOTTOM = 0, 1
 E, G = 0, 1
@@ -115,12 +115,10 @@ def json_size(value):
     return int(value)
 
 
-@dataclass(frozen=True)
-class PropagatingData:
+class PropagatingData(Frozen):
     """Through-class counts: s1 sign-paired couples, s2 symmetric classes."""
 
-    s1: int
-    s2: int
+    __slots__ = _fields = ("s1", "s2")
 
     @property
     def r(self):

@@ -42,7 +42,7 @@ def test_criterion_2_top_cell_group():
     iso = True
     tc = _fully_propagating(2)
     layer = layer_for("z2rel", 2, 0)
-    to_group = {d: layer.from_glue(*decompose(d)[2:]) for d in tc}
+    to_group = {d: layer.from_points(decompose(d)[2]) for d in tc}
     for d1 in tc:
         for d2 in tc:
             d, loops = compose(d1, d2)
@@ -50,7 +50,7 @@ def test_criterion_2_top_cell_group():
                 to_group[d] == to_group[d1] * to_group[d2]
     (P, Q), = {decompose(d)[:2] for d in tc}
     for d in tc:
-        iso = iso and reconstruct(P, Q, *layer.to_glue(to_group[d])) == d
+        iso = iso and reconstruct(P, Q, layer.to_points(to_group[d])) == d
     assert record_criterion(
         2, "top cell has order 2^k k!; product isomorphism on all 64 pairs",
         ok and iso)

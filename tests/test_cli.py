@@ -48,6 +48,22 @@ def run_cli(*argv):
                           capture_output=True, text=True, env=env)
 
 
+def test_import_leaves_out_dataclasses_and_inspect():
+    # importing dataclasses imports inspect, ast, dis and tokenize, which
+    # every fresh process, each CLI call among them, would pay for; -S
+    # keeps site-packages start-up hooks from importing them first
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(zrelalg.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, zrelalg, zrelalg.cli; print(*sys.modules, sep='\\n')"],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "zrelalg.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def assert_usage_error(done):
     assert done.returncode == 2, done.stderr
     assert "error:" in done.stderr and "Traceback" not in done.stderr

@@ -358,6 +358,14 @@ def test_layer_objects():
     assert sym.to_glue(p) == ((0, 0), Perm((1, 0)), Perm(()))
     with pytest.raises(ValueError):
         sym.from_glue((1, 0), Perm((1, 0)), Perm(()))
+    # mark-point permutations: a wreath layer's elements are those
+    # permutations, the S_s1 layer converts with trivial signs
+    assert layer.from_points(g) is g and layer.to_points(g) is g
+    assert sym.to_points(p) == Perm((2, 3, 0, 1))
+    assert sym.from_points(Perm((2, 3, 0, 1))) == p
+    for points in [Perm((3, 2, 0, 1)), Perm((2, 3, 0, 1, 4)), Perm((1, 0))]:
+        with pytest.raises(ValueError):
+            sym.from_points(points)
 
 
 def test_from_glue_rejects_glue_of_wrong_size():

@@ -1,5 +1,7 @@
 """Half-diagram factorization, phi-map, tabular axiom, cellular basis."""
 
+import copy
+import pickle
 import random
 from functools import cache
 
@@ -8,15 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
 from zrelalg.errors import Incompatible, UnknownLabel
-from zrelalg.groups import Perm
-from zrelalg.murphy import WreathSymLayer
+from zrelalg.groups import Perm, split_signed
+from zrelalg.murphy import SymLayer, WreathSymLayer
+from zrelalg.repn import cell_module
 from zrelalg.ring import ONE
 from zrelalg.tabular import (CellLabel, HalfDiagram, _half_diagram,
                              cellular_basis, decompose, enumerate_M,
                              index_lt, index_pairs, layer_for, phi,
                              reconstruct, variant_for, verify_table_datum)
-from zrelalg.zpart import (BOTTOM, E, G, TOP, canonicalize, from_codes,
-                           propagating_data, roots)
+from zrelalg.zpart import (BOTTOM, E, G, TOP, PropagatingData, canonicalize,
+                           from_codes, propagating_data, roots)
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
@@ -37,10 +40,11 @@ def test_half_diagram_census(algebra, k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_decompose_reconstruct_roundtrip(algebra, k):
     for d in basis(algebra, k):
-        top, bot, f, s1, s2 = decompose(d)
+        top, bot, g = decompose(d)
         pd = propagating_data(d)
         assert (top.s1, top.s2) == (bot.s1, bot.s2) == (pd.s1, pd.s2)
-        assert reconstruct(top, bot, f, s1, s2) == d
+        assert g.n == 2 * pd.s1 + pd.s2
+        assert reconstruct(top, bot, g) is d
 
 
 @cache
@@ -53,7 +57,7 @@ def _basis_k3(algebra):
 @given(data=st.data())
 def test_decompose_reconstruct_roundtrip_k3(algebra, data):
     d = data.draw(st.sampled_from(_basis_k3(algebra)))
-    assert reconstruct(*decompose(d)) == d
+    assert reconstruct(*decompose(d)) is d
 
 
 def _reconstruct_by_roots(top, bottom, f, sigma1, sigma2):
@@ -70,16 +74,16 @@ def _reconstruct_by_roots(top, bottom, f, sigma1, sigma2):
 
 
 def _glued_triples(algebra, k):
-    """Every (P, Q, glue) of every layer: both halves from the layer's M,
-    the glue (f, sigma1, sigma2) of each element of its group."""
+    """Every (P, Q, g) of every layer: both halves from the layer's M, g
+    the mark-point permutation of each element of its group."""
     for s1, s2 in index_pairs(algebra, k):
         halves = enumerate_M(k, s1, s2, variant_for(algebra))
         layer = layer_for(algebra, s1, s2)
-        glues = [layer.to_glue(g) for g in layer.murphy().elements]
+        points = [layer.to_points(g) for g in layer.murphy().elements]
         for P in halves:
             for Q in halves:
-                for glue in glues:
-                    yield P, Q, glue
+                for g in points:
+                    yield P, Q, g
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
@@ -88,41 +92,57 @@ def test_reconstruct_equals_union_find_oracle(algebra):
     # union-find: every triple at k <= 2, a seeded sample at k = 3
     checked = 0
     for k in (1, 2):
-        for P, Q, glue in _glued_triples(algebra, k):
-            assert reconstruct(P, Q, *glue) is _reconstruct_by_roots(
-                P, Q, *glue)
+        for P, Q, g in _glued_triples(algebra, k):
+            assert reconstruct(P, Q, g) is _reconstruct_by_roots(
+                P, Q, *split_signed(g, P.s1))
             checked += 1
     assert checked == dim_formula(algebra, 1) + dim_formula(algebra, 2)
     triples = list(_glued_triples(algebra, 3))
-    for P, Q, glue in random.Random(29).sample(triples,
-                                               min(400, len(triples))):
-        assert reconstruct(P, Q, *glue) is _reconstruct_by_roots(P, Q, *glue)
+    for P, Q, g in random.Random(29).sample(triples, min(400, len(triples))):
+        assert reconstruct(P, Q, g) is _reconstruct_by_roots(
+            P, Q, *split_signed(g, P.s1))
 
 
 def test_reconstruct_rejects_glue_of_wrong_size():
-    # k = 2, one couple mark and one symmetric mark on each half
+    # k = 2, one couple mark and one symmetric mark on each half, so g
+    # permutes 3 points; each g below is a group element of another layer
     d = next(d for d in basis("z2rel", 2)
              if (propagating_data(d).s1, propagating_data(d).s2) == (1, 1))
-    top, bot, f, sigma1, sigma2 = decompose(d)
-    assert reconstruct(top, bot, f, sigma1, sigma2) == d
-    for glue in [(f + (0,), sigma1, sigma2), ((), sigma1, sigma2),
-                 (f, Perm((0, 1)), sigma2), (f, Perm(()), sigma2),
-                 (f, sigma1, Perm((0, 1))), (f, sigma1, Perm(()))]:
+    top, bot, g = decompose(d)
+    assert reconstruct(top, bot, g) is d
+    for wrong in [Perm(g.images + (3,)), Perm(g.images + (3, 4)),
+                  Perm(g.images[:2]), Perm(g.images[:1]), Perm(()),
+                  Perm(range(5))]:
         with pytest.raises(Incompatible):
-            reconstruct(top, bot, *glue)
+            reconstruct(top, bot, wrong)
 
 
 def test_reconstruct_rejects_glue_that_is_no_group_element():
     # the identity of z2rel k = 2: {1e 1'e | 1g 1'g | 2e 2'e | 2g 2'g}
     d = canonicalize([[(TOP, i, s), (BOTTOM, i, s)]
                       for i in (1, 2) for s in (E, G)], 2, 2)
-    top, bot, f, sigma1, sigma2 = decompose(d)
-    assert (f, sigma1, sigma2) == ((0, 0), Perm((0, 1)), Perm(()))
-    assert reconstruct(top, bot, f, sigma1, sigma2) == d
-    for glue in [(f, Perm((0, 0)), sigma2), ((2, 0), sigma1, sigma2),
-                 ((0, -1), sigma1, sigma2)]:
+    top, bot, g = decompose(d)
+    assert g == Perm((0, 1, 2, 3))
+    assert split_signed(g, 2) == ((0, 0), Perm((0, 1)), Perm(()))
+    assert reconstruct(top, bot, g) is d
+    # four that are no permutation (the first three keep their sign
+    # pairs), then three that split a sign pair: {0, 1} goes to {0, 2},
+    # {1, 2} or {3, 1}
+    for wrong in [(0, 1, 0, 1), (0, 1, 1, 0), (0, 1, -2, -1), (0, 1, 2, 4),
+                  (0, 2, 1, 3), (1, 2, 0, 3), (3, 1, 2, 0)]:
         with pytest.raises(Incompatible):
-            reconstruct(top, bot, *glue)
+            reconstruct(top, bot, Perm(wrong))
+
+
+def test_reconstruct_rejects_signed_points_sent_to_symmetric_points():
+    # z2rel k = 3, s1 = 1, s2 = 2: the sign pair {0, 1} must go to itself,
+    # not onto the S_s2 points {2, 3}, although they form a pair {2j, 2j+1}
+    for P in enumerate_M(3, 1, 2, "plain"):
+        for g in [(0, 1, 2, 3), (1, 0, 3, 2)]:
+            assert propagating_data(reconstruct(P, P, Perm(g))).r == 4
+        for wrong in [(2, 3, 0, 1), (3, 2, 1, 0), (2, 3, 1, 0)]:
+            with pytest.raises(Incompatible):
+                reconstruct(P, P, Perm(wrong))
 
 
 def test_decompose_is_injective():
@@ -539,3 +559,30 @@ def test_enumerate_M_variants_nest():
 
 def test_cell_label_r():
     assert CellLabel(2, 1, ((), ())).r == 5
+
+
+def test_value_records_compare_hash_and_print_by_fields():
+    # as a frozen dataclass: equal within one class by fields, the hash of
+    # the field tuple, Name(field=value, ...), and no assignment
+    label = CellLabel(2, 1, ((), ()))
+    assert label == CellLabel(2, 1, ((), ()))
+    assert label != CellLabel(2, 0, ((), ())) and label != (2, 1, ((), ()))
+    assert hash(label) == hash((2, 1, ((), ())))
+    assert repr(label) == "CellLabel(s1=2, s2=1, glabel=((), ()))"
+    assert PropagatingData(1, 1) != WreathSymLayer(1, 1)
+    assert repr(PropagatingData(1, 0)) == "PropagatingData(s1=1, s2=0)"
+    assert hash(SymLayer(2)) == hash((2,)) and SymLayer(2) == SymLayer(2)
+    assert repr(SymLayer(2)) == "SymLayer(s1=2)"
+    assert {WreathSymLayer(1, 1): 0}[WreathSymLayer(1, 1)] == 0
+    module = cell_module(CellLabel(1, 0, (1,)), "partition", 1)
+    assert module == cell_module(CellLabel(1, 0, (1,)), "partition", 1)
+    assert repr(module).startswith("CellModule(algebra='partition', k=1, ")
+    with pytest.raises(AttributeError):
+        label.s1 = 3
+    with pytest.raises(TypeError):
+        CellLabel(2, 1)
+    # a module's halves are interned and compare by identity: no deepcopy
+    assert copy.copy(module) == module
+    for value in (label, SymLayer(2), PropagatingData(1, 0)):
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value

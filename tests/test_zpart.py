@@ -8,12 +8,13 @@ from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_tabular import _join
+from test_tabular import _join, _reconstruct_by_roots
 
 from zrelalg import zpart
 from zrelalg.dalg import ALGEBRAS, basis, signed_row_ok, star_diagram
 from zrelalg.errors import InvalidSize, MalformedPartition, NotZ2Stable
-from zrelalg.tabular import HalfDiagram, decompose
+from zrelalg.groups import split_signed
+from zrelalg.tabular import HalfDiagram, decompose, reconstruct
 from zrelalg.zpart import (BOTTOM, E, G, TOP, ZStablePartition, _interned,
                            _lead_blocks, _owners, _row_counts,
                            _set_partitions, canonicalize, compose,
@@ -608,6 +609,27 @@ def test_compose_crosses_the_byte_boundaries(k):
             for d1, d2 in pairs} == {True, False}
     for d1, d2 in pairs:
         assert compose(d1, d2) == _compose_by_join(d1, d2), (d1, d2)
+
+
+@pytest.mark.parametrize("k", [33, 64, 65, 70, 128, 129])
+def test_reconstruct_crosses_the_byte_boundaries(k):
+    # A half's index is bytes up to k = 128; reconstruct relabels the
+    # bottom row by one translate while the halves' blocks fit a byte, and
+    # through a dict otherwise.  Up to k = 64 they always fit, from 65 to
+    # 128 the few-class diagrams do and the owner array is longer than 256
+    # codes, and past 128 none do.
+    rng = random.Random(k)
+    diagrams = [from_codes(list(range(4 * k)), k, 2), identity_diagram(k)]
+    diagrams += [_few_class_diagram(rng, k, c) for c in (1, 2, 3, 8, 40)]
+    halves = [decompose(d) for d in diagrams]
+    assert {len(P.base.blocks) + len(Q.base.blocks) <= 256
+            and type(Q.base.index) is bytes
+            for P, Q, _ in halves} == ({True} if k <= 64 else
+                                       {True, False} if k <= 128 else {False})
+    for d, (P, Q, g) in zip(diagrams, halves):
+        assert reconstruct(P, Q, g) is d
+        assert reconstruct(P, Q, g) is _reconstruct_by_roots(
+            P, Q, *split_signed(g, P.s1))
 
 
 @pytest.mark.parametrize("n", [1, 6, 256, 257, 300])
