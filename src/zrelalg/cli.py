@@ -10,6 +10,7 @@ import json
 import random
 import sys
 import time
+from functools import cache
 
 from .dalg import (ALGEBRAS, AlgebraElement, basis as algebra_basis,
                    dim_formula)
@@ -364,10 +365,17 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The parser, built once per process (a build takes about 1 ms):
+    ``parse_args`` keeps no state between calls, so callers that run
+    ``main`` many times in one process share it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

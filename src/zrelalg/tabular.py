@@ -14,6 +14,14 @@ basis and ``verify_table_datum``; a layer's ``from_points`` and
 ``to_points`` convert it only for the partition algebra's S_s1 layer.
 The triple (f, sigma1, sigma2) of ``split_signed`` exists only at the
 edges: ``phi``, the ``decompose`` verb's JSON and ``from_glue``.
+
+Neither direction re-derives what it holds.  Each one-row base is read
+once into its class table (``_class_table``: lead code, symmetry and
+positions of every class, in order of least position).  ``decompose``
+marks a base's classes off that table, so its marks come out sorted and
+the half is looked up under its key.  ``reconstruct`` numbers its owner
+array by first appearance, so the array is the diagram's own intern key
+(``zpart.from_index``), as is decompose's top row.
 """
 
 from __future__ import annotations
@@ -28,17 +36,31 @@ from .frozen import Frozen
 from .groups import GAElement, Perm, split_signed
 from .murphy import SymLayer, WreathSymLayer
 from .ring import Poly
-from .zpart import (BOTTOM, E, G, TOP, _BYTES, _lead_blocks, enumerate_rk,
-                    from_codes, is_sign_constant, propagating_data,
+from .zpart import (E, G, _BYTES, _lead_blocks, enumerate_rk, from_codes,
+                    from_index, is_sign_constant, propagating_data,
                     renumbered, roots)
+
+
+@cache
+def _class_table(base):
+    """(lead, symmetric, positions) for every class of a one-row base, in
+    order of least position: lead is the code of the class's least
+    e-vertex (the first vertex of its lead block), symmetric tells a
+    symmetric class from a couple, and positions are the class's
+    positions.  Bases are interned and never evicted, so each base is
+    read once."""
+    return tuple([(2 * points[0][1] - 2, symmetric,
+                   tuple([i for _, i, _ in points]))
+                  for _, symmetric, points in _lead_blocks(base)])
 
 
 def _classes(base):
     """The positions of the couples and of the symmetric classes of a
-    one-row partition, each list in order of least position."""
+    one-row base, each list in order of least position, read off its
+    class table."""
     classes = ([], [])
-    for _, symmetric, points in _lead_blocks(base):
-        classes[symmetric].append(tuple([i for _, i, _ in points]))
+    for _, symmetric, positions in _class_table(base):
+        classes[symmetric].append(positions)
     return classes
 
 
@@ -55,9 +77,13 @@ class HalfDiagram:
 
     ``block_ids`` is the block of every mark point: block_ids[a] indexes
     ``base.blocks``, read off ``base.index`` at ``mark_vertices()[a]``.
+    ``free`` numbers the unmarked blocks 0, 1, ... in block order: free[b]
+    is the number of unmarked block b, and 0 for a marked one; bytes while
+    the base has at most 256 blocks, a tuple beyond.
     """
 
-    __slots__ = ("base", "e_marks", "z_marks", "_vertices", "block_ids")
+    __slots__ = ("base", "e_marks", "z_marks", "_vertices", "block_ids",
+                 "free")
 
     def __init__(self, base, e_marks=(), z_marks=()):
         if base.rows != 1:
@@ -81,6 +107,11 @@ class HalfDiagram:
             [2 * m[0] - 2 + s for m in self.e_marks for s in (E, G)]
             + [2 * m[0] - 2 + E for m in self.z_marks])
         self.block_ids = tuple([base.index[v] for v in self._vertices])
+        free = [0] * len(base.blocks)
+        unmarked = [b for b in range(len(free)) if b not in self.block_ids]
+        for r, b in enumerate(unmarked):
+            free[b] = r
+        self.free = bytes(free) if len(free) <= 256 else tuple(free)
 
     def mark_vertices(self):
         """The vertex of every mark point, as its offset 2(i-1) + s in
@@ -178,6 +209,22 @@ def enumerate_M(k, s1, s2, variant="plain"):
     return out
 
 
+def _marked_half(base, row, other):
+    """The half on ``base``, the partition of one row of a diagram's
+    ``index``, whose marks are the through classes: a class is marked when
+    the diagram block at its lead code, ``row[lead]``, also lies in the
+    ``other`` row.  The class table is in order of least position, so the
+    marks come out sorted and the half is looked up under its key;
+    ``_half_diagram`` and its checks run only on a miss."""
+    marks = ([], [])
+    for lead, symmetric, positions in _class_table(base):
+        if row[lead] in other:
+            marks[symmetric].append(positions)
+    key = (base, tuple(marks[0]), tuple(marks[1]))
+    half = _halves.get(key)
+    return _half_diagram(*key) if half is None else half
+
+
 def decompose(d):
     """Split a diagram into (top half, bottom half, g), with g one Perm of
     the 2 s1 + s2 mark points: top mark point a goes to bottom mark point
@@ -186,26 +233,23 @@ def decompose(d):
     g-vertex of couple sigma1(i).
 
     The two rows of ``d.index`` are the owner arrays of the bases: a block
-    cut to one row owns the codes it keeps there.  The lead blocks of the
-    through classes give the marks, and g sends each top mark point to the
-    bottom mark point whose vertex shares its block.
+    cut to one row owns the codes it keeps there.  The top row is a prefix
+    of a canonical index, so it is canonical itself and is looked up as
+    its own key (``zpart.from_index``); the bottom row is renumbered by
+    ``from_codes``.  A through class cuts to one class on each row, whose
+    lead block is the cut of a diagram block meeting both rows, so each
+    base's class table gives the marks (``_marked_half``), and g sends each
+    top mark point to the bottom mark point whose vertex shares its block.
     """
     if d.rows != 2:
         raise NotADiagram("decompose needs a two-row diagram")
     index = d.index
     k2 = 2 * d.k
-    top_marks = ([], [])        # couples, symmetric classes
-    bot_marks = ([], [])
-    for _, symmetric, points in _lead_blocks(d):
-        if points[0][0] != points[-1][0]:
-            top_marks[symmetric].append(
-                tuple([i for row, i, _ in points if row == TOP]))
-            bot_marks[symmetric].append(
-                tuple([i for row, i, _ in points if row == BOTTOM]))
-    top = _half_diagram(from_codes(index[:k2], d.k, 1), *top_marks)
-    bot = _half_diagram(from_codes(index[k2:], d.k, 1), *bot_marks)
-    point = {index[k2 + v]: b for b, v in enumerate(bot.mark_vertices())}
-    return top, bot, Perm([point[index[v]] for v in top.mark_vertices()])
+    top_row, bot_row = index[:k2], index[k2:]
+    top = _marked_half(from_index(top_row, d.k, 1), top_row, bot_row)
+    bot = _marked_half(from_codes(bot_row, d.k, 1), bot_row, top_row)
+    point = {bot_row[v]: b for b, v in enumerate(bot.mark_vertices())}
+    return top, bot, Perm([point[top_row[v]] for v in top.mark_vertices()])
 
 
 def reconstruct(top, bottom, g):
@@ -220,9 +264,13 @@ def reconstruct(top, bottom, g):
     A half's mark points lie in distinct blocks (a repeated mark raises)
     and g is a permutation, so the links are a matching: no union-find is
     needed.  Each top code keeps its top block as owner, a matched bottom
-    block takes its top block's number, and an unmatched one the number
-    nt + b past the nt top blocks.  While the bottom index is bytes and the
-    blocks fit a byte, that relabelling is one ``bytes.translate``.
+    block takes its top block's number, and the unmatched ones the numbers
+    nt, nt + 1, ... past the nt top blocks, in bottom block order (the
+    bottom half's ``free``).  Blocks of the bottom index appear in order,
+    so the owner array is numbered by first appearance: it is the
+    diagram's canonical index and is looked up as its own key
+    (``zpart.from_index``).  While the bottom index is bytes and the
+    blocks fit a byte, the relabelling is one ``bytes.translate``.
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
@@ -236,16 +284,20 @@ def reconstruct(top, bottom, g):
                            % (g, top.s1, top.s2))
     tops, bots = top.block_ids, bottom.block_ids
     nt = len(top.base.blocks)
+    nb = len(bottom.base.blocks)
     index = bottom.base.index
-    if nt + len(bottom.base.blocks) <= 256 and type(index) is bytes:
-        table = bytearray(_BYTES[nt:] + _BYTES[:nt])
+    if nt + nb <= 256 and type(index) is bytes:
+        table = bytearray(256)
+        table[:nb] = bottom.free.translate(_BYTES[nt:] + _BYTES[:nt])
         for a, p in zip(tops, images):
             table[bots[p]] = a
         owner = top.base.index + index.translate(table)
     else:
-        match = {bots[p]: a for a, p in zip(tops, images)}
-        owner = [*top.base.index] + [match.get(b, nt + b) for b in index]
-    return from_codes(owner, top.k, 2)
+        relabel = [nt + r for r in bottom.free]
+        for a, p in zip(tops, images):
+            relabel[bots[p]] = a
+        owner = (*top.base.index, *map(relabel.__getitem__, index))
+    return from_index(owner, top.k, 2)
 
 
 @cache

@@ -27,9 +27,11 @@ partition: a table per (k, rows) holds every partition it has returned,
 is never evicted, and so holds at most the stable partitions of that
 size.  The table's key, the canonical block of every vertex code, is
 kept on the partition as its block ``index``; its row counts are computed
-once, on first use, and kept too.  Since equal partitions are one
-object, equality and hashing are Python's, by identity; order stays by
-value, for sorting.
+once, on first use, and kept too.  An owner array that is already
+canonical (reconstruction's, and the top row of a block index) is its
+own key: ``from_index`` looks it up without renumbering it.  Since equal
+partitions are one object, equality and hashing are Python's, by
+identity; order stays by value, for sorting.
 """
 
 from __future__ import annotations
@@ -233,6 +235,19 @@ def from_codes(owner, k, rows):
         d = table[key] = ZStablePartition(k, rows, tuple(map(tuple, blocks)),
                                           key)
     return d
+
+
+def from_index(index, k, rows):
+    """``from_codes`` for an owner array that is already canonical: a block
+    ``index``, its labels numbered by first appearance (a restricted-growth
+    string), as bytes or a tuple.  Such an array is its own intern key, so
+    a hit skips the renumbering; a miss goes through ``from_codes`` and
+    its checks.  An array that is not canonical, or not of the key's type
+    at its size, equals no key and so never hits.  Compose's owner
+    arrays, labelled by class roots, are never canonical and go to
+    ``from_codes`` directly."""
+    d = _interned(k, rows).get(index)
+    return from_codes(index, k, rows) if d is None else d
 
 
 def is_sign_constant(blocks):

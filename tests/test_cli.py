@@ -619,6 +619,22 @@ def test_help_exits_cleanly(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+def test_usage_error_then_valid_call_in_one_process(capsys):
+    # main shares one parser across calls; a call that argparse rejects
+    # must leave nothing behind for the next
+    valid = run(capsys, "dim", "--algebra", "signed", "--k", "2")
+    assert valid[0] == 0
+    for bad in [("dim", "--algebra", "signed", "--k", "0_1"),
+                ("dim", "--algebra", "signed"),
+                ("verify", "--algebra", "signed", "--k", "2", "--suite",
+                 "nope"),
+                ("nope",)]:
+        code, out, err = run(capsys, *bad)
+        assert code == 2 and out == "" and "usage:" in err
+        assert run(capsys, "dim", "--algebra", "signed", "--k", "2") == valid
+    assert cli._parser() is cli._parser()
+
+
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["dim", "--algebra", "z2rel", "--k", "1"])

@@ -1,6 +1,7 @@
 """Cell modules, Gram matrices, radicals, irreducibles."""
 
 import ast
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -445,6 +446,85 @@ def test_modular_classification():
     assert exceptions == {(algebra, k, p, 0, "0,0,0,-,-,-")
                           for algebra in ALGEBRAS for k in (1, 2, 3)
                           for p in (3, 5, 7)}
+
+
+def _odd_prime_factors(n):
+    out, p = set(), 3
+    while n % 2 == 0:
+        n //= 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 2
+    return out | ({n} if n > 1 else set())
+
+
+def _content_rule_mismatches(ks):
+    """(labels, mismatches) of the content rule over the three algebras at
+    each k in ks: c_lambda is the gcd of the structure constants r of
+    ``gram(label, algebra, k)`` (each entry is the one monomial r x^l), every
+    odd prime factor of c_lambda is at most k, and those factors are exactly
+    the odd primes p <= k at which the label is not p-restricted."""
+    labels, mismatches = 0, []
+    for algebra in ALGEBRAS:
+        for k in ks:
+            for label in cellular_basis(algebra, k).labels():
+                c = 0
+                for row in gram(label, algebra, k).entries:
+                    for entry in row:
+                        for r in entry.coeffs.values():
+                            assert Fraction(r).denominator == 1, (label, r)
+                            c = math.gcd(c, int(r))
+                assert c > 0, (algebra, k, label)
+                factors = _odd_prime_factors(c)
+                expected = {p for p in range(3, k + 1, 2)
+                            if _odd_prime_factors(p) == {p}
+                            and not label_p_restricted(label, p)}
+                labels += 1
+                if max(factors, default=0) > k or factors != expected:
+                    mismatches.append((algebra, k, format_label(label), c))
+    return labels, mismatches
+
+
+def test_content_rule_every_odd_prime():
+    """The modular rule for every odd prime p at once, k <= 3.  At a point
+    x0 not divisible by p the form of a label vanishes exactly when p
+    divides c_lambda, the gcd of its structure constants.  The test checks
+    that every odd prime factor of c_lambda is at most k and that the odd
+    primes p <= k dividing it are exactly those at which the label is not
+    p-restricted; for an odd p > k every label is p-restricted (no part
+    exceeds k) and p does not divide c_lambda.  So at x0 != 0 the form is
+    nonzero exactly for the p-restricted labels, for every odd prime p,
+    not only the primes ``test_modular_classification`` runs.  (p = 2 is
+    left out: the z2rel and signed Murphy records carry 1/2.)"""
+    assert _content_rule_mismatches((1, 2, 3)) == (100, [])
+
+
+@pytest.mark.slow
+def test_content_rule_every_odd_prime_k4():
+    """``test_content_rule_every_odd_prime`` at k = 4, where 3 is the one
+    odd prime at most k: it covers every odd prime there too."""
+    assert _content_rule_mismatches((4,)) == (153, [])
+
+
+@pytest.mark.slow
+def test_modular_classification_k4():
+    """Over F_p at every x in F_p, p in {3, 5}, k = 4, where labels such as
+    (4), ((3), (1)) and ((1), (3)) first fail to be 3-restricted: the
+    form is nonzero exactly for the p-restricted labels, with the one
+    exception of the lowest label at x = 0."""
+    exceptions = set()
+    for algebra in ALGEBRAS:
+        for p in (3, 5):
+            for x in range(p):
+                for r in irreducible_table(algebra, 4, char=p,
+                                           x_value=Fraction(x)):
+                    if r["nonzero"] != r["p_restricted"]:
+                        exceptions.add((algebra, p, x,
+                                        format_label(r["label"])))
+    assert exceptions == {(algebra, p, 0, "0,0,0,-,-,-")
+                          for algebra in ALGEBRAS for p in (3, 5)}
 
 
 def test_gram_bruteforce_matches_factorized_sampled_k2():

@@ -8,6 +8,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zrelalg import zpart
 from zrelalg.dalg import ALGEBRAS, AlgebraElement, basis, dim_formula
 from zrelalg.errors import Incompatible, UnknownLabel
 from zrelalg.groups import Perm, split_signed
@@ -18,8 +19,8 @@ from zrelalg.tabular import (CellLabel, HalfDiagram, _half_diagram,
                              cellular_basis, decompose, enumerate_M,
                              index_lt, index_pairs, layer_for, phi,
                              reconstruct, variant_for, verify_table_datum)
-from zrelalg.zpart import (BOTTOM, E, G, TOP, PropagatingData, canonicalize,
-                           from_codes, propagating_data, roots)
+from zrelalg.zpart import (BOTTOM, E, G, TOP, PropagatingData, _lead_blocks,
+                           canonicalize, from_codes, propagating_data, roots)
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
@@ -58,6 +59,63 @@ def _basis_k3(algebra):
 def test_decompose_reconstruct_roundtrip_k3(algebra, data):
     d = data.draw(st.sampled_from(_basis_k3(algebra)))
     assert reconstruct(*decompose(d)) is d
+
+
+def _decompose_by_lead_blocks(d):
+    """Oracle for decompose: the marks of both halves read off the lead
+    blocks of the two-row diagram's through classes, each half's marks
+    sorted by ``_half_diagram``, and g sending each top mark point to the
+    bottom mark point whose vertex shares its block."""
+    index = d.index
+    k2 = 2 * d.k
+    top_marks = ([], [])        # couples, symmetric classes
+    bot_marks = ([], [])
+    for _, symmetric, points in _lead_blocks(d):
+        if points[0][0] != points[-1][0]:
+            top_marks[symmetric].append(
+                tuple([i for row, i, _ in points if row == TOP]))
+            bot_marks[symmetric].append(
+                tuple([i for row, i, _ in points if row == BOTTOM]))
+    top = _half_diagram(from_codes(index[:k2], d.k, 1), *top_marks)
+    bot = _half_diagram(from_codes(index[k2:], d.k, 1), *bot_marks)
+    point = {index[k2 + v]: b for b, v in enumerate(bot.mark_vertices())}
+    return top, bot, Perm([point[index[v]] for v in top.mark_vertices()])
+
+
+def _same_decomposition(d):
+    top, bot, g = decompose(d)
+    otop, obot, og = _decompose_by_lead_blocks(d)
+    return top is otop and bot is obot and g == og
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_decompose_equals_lead_block_oracle(algebra):
+    # the class tables give the same half objects and g as reading the
+    # two-row diagram's lead blocks, on every basis diagram at k <= 3
+    for k in (1, 2, 3):
+        for d in basis(algebra, k):
+            assert _same_decomposition(d), d
+
+
+def test_roundtrip_reconstructs_without_renumbering(monkeypatch):
+    # reconstruct numbers the unmatched bottom blocks in block order, so
+    # its owner array is the diagram's canonical index and is its own
+    # intern key: no basis diagram at k <= 2 needs zpart.renumbered
+    calls = []
+    renumbered = zpart.renumbered
+
+    def counted(labels):
+        calls.append(labels)
+        return renumbered(labels)
+
+    for algebra in ALGEBRAS:
+        for k in (1, 2):
+            for d in basis(algebra, k):
+                triple = decompose(d)
+                monkeypatch.setattr(zpart, "renumbered", counted)
+                assert reconstruct(*triple) is d
+                monkeypatch.setattr(zpart, "renumbered", renumbered)
+    assert calls == []
 
 
 def _reconstruct_by_roots(top, bottom, f, sigma1, sigma2):

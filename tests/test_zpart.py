@@ -8,7 +8,8 @@ from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_tabular import _join, _reconstruct_by_roots
+from test_tabular import (_decompose_by_lead_blocks, _join,
+                          _reconstruct_by_roots)
 
 from zrelalg import zpart
 from zrelalg.dalg import ALGEBRAS, basis, signed_row_ok, star_diagram
@@ -18,8 +19,8 @@ from zrelalg.tabular import HalfDiagram, decompose, reconstruct
 from zrelalg.zpart import (BOTTOM, E, G, TOP, ZStablePartition, _interned,
                            _lead_blocks, _owners, _row_counts,
                            _set_partitions, canonicalize, compose,
-                           enumerate_rk, from_codes, identity_diagram,
-                           propagating_data, roots)
+                           enumerate_rk, from_codes, from_index,
+                           identity_diagram, propagating_data, roots)
 
 
 def flip_sign(v):
@@ -341,6 +342,31 @@ def test_from_codes_reads_owner_arrays():
         [[(TOP, 1, E), (TOP, 1, G)]], 1, 1)
 
 
+def test_from_index_looks_canonical_arrays_up_as_keys(monkeypatch):
+    rng, diagrams = _owner_sample()
+    diagrams += [_few_class_diagram(rng, 65, 3) for _ in range(5)]
+    renumbered = zpart.renumbered
+    for d in diagrams:
+        k, rows = d.k, d.rows
+        # a canonical index is its own key: no renumbering
+        monkeypatch.setattr(zpart, "renumbered", None)
+        assert from_index(d.index, k, rows) is d
+        monkeypatch.setattr(zpart, "renumbered", renumbered)
+        # anything else misses and goes through from_codes
+        label = rng.sample(range(256), 256)
+        relabelled = [label[b] for b in d.index]
+        for owner in (bytes(relabelled), tuple(relabelled),
+                      (tuple if type(d.index) is bytes else bytes)(d.index)):
+            assert from_index(owner, k, rows) is d, owner
+    # an unstable array misses, even when it is numbered by first
+    # appearance, and from_codes rejects it
+    for owner in (bytes([0, 0, 0, 1]), (0, 0, 0, 1)):
+        with pytest.raises(NotZ2Stable):
+            from_index(owner, 2, 1)
+    with pytest.raises(MalformedPartition, match="owner array"):
+        from_index(bytes(3), 1, 1)
+
+
 def test_from_codes_checks_length_and_flip():
     rng, diagrams = _owner_sample()
     kinds = {}
@@ -615,9 +641,10 @@ def test_compose_crosses_the_byte_boundaries(k):
 def test_reconstruct_crosses_the_byte_boundaries(k):
     # A half's index is bytes up to k = 128; reconstruct relabels the
     # bottom row by one translate while the halves' blocks fit a byte, and
-    # through a dict otherwise.  Up to k = 64 they always fit, from 65 to
+    # through a list otherwise.  Up to k = 64 they always fit, from 65 to
     # 128 the few-class diagrams do and the owner array is longer than 256
-    # codes, and past 128 none do.
+    # codes, and past 128 none do.  Decompose's top row is a tuple past
+    # k = 64, where the one-row key is still bytes.
     rng = random.Random(k)
     diagrams = [from_codes(list(range(4 * k)), k, 2), identity_diagram(k)]
     diagrams += [_few_class_diagram(rng, k, c) for c in (1, 2, 3, 8, 40)]
@@ -627,6 +654,8 @@ def test_reconstruct_crosses_the_byte_boundaries(k):
             for P, Q, _ in halves} == ({True} if k <= 64 else
                                        {True, False} if k <= 128 else {False})
     for d, (P, Q, g) in zip(diagrams, halves):
+        top, bot, g0 = _decompose_by_lead_blocks(d)
+        assert P is top and Q is bot and g == g0
         assert reconstruct(P, Q, g) is d
         assert reconstruct(P, Q, g) is _reconstruct_by_roots(
             P, Q, *split_signed(g, P.s1))
