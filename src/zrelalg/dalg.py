@@ -19,7 +19,7 @@ from functools import cache
 
 from .errors import Incompatible, InvalidSize, NotADiagram
 from .ring import ONE, Poly
-from .zpart import (E, ZStablePartition, _owners, _row_counts,
+from .zpart import (E, ZStablePartition, _order_key, _owners, _row_counts,
                     _set_partitions, compose, enumerate_rk, from_codes,
                     identity_diagram, is_sign_constant, json_size)
 
@@ -40,7 +40,7 @@ def in_basis(algebra, d):
     if algebra == "z2rel":
         return True
     if algebra == "partition":
-        return is_sign_constant(d.blocks)
+        return is_sign_constant(d)
     s1, s2, he_t, hz_t, he_b, hz_b = _row_counts(d)
     return (signed_row_ok(d.k, s1, s2, he_t, hz_t)
             and signed_row_ok(d.k, s1, s2, he_b, hz_b))
@@ -73,7 +73,7 @@ def _doubled_partition_diagrams(k):
     out = [from_codes(_owners(4 * k, ((cell, (E,) * len(cell))
                                       for cell in part)), k, 2)
            for part in _set_partitions(list(range(2 * k)))]
-    out.sort(key=lambda d: d.blocks)
+    out.sort(key=_order_key)
     return out
 
 
@@ -227,6 +227,12 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, self.k,
                               {star_diagram(d): c for d, c in self.terms.items()})
 
+    def _sorted_terms(self):
+        """The terms in diagram order, each diagram's order key computed
+        once; every diagram has this element's k and two rows, so the key
+        alone decides."""
+        return sorted(self.terms.items(), key=lambda t: _order_key(t[0]))
+
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement) and self.algebra == other.algebra
                 and self.k == other.k and self.terms == other.terms)
@@ -235,12 +241,12 @@ class AlgebraElement:
         if not self.terms:
             return "0"
         return " + ".join("(%s)*%r" % (c, d)
-                          for d, c in sorted(self.terms.items()))
+                          for d, c in self._sorted_terms())
 
     def to_json(self):
         return {"algebra": self.algebra, "k": self.k,
                 "terms": [{"coeff": c.to_json(), "diagram": d.to_json()}
-                          for d, c in sorted(self.terms.items())]}
+                          for d, c in self._sorted_terms()]}
 
     @staticmethod
     def from_json(obj):

@@ -49,9 +49,8 @@ def _class_table(base):
     symmetric class from a couple, and positions are the class's
     positions.  Bases are interned and never evicted, so each base is
     read once."""
-    return tuple([(2 * points[0][1] - 2, symmetric,
-                   tuple([i for _, i, _ in points]))
-                  for _, symmetric, points in _lead_blocks(base)])
+    return tuple([(codes[0], symmetric, tuple([(c >> 1) + 1 for c in codes]))
+                  for _, symmetric, codes in _lead_blocks(base)])
 
 
 def _classes(base):
@@ -75,8 +74,8 @@ class HalfDiagram:
     the marks and shares one object a half, so equal halves are one object
     and compare by identity; order stays by value.
 
-    ``block_ids`` is the block of every mark point: block_ids[a] indexes
-    ``base.blocks``, read off ``base.index`` at ``mark_vertices()[a]``.
+    ``block_ids`` is the block of every mark point: block_ids[a] is the
+    block number ``base.index`` holds at ``mark_vertices()[a]``.
     ``free`` numbers the unmarked blocks 0, 1, ... in block order: free[b]
     is the number of unmarked block b, and 0 for a marked one; bytes while
     the base has at most 256 blocks, a tuple beyond.
@@ -107,7 +106,7 @@ class HalfDiagram:
             [2 * m[0] - 2 + s for m in self.e_marks for s in (E, G)]
             + [2 * m[0] - 2 + E for m in self.z_marks])
         self.block_ids = tuple([base.index[v] for v in self._vertices])
-        free = [0] * len(base.blocks)
+        free = [0] * base.nblocks
         unmarked = [b for b in range(len(free)) if b not in self.block_ids]
         for r, b in enumerate(unmarked):
             free[b] = r
@@ -186,13 +185,16 @@ def enumerate_M(k, s1, s2, variant="plain"):
     Each base is read once into its couples and symmetric classes;
     the partition variant keeps sign-constant bases, at s2 = 0 only.  The
     signed variant admits a choice of couple marks by ``signed_row_ok`` on
-    the unmarked couples of size >= 2 and the hz - s2 unmarked classes."""
+    the unmarked couples of size >= 2 and the hz - s2 unmarked classes.
+    The halves come sorted with no sort: the bases come in order, and so
+    do the combinations of each base's classes, which are sorted by least
+    position."""
     if variant not in ("plain", "signed", "partition"):
         raise Incompatible("unknown variant %r" % (variant,))
     out = []
     for base in enumerate_rk(k, 1):
         if variant == "partition" and (
-                s2 or not is_sign_constant(base.blocks)):
+                s2 or not is_sign_constant(base)):
             continue
         couples, classes = _classes(base)
         if len(couples) < s1 or len(classes) < s2:
@@ -205,7 +207,6 @@ def enumerate_M(k, s1, s2, variant="plain"):
                 continue
             for zmarks in combinations(classes, s2):
                 out.append(_half_diagram(base, emarks, zmarks))
-    out.sort()
     return out
 
 
@@ -235,7 +236,8 @@ def decompose(d):
     The two rows of ``d.index`` are the owner arrays of the bases: a block
     cut to one row owns the codes it keeps there.  The top row is a prefix
     of a canonical index, so it is canonical itself and is looked up as
-    its own key (``zpart.from_index``); the bottom row is renumbered by
+    its own key (``zpart.from_index``), as bytes up to 256 codes even where
+    the two-row index is a tuple; the bottom row is renumbered by
     ``from_codes``.  A through class cuts to one class on each row, whose
     lead block is the cut of a diagram block meeting both rows, so each
     base's class table gives the marks (``_marked_half``), and g sends each
@@ -246,7 +248,9 @@ def decompose(d):
     index = d.index
     k2 = 2 * d.k
     top_row, bot_row = index[:k2], index[k2:]
-    top = _marked_half(from_index(top_row, d.k, 1), top_row, bot_row)
+    # a top row's labels are its block numbers, below 2k, so fit a byte
+    key = bytes(top_row) if k2 <= 256 and type(top_row) is tuple else top_row
+    top = _marked_half(from_index(key, d.k, 1), top_row, bot_row)
     bot = _marked_half(from_codes(bot_row, d.k, 1), bot_row, top_row)
     point = {bot_row[v]: b for b, v in enumerate(bot.mark_vertices())}
     return top, bot, Perm([point[top_row[v]] for v in top.mark_vertices()])
@@ -270,7 +274,8 @@ def reconstruct(top, bottom, g):
     so the owner array is numbered by first appearance: it is the
     diagram's canonical index and is looked up as its own key
     (``zpart.from_index``).  While the bottom index is bytes and the
-    blocks fit a byte, the relabelling is one ``bytes.translate``.
+    blocks fit a byte, the relabelling is one ``bytes.translate``, and the
+    array it gives is made a tuple past 256 codes, the key's type there.
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
@@ -283,8 +288,8 @@ def reconstruct(top, bottom, g):
         raise Incompatible("%r is no group element of layer (%d, %d)"
                            % (g, top.s1, top.s2))
     tops, bots = top.block_ids, bottom.block_ids
-    nt = len(top.base.blocks)
-    nb = len(bottom.base.blocks)
+    nt = top.base.nblocks
+    nb = bottom.base.nblocks
     index = bottom.base.index
     if nt + nb <= 256 and type(index) is bytes:
         table = bytearray(256)
@@ -292,6 +297,8 @@ def reconstruct(top, bottom, g):
         for a, p in zip(tops, images):
             table[bots[p]] = a
         owner = top.base.index + index.translate(table)
+        if len(owner) > 256:
+            owner = tuple(owner)
     else:
         relabel = [nt + r for r in bottom.free]
         for a, p in zip(tops, images):
@@ -313,8 +320,8 @@ def _join(top_base, bottom_base):
     ``compose`` reads it, runs on past them.  Bases are interned and never
     evicted, so each pair of bases is joined once, whichever marks its
     halves carry."""
-    nt = len(top_base.blocks)
-    n = nt + len(bottom_base.blocks)
+    nt = top_base.nblocks
+    n = nt + bottom_base.nblocks
     root = roots(n, zip(top_base.index, [nt + b for b in bottom_base.index]))
     classes, join = renumbered(root[:n])
     return len(classes), join
@@ -327,7 +334,7 @@ def _phi_perm(top, bottom):
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
     count, join = _join(top.base, bottom.base)
-    nt = len(top.base.blocks)
+    nt = top.base.nblocks
     point = {join[nt + b]: a for a, b in enumerate(bottom.block_ids)}
     images = [point.get(join[b]) for b in top.block_ids]
     if None in images or len(set(images)) != len(images):

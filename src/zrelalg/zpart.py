@@ -15,7 +15,8 @@ one vertex of each sign pair per block).  So a class is read off its
 *lead block*, the one whose first vertex has sign e: it also holds the
 g-vertex there exactly when the class is symmetric, and otherwise the
 couple's other block does.  ``_lead_blocks`` is the one place that reads
-them.
+them, off the block index: the lead block's first code is even, and it is
+symmetric when the next code, its flip partner, lies in the same block.
 
 ``from_codes`` is the only place a partition is built, from its owner
 array: one block label per vertex code.  Composition, decomposition's
@@ -26,19 +27,22 @@ array.  ``from_codes`` returns one shared object per canonical
 partition: a table per (k, rows) holds every partition it has returned,
 is never evicted, and so holds at most the stable partitions of that
 size.  The table's key, the canonical block of every vertex code, is
-kept on the partition as its block ``index``; its row counts are computed
-once, on first use, and kept too.  An owner array that is already
-canonical (reconstruction's, and the top row of a block index) is its
-own key: ``from_index`` looks it up without renumbering it.  Since equal
-partitions are one object, equality and hashing are Python's, by
-identity; order stays by value, for sorting.
+kept on the partition as its block ``index``, which is all the partition
+stores of itself besides its size and block count: its row counts are
+computed once, on first use, and kept, and its block list of vertex
+triples is computed on every read, for printing and JSON.  An owner
+array that is already canonical (reconstruction's, and the top row of a
+block index) is its own key: ``from_index`` looks it up without
+renumbering it.  Since equal partitions are one object, equality and
+hashing are Python's, by identity; order stays by value, for sorting,
+through one key per partition read off its index (``_order_key``).
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
-from itertools import product
+from itertools import chain, product
 
 from .errors import (InvalidSize, MalformedPartition, NotADiagram,
                      NotZ2Stable, SizeMismatch)
@@ -51,23 +55,34 @@ _BYTES = bytes(range(256))
 
 class ZStablePartition:
     """A canonical sign-stable set partition on one or two rows of k doubled
-    points.
+    points, kept as its block index alone.
 
     ``index`` is the block of every vertex: entry 2k*row + 2(i-1) + s is
-    the index in ``blocks`` of the block holding vertex (row, i, s).  It is
-    ``bytes`` while 2k*rows <= 256 and a tuple beyond."""
+    the number of the block holding vertex (row, i, s), the blocks
+    numbered 0, 1, ... in order of their least vertex.  It is ``bytes``
+    while 2k*rows <= 256 and a tuple beyond.  ``nblocks`` counts the
+    blocks.  ``blocks``, the blocks as tuples of vertex triples, is
+    computed from the index on every read and not stored: printing, JSON
+    and the tests read it, the program reads the index."""
 
-    __slots__ = ("k", "rows", "blocks", "index", "_counts")
+    __slots__ = ("k", "rows", "index", "nblocks", "_counts")
 
-    def __init__(self, k, rows, blocks, index):
+    def __init__(self, k, rows, index, nblocks):
         self.k = k
         self.rows = rows
-        self.blocks = blocks
         self.index = index
+        self.nblocks = nblocks
         self._counts = None
 
+    @property
+    def blocks(self):
+        vertex = _vertices(self.k, self.rows)
+        return tuple([tuple([vertex[c] for c in codes])
+                      for codes in _block_codes(self)])
+
     def __lt__(self, other):
-        return (self.rows, self.k, self.blocks) < (other.rows, other.k, other.blocks)
+        return ((self.rows, self.k, _order_key(self))
+                < (other.rows, other.k, _order_key(other)))
 
     def __repr__(self):
         def vname(v):
@@ -213,7 +228,7 @@ def from_codes(owner, k, rows):
                                  "have %d" % (len(owner), k, rows, n))
     # Renumbering the labels in order of first appearance, i.e. of least
     # code, gives the owner array of the canonical block order: the key,
-    # and on a miss the blocks and the block index.
+    # which is the block index.
     labels, key = renumbered(owner)
     table = _interned(k, rows)
     d = table.get(key)
@@ -228,12 +243,7 @@ def from_codes(owner, k, rows):
         for a, b in zip(key[::2], key[1::2]):
             if flip.setdefault(a, b) != b or flip.setdefault(b, a) != a:
                 raise NotZ2Stable("sign flip does not permute the blocks")
-        vertex = _vertices(k, rows)
-        blocks = [[] for _ in labels]
-        for c, r in enumerate(key):
-            blocks[r].append(vertex[c])
-        d = table[key] = ZStablePartition(k, rows, tuple(map(tuple, blocks)),
-                                          key)
+        d = table[key] = ZStablePartition(k, rows, key, len(labels))
     return d
 
 
@@ -250,10 +260,12 @@ def from_index(index, k, rows):
     return from_codes(index, k, rows) if d is None else d
 
 
-def is_sign_constant(blocks):
-    """True iff every block holds vertices of one sign only: the doubled
-    partition diagrams."""
-    return all(len({v[2] for v in b}) == 1 for b in blocks)
+def is_sign_constant(d):
+    """True iff every block of ``d`` holds vertices of one sign only: the
+    doubled partition diagrams.  E-codes are even and g-codes odd, so no
+    block may own codes of both parities."""
+    index = d.index
+    return set(index[::2]).isdisjoint(index[1::2])
 
 
 def _set_partitions(items):
@@ -311,8 +323,8 @@ def enumerate_rk(k, rows):
         for signs in product(*choices):
             out.append(from_codes(_owners(2 * k * rows,
                                           zip(quotient, signs)), k, rows))
-    # k and rows are the same throughout, so the blocks alone decide the order.
-    out.sort(key=lambda d: d.blocks)
+    # k and rows are the same throughout, so the key alone decides the order.
+    out.sort(key=_order_key)
     return out
 
 
@@ -344,18 +356,41 @@ def roots(n, links):
     return root
 
 
+def _block_codes(d, start=0):
+    """The codes of every block of ``d``, in block order, each in code
+    order and shifted by ``start``."""
+    blocks = [[] for _ in range(d.nblocks)]
+    for c, b in enumerate(d.index, start):
+        blocks[b].append(c)
+    return blocks
+
+
+def _order_key(d):
+    """The order of partitions of one size, as one key read off the index:
+    for each block in order, its codes + 1, then a 0.  Code order is vertex
+    order, and the 0 ends a block below any code, so the keys sort exactly
+    as the block lists of vertex triples do.  Bytes while every code + 1
+    fits a byte, a tuple beyond."""
+    blocks = _block_codes(d, 1)
+    for codes in blocks:
+        codes.append(0)
+    return (bytes if len(d.index) < 256 else tuple)(
+        chain.from_iterable(blocks))
+
+
 def _lead_blocks(d):
-    """(b, symmetric, points) for the lead block of every class of ``d``,
-    in block order, i.e. in order of the class's least position: b indexes
-    ``d.blocks``, symmetric tells whether the block also holds the g-vertex
-    at its first position, and points are the lead block's vertices, one
-    per position of the class (a symmetric block pairs e and g, so its
-    e-vertices)."""
-    for b, block in enumerate(d.blocks):
-        row, i, s = block[0]
-        if s == E:
-            symmetric = len(block) > 1 and block[1] == (row, i, G)
-            yield b, symmetric, block[::2] if symmetric else block
+    """(b, symmetric, codes) for the lead block of every class of ``d``,
+    in block order, i.e. in order of the class's least position: b is the
+    block's number, whose first code is even (sign e); symmetric tells
+    whether its flip partner, the next code, lies in the same block; and
+    codes are the block's codes, one per position of the class (a
+    symmetric block pairs e and g, so its e-codes)."""
+    index = d.index
+    for b, codes in enumerate(_block_codes(d)):
+        lead = codes[0]
+        if not lead & 1:
+            symmetric = index[lead + 1] == b
+            yield b, symmetric, codes[::2] if symmetric else codes
 
 
 @cache
@@ -375,16 +410,17 @@ def _row_counts(d):
     classes of each row, couples only at unsigned size >= 2 (a lead block
     of 2 vertices or more) and symmetric classes at any size."""
     if d._counts is None:
+        k2 = 2 * d.k
         through = [0, 0]            # couples, symmetric classes
         he = [0, 0]
         hz = [0, 0]
-        for _, symmetric, points in _lead_blocks(d):
-            row = points[0][0]
-            if points[-1][0] != row:
+        for _, symmetric, codes in _lead_blocks(d):
+            row = codes[0] // k2
+            if codes[-1] // k2 != row:
                 through[symmetric] += 1
             elif symmetric:
                 hz[row] += 1
-            elif len(points) >= 2:
+            elif len(codes) >= 2:
                 he[row] += 1
         d._counts = _shared((*through, he[TOP], hz[TOP], he[BOTTOM],
                              hz[BOTTOM]))
@@ -415,8 +451,8 @@ def compose(d1, d2):
     if d1.k != d2.k:
         raise SizeMismatch("k=%d vs k=%d" % (d1.k, d2.k))
     k2 = 2 * d1.k
-    n1 = len(d1.blocks)
-    n = n1 + len(d2.blocks)
+    n1 = d1.nblocks
+    n = n1 + d2.nblocks
     index1 = d1.index
     if n <= 256 and type(index1) is bytes:
         index2 = d2.index.translate(bytes.maketrans(_BYTES[:n - n1],

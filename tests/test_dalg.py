@@ -40,10 +40,20 @@ def test_enumeration_matches_formula_k3(algebra):
     assert len(basis(algebra, 3)) == dim_formula(algebra, 3)
 
 
+def _is_sign_constant_by_blocks(blocks):
+    """Oracle for ``zpart.is_sign_constant``: every block of vertex
+    triples holds one sign only."""
+    return all(len({v[2] for v in b}) == 1 for b in blocks)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_partition_basis_equals_filtered_oracle(k):
     assert basis("partition", k) == [d for d in enumerate_rk(k, 2)
-                                     if is_sign_constant(d.blocks)]
+                                     if _is_sign_constant_by_blocks(d.blocks)]
+    for rows in (1, 2):
+        for d in enumerate_rk(k, rows):
+            assert is_sign_constant(d) == _is_sign_constant_by_blocks(
+                d.blocks), d
 
 
 def test_partition_basis_k4():

@@ -1,7 +1,10 @@
 """Sign-stable set partitions: structure, enumeration, composition."""
 
 import ast
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
@@ -9,7 +12,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_tabular import (_decompose_by_lead_blocks, _join,
-                          _reconstruct_by_roots)
+                          _lead_blocks_by_walking, _reconstruct_by_roots)
 
 from zrelalg import zpart
 from zrelalg.dalg import ALGEBRAS, basis, signed_row_ok, star_diagram
@@ -18,7 +21,7 @@ from zrelalg.groups import split_signed
 from zrelalg.tabular import HalfDiagram, decompose, reconstruct
 from zrelalg.zpart import (BOTTOM, E, G, TOP, ZStablePartition, _interned,
                            _lead_blocks, _owners, _row_counts,
-                           _set_partitions, canonicalize, compose,
+                           _set_partitions, _vertices, canonicalize, compose,
                            enumerate_rk, from_codes, from_index,
                            identity_diagram, propagating_data, roots)
 
@@ -92,6 +95,38 @@ def enumerate_rk_bruteforce(k, rows):
 def test_enumeration_matches_bruteforce_oracle(k, rows):
     assert ([_value(d) for d in enumerate_rk(k, rows)]
             == enumerate_rk_bruteforce(k, rows))
+
+
+@pytest.mark.parametrize("k,rows", [(k, rows) for k in (1, 2, 3)
+                                    for rows in (1, 2)])
+def test_enumeration_sorts_as_block_lists(k, rows):
+    # the order key read off the index sorts as the block lists do
+    out = enumerate_rk(k, rows)
+    assert out == sorted(out, key=lambda d: d.blocks)
+
+
+def test_order_agrees_with_block_lists():
+    rng = random.Random(33)
+    diagrams = [d for k in (1, 2) for rows in (1, 2)
+                for d in enumerate_rk(k, rows)]
+    diagrams += [rng.choice(enumerate_rk(3, rows)) for rows in (1, 2)
+                 for _ in range(100)]
+    for d1 in diagrams:
+        for d2 in rng.sample(diagrams, 40) + [d1]:
+            assert (d1 < d2) == ((d1.rows, d1.k, d1.blocks)
+                                 < (d2.rows, d2.k, d2.blocks)), (d1, d2)
+
+
+@pytest.mark.parametrize("k", [127, 128])
+def test_order_key_past_one_byte_codes(k):
+    # codes + 1 reach 256 on a one-row partition at k = 128
+    rng = random.Random(k)
+    diagrams = [from_codes(list(range(2 * k)), k, 1),
+                from_codes([0] * (2 * k), k, 1)]
+    diagrams += [_few_class_diagram(rng, k, 3, rows=1) for _ in range(6)]
+    for d1 in diagrams:
+        for d2 in diagrams:
+            assert (d1 < d2) == (d1.blocks < d2.blocks), (d1, d2)
 
 
 @pytest.mark.parametrize("k,rows,count", [
@@ -295,17 +330,18 @@ def test_checks_run_before_the_lookup():
                     == want), blocks
 
 
-def _few_class_diagram(rng, k, classes):
-    """A random two-row diagram of size k with at most ``classes`` classes,
-    so at most twice as many blocks: the 2k positions dealt into parts,
-    each one symmetric block or a couple with random signs."""
+def _few_class_diagram(rng, k, classes, rows=2):
+    """A random partition of size k on ``rows`` rows with at most
+    ``classes`` classes, so at most twice as many blocks: the k*rows
+    positions dealt into parts, each one symmetric block or a couple with
+    random signs."""
     parts = {}
-    for p in range(2 * k):
+    for p in range(k * rows):
         parts.setdefault(rng.randrange(classes), []).append(p)
-    return from_codes(_owners(4 * k, [
+    return from_codes(_owners(2 * k * rows, [
         (pos, None if rng.random() < 0.5
          else tuple(rng.randrange(2) for _ in pos))
-        for pos in parts.values()]), k, 2)
+        for pos in parts.values()]), k, rows)
 
 
 def _owner_sample():
@@ -509,6 +545,38 @@ def test_half_diagram_factory_is_the_only_constructor():
     assert _constructor_calls(factory, "HalfDiagram") == calls
 
 
+def test_partition_stores_no_block_list():
+    # a partition keeps its block index alone; its blocks are computed
+    assert set(ZStablePartition.__slots__) == {"k", "rows", "index",
+                                               "nblocks", "_counts"}
+    assert isinstance(vars(ZStablePartition)["blocks"], property)
+    for d in enumerate_rk(2, 2):
+        assert d.nblocks == len(d.blocks) == len(set(d.index))
+        assert d.blocks is not d.blocks
+
+
+def test_enumeration_keeps_under_300_bytes_a_diagram():
+    # A fresh interpreter, so nothing is enumerated or cached before the
+    # trace; -S keeps site-packages start-up hooks out of it.  Each k = 3
+    # diagram keeps its object, its block index, its intern-table entry
+    # and its list slot; a block list of vertex triples on top of that
+    # would take about 400 bytes more.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(zpart.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import tracemalloc\n"
+         "from zrelalg.zpart import enumerate_rk\n"
+         "tracemalloc.start()\n"
+         "out = enumerate_rk(3, 2)\n"
+         "print(len(out), tracemalloc.get_traced_memory()[0])"],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    count, kept = map(int, done.stdout.split())
+    assert count == 6841
+    assert kept / count < 300, kept / count
+
+
 def test_interned_types_compare_by_identity():
     # one shared object per value, so Python's identity equality and hash
     # serve; order stays by value, for sorting
@@ -638,13 +706,15 @@ def test_compose_crosses_the_byte_boundaries(k):
 
 
 @pytest.mark.parametrize("k", [33, 64, 65, 70, 128, 129])
-def test_reconstruct_crosses_the_byte_boundaries(k):
+def test_reconstruct_crosses_the_byte_boundaries(k, monkeypatch):
     # A half's index is bytes up to k = 128; reconstruct relabels the
     # bottom row by one translate while the halves' blocks fit a byte, and
     # through a list otherwise.  Up to k = 64 they always fit, from 65 to
     # 128 the few-class diagrams do and the owner array is longer than 256
     # codes, and past 128 none do.  Decompose's top row is a tuple past
-    # k = 64, where the one-row key is still bytes.
+    # k = 64, where the one-row key is still bytes.  Both arrays are looked
+    # up in the key's type at every k, so a roundtrip renumbers only
+    # decompose's bottom row.
     rng = random.Random(k)
     diagrams = [from_codes(list(range(4 * k)), k, 2), identity_diagram(k)]
     diagrams += [_few_class_diagram(rng, k, c) for c in (1, 2, 3, 8, 40)]
@@ -659,6 +729,18 @@ def test_reconstruct_crosses_the_byte_boundaries(k):
         assert reconstruct(P, Q, g) is d
         assert reconstruct(P, Q, g) is _reconstruct_by_roots(
             P, Q, *split_signed(g, P.s1))
+    renumbered = zpart.renumbered
+    calls = []
+
+    def counted(labels):
+        calls.append(labels)
+        return renumbered(labels)
+
+    monkeypatch.setattr(zpart, "renumbered", counted)
+    for d in diagrams:
+        calls.clear()
+        assert reconstruct(*decompose(d)) is d
+        assert len(calls) == 1, d
 
 
 @pytest.mark.parametrize("n", [1, 6, 256, 257, 300])
@@ -688,11 +770,16 @@ def test_roots_is_a_byte_table_up_to_256_nodes(n):
 def test_components_equal_join_oracle(rows, k):
     """The lead blocks give every class, in order of least position, with
     its support (the points' positions) and its kind."""
+    vertex = _vertices(k, rows)
     for d in enumerate_rk(k, rows):
-        lead = [(tuple([(row, i) for row, i, _ in points]), symmetric)
-                for _, symmetric, points in _lead_blocks(d)]
+        lead = list(_lead_blocks(d))
+        assert [(b, symmetric, tuple([vertex[c] for c in codes]))
+                for b, symmetric, codes in lead] == list(
+                    _lead_blocks_by_walking(d)), d
+        classes = [(tuple([vertex[c][:2] for c in codes]), symmetric)
+                   for _, symmetric, codes in lead]
         oracle = [(c.support, c.symmetric) for c in _components_by_join(d)]
-        assert lead == oracle, d
+        assert classes == oracle, d
 
 
 def test_propagating_and_horizontal_hand_examples():
@@ -752,6 +839,29 @@ def test_row_counts_equal_oracle(k):
                 and signed_row_ok(k, s1, s2, he_b, hz_b)):
             signed.append(d)
     assert basis("signed", k) == signed
+
+
+def _row_counts_by_walking(d):
+    """Oracle for ``_row_counts``: one pass over the lead blocks of vertex
+    triples that ``_lead_blocks_by_walking`` reads off the block list."""
+    through = [0, 0]
+    he = [0, 0]
+    hz = [0, 0]
+    for _, symmetric, points in _lead_blocks_by_walking(d):
+        row = points[0][0]
+        if points[-1][0] != row:
+            through[symmetric] += 1
+        elif symmetric:
+            hz[row] += 1
+        elif len(points) >= 2:
+            he[row] += 1
+    return (*through, he[TOP], hz[TOP], he[BOTTOM], hz[BOTTOM])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_row_counts_equal_block_walking_oracle(k):
+    for d in enumerate_rk(k, 2):
+        assert _row_counts(d) == _row_counts_by_walking(d), d
 
 
 def test_horizontal_size_two_couple_counts():
