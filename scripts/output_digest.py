@@ -37,6 +37,8 @@ Families (public API only):
 * ``star-reconstruct``: ``dalg.star_diagram(d)`` and
   ``tabular.reconstruct(*decompose(d))`` for every basis diagram of the
   three algebras, k <= 3;
+* ``basis-json``: ``d.to_json()``, dumped by ``json.dumps``, for every
+  basis diagram of the three algebras, k <= 3;
 * ``classes``: every partition d in ``zpart.enumerate_rk(k, rows)``,
   k <= 3, rows 1 and 2, with ``tuple(d.index)`` and its lead blocks as
   (b, symmetric), and ``propagating_data(d)`` and ``in_basis("signed", d)``
@@ -48,6 +50,7 @@ tree, then ``diff`` the two outputs.
 
 import contextlib
 import io
+import json
 import random
 import zlib
 from fractions import Fraction
@@ -100,7 +103,7 @@ def families():
                                  "struct-const", "murphy-records",
                                  "symbolic-det", "phi", "glue",
                                  "compose", "decompose", "star-reconstruct",
-                                 "classes")}
+                                 "basis-json", "classes")}
     layers = {}
     rng = random.Random(11)
     for algebra in ALGEBRAS:
@@ -124,6 +127,8 @@ def families():
                 out["star-reconstruct"].append(
                     "%s %d %r %r %r" % (algebra, k, d, star_diagram(d),
                                         reconstruct(top, bot, g)))
+                out["basis-json"].append("%s %d %s" % (
+                    algebra, k, json.dumps(d.to_json())))
             cb = cellular_basis(algebra, k)
             layers.update((layer, None) for layer in cb.layers.values())
             points = _points(algebra, k)

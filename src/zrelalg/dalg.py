@@ -19,9 +19,10 @@ from functools import cache
 
 from .errors import Incompatible, InvalidSize, NotADiagram
 from .ring import ONE, Poly
-from .zpart import (E, ZStablePartition, _order_key, _owners, _row_counts,
-                    _set_partitions, compose, enumerate_rk, from_codes,
-                    identity_diagram, is_sign_constant, json_size)
+from .zpart import (E, MAX_K, ZStablePartition, _order_key, _owners,
+                    _row_counts, _set_partitions, compose, enumerate_rk,
+                    from_codes, identity_diagram, is_sign_constant,
+                    json_size)
 
 ALGEBRAS = ("z2rel", "signed", "partition")
 
@@ -68,8 +69,8 @@ def basis(algebra, k):
 def _doubled_partition_diagrams(k):
     """The partition basis, built directly: for every set partition of the
     2k positions, each part gives its e-block and its g-block."""
-    if k < 1:
-        raise InvalidSize("k must be >= 1, got %r" % k)
+    if not 1 <= k <= MAX_K:
+        raise InvalidSize("k must be 1..%d, got %r" % (MAX_K, k))
     out = [from_codes(_owners(4 * k, ((cell, (E,) * len(cell))
                                       for cell in part)), k, 2)
            for part in _set_partitions(list(range(2 * k)))]

@@ -21,7 +21,9 @@ positions of every class, in order of least position).  ``decompose``
 marks a base's classes off that table, so its marks come out sorted and
 the half is looked up under its key.  ``reconstruct`` numbers its owner
 array by first appearance, so the array is the diagram's own intern key
-(``zpart.from_index``), as is decompose's top row.
+(``zpart.from_index``), as is decompose's top row.  Both are ``bytes``
+slices and translates of block indices, as every block index is up to
+``zpart.MAX_K``.
 """
 
 from __future__ import annotations
@@ -77,8 +79,7 @@ class HalfDiagram:
     ``block_ids`` is the block of every mark point: block_ids[a] is the
     block number ``base.index`` holds at ``mark_vertices()[a]``.
     ``free`` numbers the unmarked blocks 0, 1, ... in block order: free[b]
-    is the number of unmarked block b, and 0 for a marked one; bytes while
-    the base has at most 256 blocks, a tuple beyond.
+    is the number of unmarked block b, and 0 for a marked one, as bytes.
     """
 
     __slots__ = ("base", "e_marks", "z_marks", "_vertices", "block_ids",
@@ -110,7 +111,7 @@ class HalfDiagram:
         unmarked = [b for b in range(len(free)) if b not in self.block_ids]
         for r, b in enumerate(unmarked):
             free[b] = r
-        self.free = bytes(free) if len(free) <= 256 else tuple(free)
+        self.free = bytes(free)
 
     def mark_vertices(self):
         """The vertex of every mark point, as its offset 2(i-1) + s in
@@ -236,8 +237,7 @@ def decompose(d):
     The two rows of ``d.index`` are the owner arrays of the bases: a block
     cut to one row owns the codes it keeps there.  The top row is a prefix
     of a canonical index, so it is canonical itself and is looked up as
-    its own key (``zpart.from_index``), as bytes up to 256 codes even where
-    the two-row index is a tuple; the bottom row is renumbered by
+    its own key (``zpart.from_index``); the bottom row is renumbered by
     ``from_codes``.  A through class cuts to one class on each row, whose
     lead block is the cut of a diagram block meeting both rows, so each
     base's class table gives the marks (``_marked_half``), and g sends each
@@ -248,9 +248,7 @@ def decompose(d):
     index = d.index
     k2 = 2 * d.k
     top_row, bot_row = index[:k2], index[k2:]
-    # a top row's labels are its block numbers, below 2k, so fit a byte
-    key = bytes(top_row) if k2 <= 256 and type(top_row) is tuple else top_row
-    top = _marked_half(from_index(key, d.k, 1), top_row, bot_row)
+    top = _marked_half(from_index(top_row, d.k, 1), top_row, bot_row)
     bot = _marked_half(from_codes(bot_row, d.k, 1), bot_row, top_row)
     point = {bot_row[v]: b for b, v in enumerate(bot.mark_vertices())}
     return top, bot, Perm([point[top_row[v]] for v in top.mark_vertices()])
@@ -273,9 +271,7 @@ def reconstruct(top, bottom, g):
     bottom half's ``free``).  Blocks of the bottom index appear in order,
     so the owner array is numbered by first appearance: it is the
     diagram's canonical index and is looked up as its own key
-    (``zpart.from_index``).  While the bottom index is bytes and the
-    blocks fit a byte, the relabelling is one ``bytes.translate``, and the
-    array it gives is made a tuple past 256 codes, the key's type there.
+    (``zpart.from_index``).  The relabelling is one ``bytes.translate``.
     """
     if (top.k != bottom.k or top.s1 != bottom.s1 or top.s2 != bottom.s2):
         raise Incompatible("halves do not match: %r / %r" % (top, bottom))
@@ -290,20 +286,11 @@ def reconstruct(top, bottom, g):
     tops, bots = top.block_ids, bottom.block_ids
     nt = top.base.nblocks
     nb = bottom.base.nblocks
-    index = bottom.base.index
-    if nt + nb <= 256 and type(index) is bytes:
-        table = bytearray(256)
-        table[:nb] = bottom.free.translate(_BYTES[nt:] + _BYTES[:nt])
-        for a, p in zip(tops, images):
-            table[bots[p]] = a
-        owner = top.base.index + index.translate(table)
-        if len(owner) > 256:
-            owner = tuple(owner)
-    else:
-        relabel = [nt + r for r in bottom.free]
-        for a, p in zip(tops, images):
-            relabel[bots[p]] = a
-        owner = (*top.base.index, *map(relabel.__getitem__, index))
+    table = bytearray(256)
+    table[:nb] = bottom.free.translate(_BYTES[nt:] + _BYTES[:nt])
+    for a, p in zip(tops, images):
+        table[bots[p]] = a
+    owner = top.base.index + bottom.base.index.translate(table)
     return from_index(owner, top.k, 2)
 
 
@@ -312,17 +299,16 @@ def _join(top_base, bottom_base):
     """(count, join): the join of two one-row bases along their shared
     row, as the class of every top block, then of every bottom block,
     numbered 0, 1, ... by first appearance (``zpart.renumbered``), as
-    bytes up to 256 blocks and a tuple beyond, and the number of classes.
+    bytes, and the number of classes.
 
     It is ``zpart.roots`` on block numbers, top blocks first, then bottom
     blocks shifted by their count, linked along each shared vertex.  Its
-    first n entries are the roots of the n blocks; a byte table, as
-    ``compose`` reads it, runs on past them.  Bases are interned and never
-    evicted, so each pair of bases is joined once, whichever marks its
-    halves carry."""
+    first n entries are the roots of the n blocks.  Bases are interned and
+    never evicted, so each pair of bases is joined once, whichever marks
+    its halves carry."""
     nt = top_base.nblocks
     n = nt + bottom_base.nblocks
-    root = roots(n, zip(top_base.index, [nt + b for b in bottom_base.index]))
+    root = roots(zip(top_base.index, [nt + b for b in bottom_base.index]))
     classes, join = renumbered(root[:n])
     return len(classes), join
 

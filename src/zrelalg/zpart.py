@@ -30,12 +30,17 @@ size.  The table's key, the canonical block of every vertex code, is
 kept on the partition as its block ``index``, which is all the partition
 stores of itself besides its size and block count: its row counts are
 computed once, on first use, and kept, and its block list of vertex
-triples is computed on every read, for printing and JSON.  An owner
+triples is computed on every read, for the tests; printing and JSON
+read the index through a table of vertex names per size.  An owner
 array that is already canonical (reconstruction's, and the top row of a
 block index) is its own key: ``from_index`` looks it up without
 renumbering it.  Since equal partitions are one object, equality and
 hashing are Python's, by identity; order stays by value, for sorting,
 through one key per partition read off its index (``_order_key``).
+
+Every block index, owner array, order key and union-find table is
+``bytes``: sizes stop at k = ``MAX_K``, which ``canonicalize``,
+``enumerate_rk`` and ``identity_diagram`` check where k enters.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ from .frozen import Frozen
 TOP, BOTTOM = 0, 1
 E, G = 0, 1
 _BYTES = bytes(range(256))
+# One diagram has at most 4k = 128 blocks, so the blocks of two diagrams,
+# composed or joined, fit one 256-entry byte table, and every code, block
+# number and order-key entry fits a byte.
+MAX_K = 32
 
 
 class ZStablePartition:
@@ -59,11 +68,10 @@ class ZStablePartition:
 
     ``index`` is the block of every vertex: entry 2k*row + 2(i-1) + s is
     the number of the block holding vertex (row, i, s), the blocks
-    numbered 0, 1, ... in order of their least vertex.  It is ``bytes``
-    while 2k*rows <= 256 and a tuple beyond.  ``nblocks`` counts the
-    blocks.  ``blocks``, the blocks as tuples of vertex triples, is
-    computed from the index on every read and not stored: printing, JSON
-    and the tests read it, the program reads the index."""
+    numbered 0, 1, ... in order of their least vertex, as ``bytes``.
+    ``nblocks`` counts the blocks.  ``blocks``, the blocks as tuples of
+    vertex triples, is computed from the index on every read and not
+    stored: the tests read it, the program reads the index."""
 
     __slots__ = ("k", "rows", "index", "nblocks", "_counts")
 
@@ -85,15 +93,15 @@ class ZStablePartition:
                 < (other.rows, other.k, _order_key(other)))
 
     def __repr__(self):
-        def vname(v):
-            return "%d%s%s" % (v[1], "'" if v[0] == BOTTOM else "", "eg"[v[2]])
-        return "{" + " | ".join(" ".join(vname(v) for v in b) for b in self.blocks) + "}"
+        name = _vertex_names(self.k, self.rows)[0]
+        return "{%s}" % " | ".join([" ".join([name[c] for c in codes])
+                                    for codes in _block_codes(self)])
 
     def to_json(self):
-        def vjson(v):
-            return ["%d%s" % (v[1], "'" if v[0] == BOTTOM else ""), "eg"[v[2]]]
+        pair = _vertex_names(self.k, self.rows)[1]
         return {"k": self.k, "rows": self.rows,
-                "blocks": [[vjson(v) for v in b] for b in self.blocks]}
+                "blocks": [[list(pair[c]) for c in codes]
+                           for codes in _block_codes(self)]}
 
     @staticmethod
     def from_json(obj):
@@ -149,8 +157,9 @@ def canonicalize(blocks, k, rows):
     empty blocks and the vertex count, before anything of size 2k*rows is
     allocated, then each vertex's shape and range and no vertex met twice.
     ``from_codes`` checks the sign flip."""
-    if k < 1 or rows not in (1, 2):
-        raise InvalidSize("k=%r rows=%r" % (k, rows))
+    if not 1 <= k <= MAX_K or rows not in (1, 2):
+        raise InvalidSize("k=%r rows=%r: k must be 1..%d and rows 1 or 2"
+                          % (k, rows, MAX_K))
     n = 2 * k * rows
     total = 0
     for b in blocks:
@@ -192,6 +201,17 @@ def _vertices(k, rows):
 
 
 @cache
+def _vertex_names(k, rows):
+    """(names, pairs) of every code, shared by all partitions of a size:
+    its printed name, such as "2e" or "1'g", and the same as the pair
+    ("1'", "g") that JSON writes: the index with a prime on the bottom
+    row, then the sign."""
+    pairs = tuple([("%d%s" % (i, "'" * row), "eg"[s])
+                   for row, i, s in _vertices(k, rows)])
+    return tuple([p + s for p, s in pairs]), pairs
+
+
+@cache
 def _interned(k, rows):
     """Every partition ``from_codes`` has returned at one size, by the
     restricted-growth string of its owner array."""
@@ -199,29 +219,22 @@ def _interned(k, rows):
 
 
 def renumbered(labels):
-    """(distinct, ranks): the distinct entries of a sequence in order of
-    first appearance, and the sequence with each entry replaced by its
-    rank among them.  The ranks are bytes while the sequence has at most
-    256 entries, so every rank fits in a byte, and a tuple beyond; bytes
-    are renumbered by one translate."""
-    if type(labels) is bytes and len(labels) <= 256:
-        distinct = bytes(dict.fromkeys(labels))
-        return distinct, labels.translate(
-            bytes.maketrans(distinct, _BYTES[:len(distinct)]))
-    distinct = dict.fromkeys(labels)
-    rank = dict(zip(distinct, range(len(labels))))
-    return distinct, (bytes if len(labels) <= 256 else tuple)(
-        map(rank.__getitem__, labels))
+    """(distinct, ranks): the distinct bytes of ``labels`` in order of
+    first appearance, and ``labels`` with each byte replaced by its rank
+    among them, by one translate."""
+    distinct = bytes(dict.fromkeys(labels))
+    return distinct, labels.translate(
+        bytes.maketrans(distinct, _BYTES[:len(distinct)]))
 
 
 def from_codes(owner, k, rows):
     """The canonical partition with owner array ``owner``: one block label
-    per vertex code, any hashable labels, in the shape of ``index``.  The
-    code of vertex (row, i, s) is 2k*row + 2(i-1) + s, so the flip is
-    ``c ^ 1``.  Only the length and the flip are checked: the program
-    builds every owner array from partitions it holds, and ``canonicalize``
-    checks block lists from outside.  Equal partitions come back as one
-    shared object."""
+    per vertex code, labels 0..255 in anything ``bytes`` takes, in the
+    shape of ``index``.  The code of vertex (row, i, s) is
+    2k*row + 2(i-1) + s, so the flip is ``c ^ 1``.  Only the length and the
+    flip are checked: the program builds every owner array from partitions
+    it holds, and ``canonicalize`` checks block lists from outside.  Equal
+    partitions come back as one shared object."""
     n = 2 * k * rows
     if len(owner) != n:
         raise MalformedPartition("owner array of %d codes, k=%d and rows=%d "
@@ -229,7 +242,7 @@ def from_codes(owner, k, rows):
     # Renumbering the labels in order of first appearance, i.e. of least
     # code, gives the owner array of the canonical block order: the key,
     # which is the block index.
-    labels, key = renumbered(owner)
+    labels, key = renumbered(bytes(owner))
     table = _interned(k, rows)
     d = table.get(key)
     if d is None:
@@ -250,12 +263,11 @@ def from_codes(owner, k, rows):
 def from_index(index, k, rows):
     """``from_codes`` for an owner array that is already canonical: a block
     ``index``, its labels numbered by first appearance (a restricted-growth
-    string), as bytes or a tuple.  Such an array is its own intern key, so
-    a hit skips the renumbering; a miss goes through ``from_codes`` and
-    its checks.  An array that is not canonical, or not of the key's type
-    at its size, equals no key and so never hits.  Compose's owner
-    arrays, labelled by class roots, are never canonical and go to
-    ``from_codes`` directly."""
+    string), as bytes.  Such an array is its own intern key, so a hit
+    skips the renumbering; a miss goes through ``from_codes`` and its
+    checks.  An array that is not canonical equals no key and so never
+    hits.  Compose's owner arrays, labelled by class roots, are never
+    canonical and go to ``from_codes`` directly."""
     d = _interned(k, rows).get(index)
     return from_codes(index, k, rows) if d is None else d
 
@@ -283,18 +295,19 @@ def _set_partitions(items):
 def _owners(n, parts):
     """The owner array of n codes over quotient parts ``(positions,
     signs)``: position p = k*row + i - 1 has codes 2p + s.  A part with
-    signs None is one symmetric block, labelled by the part's number j;
+    signs None is one symmetric block, labelled 2j by the part's number j;
     otherwise it is the couple of the block giving positions[m] sign
-    signs[m], labelled j, and its flip, labelled ~j."""
-    owner = [0] * n
+    signs[m], labelled 2j, and its flip, labelled 2j + 1.  There are at
+    most n/2 parts, so the labels fit a byte."""
+    owner = bytearray(n)
     for j, (positions, signs) in enumerate(parts):
         if signs is None:
             for p in positions:
-                owner[2 * p] = owner[2 * p + 1] = j
+                owner[2 * p] = owner[2 * p + 1] = 2 * j
         else:
             for p, s in zip(positions, signs):
-                owner[2 * p + s] = j
-                owner[2 * p + 1 - s] = ~j
+                owner[2 * p + s] = 2 * j
+                owner[2 * p + 1 - s] = 2 * j + 1
     return owner
 
 
@@ -310,8 +323,8 @@ def enumerate_rk(k, rows):
     of 2^(size-1) sign splittings) -- so no filtering over all set
     partitions of the doubled points is needed.
     """
-    if k < 1:
-        raise InvalidSize("k must be >= 1, got %r" % k)
+    if not 1 <= k <= MAX_K:
+        raise InvalidSize("k must be 1..%d, got %r" % (MAX_K, k))
     if rows not in (1, 2):
         raise InvalidSize("rows must be 1 or 2, got %r" % rows)
     out = []
@@ -328,12 +341,11 @@ def enumerate_rk(k, rows):
     return out
 
 
-def roots(n, links):
-    """Union-find on 0..n-1: each element's class root once every pair
-    (a, b) of links is joined.  While every node fits in a byte (n <= 256)
-    it is a 256-byte ``bytes.translate`` table, entry a the root of a (and
-    a itself past n-1); beyond, a list of n roots."""
-    parent = bytearray(_BYTES) if n <= 256 else list(range(n))
+def roots(links):
+    """Union-find on the byte values 0..255: each one's class root once
+    every pair (a, b) of links is joined, as a 256-byte ``bytes.translate``
+    table, entry a the root of a (a itself when no link reaches it)."""
+    parent = bytearray(_BYTES)
     for a, b in links:
         while parent[a] != a:
             a = parent[a]
@@ -341,19 +353,12 @@ def roots(n, links):
             b = parent[b]
         if a != b:
             parent[a] = b
-    if n <= 256:
-        # Each pass sends every node to its parent's parent, halving the
-        # longest path, until every node points at its root.
-        table = bytes(parent)
-        while (settled := table.translate(table)) != table:
-            table = settled
-        return table
-    root = []
-    for a in range(n):
-        while parent[a] != a:
-            a = parent[a]
-        root.append(a)
-    return root
+    # Each pass sends every node to its parent's parent, halving the
+    # longest path, until every node points at its root.
+    table = bytes(parent)
+    while (settled := table.translate(table)) != table:
+        table = settled
+    return table
 
 
 def _block_codes(d, start=0):
@@ -369,13 +374,11 @@ def _order_key(d):
     """The order of partitions of one size, as one key read off the index:
     for each block in order, its codes + 1, then a 0.  Code order is vertex
     order, and the 0 ends a block below any code, so the keys sort exactly
-    as the block lists of vertex triples do.  Bytes while every code + 1
-    fits a byte, a tuple beyond."""
+    as the block lists of vertex triples do."""
     blocks = _block_codes(d, 1)
     for codes in blocks:
         codes.append(0)
-    return (bytes if len(d.index) < 256 else tuple)(
-        chain.from_iterable(blocks))
+    return bytes(chain.from_iterable(blocks))
 
 
 def _lead_blocks(d):
@@ -443,8 +446,8 @@ def compose(d1, d2):
     indices: d1's blocks, then d2's shifted by their count, linked along
     every middle vertex.  The owner array of the outer diagram is the
     class of each top code of d1 and each bottom code of d2; every other
-    class is a loop.  While the indices are bytes and the blocks fit a
-    byte table, the shift and the owner array are each one translate.
+    class is a loop.  The shift and the owner array are each one
+    translate.
     """
     if d1.rows != 2 or d2.rows != 2:
         raise NotADiagram("compose needs two-row diagrams")
@@ -454,20 +457,14 @@ def compose(d1, d2):
     n1 = d1.nblocks
     n = n1 + d2.nblocks
     index1 = d1.index
-    if n <= 256 and type(index1) is bytes:
-        index2 = d2.index.translate(bytes.maketrans(_BYTES[:n - n1],
-                                                    _BYTES[n1:n]))
-        root = roots(n, zip(index1[k2:], index2[:k2]))
-        owner = (index1[:k2] + index2[k2:]).translate(root)
-    else:
-        index2 = [n1 + b for b in d2.index]
-        root = roots(n, zip(index1[k2:], index2[:k2]))
-        owner = [root[b] for b in index1[:k2]] + [root[b] for b in index2[k2:]]
+    index2 = d2.index.translate(bytes.maketrans(_BYTES[:n - n1], _BYTES[n1:n]))
+    root = roots(zip(index1[k2:], index2[:k2]))
+    owner = (index1[:k2] + index2[k2:]).translate(root)
     loops = len(set(root[:n])) - len(set(owner))
     return from_codes(owner, d1.k, 2), loops
 
 
 def identity_diagram(k):
-    if k < 1:
-        raise InvalidSize("k must be >= 1, got %r" % k)
-    return from_codes(list(range(2 * k)) * 2, k, 2)
+    if not 1 <= k <= MAX_K:
+        raise InvalidSize("k must be 1..%d, got %r" % (MAX_K, k))
+    return from_codes(_BYTES[:2 * k] * 2, k, 2)

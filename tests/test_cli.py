@@ -295,6 +295,7 @@ glue             076e1aba 7188
 compose          a975269a 40408
 decompose        82dc681a 12375
 star-reconstruct 66118c20 12375
+basis-json       e67841dd 12375
 classes          bba3014f 7052
 """
 
@@ -462,8 +463,8 @@ def test_empty_block_is_usage_error(tmp_path):
 
 
 def test_huge_size_is_usage_error(tmp_path):
-    # two vertices against 2k*rows = 4 * 10^5: rejected by the count, before
-    # anything of that size is built
+    # k = 10^5 is past the largest size: rejected before anything of size
+    # 2k*rows is built
     element = AlgebraElement.identity("z2rel", 1).to_json()
     element["terms"][0]["diagram"] = {
         "k": 10 ** 5, "rows": 2, "blocks": [[["1", "e"]], [["1", "g"]]]}
@@ -471,7 +472,23 @@ def test_huge_size_is_usage_error(tmp_path):
     a.write_text(json.dumps(element))
     done = run_cli("mul", "--k", "1", str(a), str(a))
     assert_usage_error(done)
-    assert "coverage violation" in done.stderr
+    assert "k must be 1..32" in done.stderr
+
+
+def test_mul_past_the_largest_size_is_usage_error(tmp_path):
+    # a well-formed diagram at k = 33, one block per vertex
+    k = 33
+    element = {"algebra": "z2rel", "k": k, "terms": [{
+        "coeff": AlgebraElement.identity("z2rel", 1).to_json()
+        ["terms"][0]["coeff"],
+        "diagram": {"k": k, "rows": 2, "blocks": [
+            [["%d%s" % (i, "'" * row), s]] for row in (0, 1)
+            for i in range(1, k + 1) for s in "eg"]}}]}
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(element))
+    done = run_cli("mul", "--k", str(k), str(a), str(a))
+    assert_usage_error(done)
+    assert "k must be 1..32" in done.stderr
 
 
 @pytest.mark.parametrize("verb", ["mul", "decompose"])

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -506,6 +506,57 @@ def test_content_rule_every_odd_prime_k4():
     """``test_content_rule_every_odd_prime`` at k = 4, where 3 is the one
     odd prime at most k: it covers every odd prime there too."""
     assert _content_rule_mismatches((4,)) == (153, [])
+
+
+def test_content_rule_at_x_zero():
+    """At x0 = 0 only the l = 0 entries r x^0 of a Gram matrix survive, so
+    over F_p the form is nonzero exactly when p does not divide c0, the
+    gcd of those r: every label at k <= 3, p in {3, 5, 7}.  The lowest
+    label 0,0,0,-,-,- is the one with no l = 0 entry (c0 = 0), which is
+    the x = 0 exception of ``test_modular_classification``."""
+    rows, no_constant = 0, set()
+    for algebra in ALGEBRAS:
+        for k in (1, 2, 3):
+            c0 = {}
+            for label in cellular_basis(algebra, k).labels():
+                c = 0
+                for row in gram(label, algebra, k).entries:
+                    for entry in row:
+                        c = math.gcd(c, int(entry.coeffs.get(0, 0)))
+                c0[label] = c
+                if c == 0:
+                    no_constant.add((algebra, k, format_label(label)))
+            for p in (3, 5, 7):
+                for r in irreducible_table(algebra, k, char=p,
+                                           x_value=Fraction(0)):
+                    assert r["nonzero"] == (c0[r["label"]] % p != 0), (
+                        algebra, k, p, format_label(r["label"]))
+                    rows += 1
+    assert rows == 300
+    assert no_constant == {(algebra, k, "0,0,0,-,-,-")
+                           for algebra in ALGEBRAS for k in (1, 2, 3)}
+
+
+# dim D^mu over F_3 (James, LNM 682), labelled by 3-restricted partitions:
+# (3) and (4) label no simple module.
+F3_SIMPLE_DIMS = {(): 1, (1,): 1, (2,): 1, (1, 1): 1,
+                  (3,): 0, (2, 1): 1, (1, 1, 1): 1,
+                  (4,): 0, (3, 1): 3, (2, 2): 1, (2, 1, 1): 3, (1, 1, 1, 1): 1}
+
+
+def test_signed_top_layer_at_p3_is_the_wreath_product():
+    """The top layer (s1 = 4) of the signed algebra at k = 4 is the group
+    algebra of Z2 wr S_4, so over F_3 at x = 1 its simple heads have the
+    Dipper-James-Murphy dimensions dim D(l1, l2) = C(4, a) dim D^l1
+    dim D^l2, with a = |l1| (Proc. LMS 70, 1995)."""
+    top = [r for r in irreducible_table("signed", 4, char=3,
+                                        x_value=Fraction(1))
+           if r["label"].s1 == 4]
+    assert len(top) == 20
+    for r in top:
+        (l1, l2), _ = r["label"].glabel
+        assert r["dim_D"] == (comb(4, sum(l1)) * F3_SIMPLE_DIMS[l1]
+                              * F3_SIMPLE_DIMS[l2]), r["label"]
 
 
 @pytest.mark.slow

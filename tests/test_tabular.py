@@ -147,8 +147,7 @@ def _reconstruct_by_roots(top, bottom, f, sigma1, sigma2):
     top mark point a to the block of bottom mark point g(a)."""
     g = WreathSymLayer(top.s1, top.s2).from_glue(f, sigma1, sigma2)
     nt = len(top.base.blocks)
-    root = roots(nt + len(bottom.base.blocks),
-                 [(a, nt + bottom.block_ids[b])
+    root = roots([(a, nt + bottom.block_ids[b])
                   for a, b in zip(top.block_ids, g.images)])
     return from_codes([root[b] for b in top.base.index]
                       + [root[nt + b] for b in bottom.base.index], top.k, 2)

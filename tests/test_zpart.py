@@ -19,8 +19,8 @@ from zrelalg.dalg import ALGEBRAS, basis, signed_row_ok, star_diagram
 from zrelalg.errors import InvalidSize, MalformedPartition, NotZ2Stable
 from zrelalg.groups import split_signed
 from zrelalg.tabular import HalfDiagram, decompose, reconstruct
-from zrelalg.zpart import (BOTTOM, E, G, TOP, ZStablePartition, _interned,
-                           _lead_blocks, _owners, _row_counts,
+from zrelalg.zpart import (BOTTOM, E, G, MAX_K, TOP, ZStablePartition,
+                           _interned, _lead_blocks, _owners, _row_counts,
                            _set_partitions, _vertices, canonicalize, compose,
                            enumerate_rk, from_codes, from_index,
                            identity_diagram, propagating_data, roots)
@@ -117,13 +117,14 @@ def test_order_agrees_with_block_lists():
                                  < (d2.rows, d2.k, d2.blocks)), (d1, d2)
 
 
-@pytest.mark.parametrize("k", [127, 128])
-def test_order_key_past_one_byte_codes(k):
-    # codes + 1 reach 256 on a one-row partition at k = 128
-    rng = random.Random(k)
-    diagrams = [from_codes(list(range(2 * k)), k, 1),
-                from_codes([0] * (2 * k), k, 1)]
-    diagrams += [_few_class_diagram(rng, k, 3, rows=1) for _ in range(6)]
+@pytest.mark.parametrize("rows", [1, 2])
+def test_order_key_at_the_largest_size(rows):
+    # codes + 1 reach 4k = 128 on a two-row partition at k = MAX_K
+    k = MAX_K
+    rng = random.Random(rows)
+    diagrams = [from_codes(range(2 * k * rows), k, rows),
+                from_codes(bytes(2 * k * rows), k, rows)]
+    diagrams += [_few_class_diagram(rng, k, 3, rows) for _ in range(6)]
     for d1 in diagrams:
         for d2 in diagrams:
             assert (d1 < d2) == (d1.blocks < d2.blocks), (d1, d2)
@@ -307,13 +308,13 @@ def test_equal_partitions_are_one_object():
             assert base is canonicalize(_shuffled(half, rng), k, 1)
 
 
-@pytest.mark.parametrize("k", [64, 65])
-def test_interning_past_one_byte_ranks(k):
-    # 4k singleton blocks: ranks reach 255 at k = 64 and pass it at k = 65
+def test_interning_at_the_largest_size():
+    # 4k = 128 singleton blocks at k = MAX_K: ranks reach 127
+    k = MAX_K
     singletons = [[v] for v in vertex_set(k, 2)]
     d = canonicalize(singletons, k, 2)
     assert canonicalize(singletons[::-1], k, 2) is d
-    assert tuple(d.index) == tuple(range(4 * k))
+    assert d.index == bytes(range(4 * k))
     assert tuple(d.index) == _block_index_oracle(d)
     assert compose(d, identity_diagram(k))[0] is d
 
@@ -356,31 +357,27 @@ def _owner_sample():
 
 def test_from_codes_reads_owner_arrays():
     rng, diagrams = _owner_sample()
-    # past 256 codes (k = 65) the index is a tuple, yet a diagram of few
-    # blocks still has a bytes owner array
-    diagrams += [_few_class_diagram(rng, 65, 3) for _ in range(5)]
-    assert type(diagrams[-1].index) is tuple
+    # at the largest size, 4k = 128 codes
+    diagrams += [_few_class_diagram(rng, MAX_K, 3) for _ in range(5)]
     for d in diagrams:
         k, rows = d.k, d.rows
         assert from_codes(d.index, k, rows) is d
-        # any hashable labels name the blocks: ints in any order, strings
-        # and tuples give the same object, and so do bytes, renumbered by
-        # translate, and a list or tuple of the same labels
+        # any byte labels name the blocks, in any order: bytes, renumbered
+        # by translate, and a bytearray, list or tuple of the same labels
+        # give the same object
         label = rng.sample(range(256), 256)
         relabelled = [label[b] for b in d.index]
-        for owner in ([-3 * b - 1 for b in d.index],
-                      ["b%d" % b for b in d.index],
-                      [(b, "x") for b in d.index],
-                      bytes(relabelled), relabelled, tuple(relabelled),
-                      bytes(d.index), list(d.index), tuple(d.index)):
+        for owner in (bytes(relabelled), bytearray(relabelled), relabelled,
+                      tuple(relabelled), bytes(d.index), list(d.index),
+                      tuple(d.index)):
             assert from_codes(owner, k, rows) is d, owner
-    assert from_codes(["x", "x"], 1, 1) is canonicalize(
+    assert from_codes([7, 7], 1, 1) is canonicalize(
         [[(TOP, 1, E), (TOP, 1, G)]], 1, 1)
 
 
 def test_from_index_looks_canonical_arrays_up_as_keys(monkeypatch):
     rng, diagrams = _owner_sample()
-    diagrams += [_few_class_diagram(rng, 65, 3) for _ in range(5)]
+    diagrams += [_few_class_diagram(rng, MAX_K, 3) for _ in range(5)]
     renumbered = zpart.renumbered
     for d in diagrams:
         k, rows = d.k, d.rows
@@ -391,8 +388,7 @@ def test_from_index_looks_canonical_arrays_up_as_keys(monkeypatch):
         # anything else misses and goes through from_codes
         label = rng.sample(range(256), 256)
         relabelled = [label[b] for b in d.index]
-        for owner in (bytes(relabelled), tuple(relabelled),
-                      (tuple if type(d.index) is bytes else bytes)(d.index)):
+        for owner in (bytes(relabelled), tuple(relabelled), tuple(d.index)):
             assert from_index(owner, k, rows) is d, owner
     # an unstable array misses, even when it is numbered by first
     # appearance, and from_codes rejects it
@@ -415,8 +411,9 @@ def test_from_codes_checks_length_and_flip():
         # oracle decides whether the flip still permutes the blocks
         for _ in range(3):
             owner = list(d.index)
+            # no block number reaches 255: a fresh label
             owner[rng.randrange(len(owner))] = rng.choice(
-                [rng.choice(owner), "fresh"])
+                [rng.choice(owner), 255])
             blocks = {}
             for v, b in zip(vertex_set(k, rows), owner):
                 blocks.setdefault(b, []).append(v)
@@ -467,20 +464,56 @@ def test_from_codes_rejects_unstable_owners_of_every_type(monkeypatch):
 
 
 def test_huge_size_is_rejected_before_allocation():
-    # The vertex count is checked before anything of size 2k*rows exists.
-    # k = 10^5 keeps a regression cheap: an owner array allocated first
-    # would take 3.2 MB here (and 16 GB at k = 10^9).
+    # The size is checked before anything of size 2k*rows exists.  k = 10^5
+    # keeps a regression cheap: an owner array allocated first would take
+    # 3.2 MB here (and 16 GB at k = 10^9).
     obj = {"k": 10 ** 5, "rows": 2, "blocks": [[["1", "e"]], [["1", "g"]]]}
     # a first call compiles the vertex-name pattern outside the trace
     ZStablePartition.from_json({"k": 1, "rows": 1, "blocks": obj["blocks"]})
     tracemalloc.start()
     try:
-        with pytest.raises(MalformedPartition, match="coverage"):
+        with pytest.raises(InvalidSize, match=r"k must be 1\.\.32"):
             ZStablePartition.from_json(obj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, peak
+
+
+def test_sizes_past_max_k_are_invalid():
+    # MAX_K is the largest size, checked where k enters: a block list, an
+    # enumeration or the identity
+    k = MAX_K + 1
+    for rows in (1, 2):
+        with pytest.raises(InvalidSize, match=r"k must be 1\.\.32"):
+            canonicalize([[v] for v in vertex_set(k, rows)], k, rows)
+        with pytest.raises(InvalidSize, match=r"k must be 1\.\.32"):
+            enumerate_rk(k, rows)
+        d = canonicalize([[v] for v in vertex_set(MAX_K, rows)], MAX_K, rows)
+        assert d.index == bytes(range(2 * MAX_K * rows))
+    with pytest.raises(InvalidSize, match=r"k must be 1\.\.32"):
+        identity_diagram(k)
+
+
+def test_every_index_is_bytes():
+    # every diagram enumeration, compose, decompose and reconstruct return
+    # holds its block index as bytes, at k <= 3 and at k = MAX_K
+    rng = random.Random(32)
+    diagrams = [d for k in (1, 2, 3) for rows in (1, 2)
+                for d in enumerate_rk(k, rows)]
+    diagrams += [d for algebra in ALGEBRAS for k in (1, 2, 3)
+                 for d in basis(algebra, k)]
+    k3 = enumerate_rk(3, 2)
+    diagrams += [compose(rng.choice(k3), rng.choice(k3))[0]
+                 for _ in range(500)]
+    large = [from_codes(range(4 * MAX_K), MAX_K, 2), identity_diagram(MAX_K)]
+    large += [_few_class_diagram(rng, MAX_K, c) for c in (1, 2, 3, 8, 40)]
+    diagrams += large + [compose(d1, d2)[0] for d1 in large for d2 in large]
+    for d in [d for d in diagrams if d.rows == 2]:
+        P, Q, g = decompose(d)
+        diagrams += [P.base, Q.base, reconstruct(P, Q, g)]
+        assert type(P.free) is bytes and type(Q.free) is bytes
+    assert {type(d.index) for d in diagrams} == {bytes}
 
 
 def _block_index_oracle(d):
@@ -687,42 +720,31 @@ def test_compose_equals_join_oracle(algebra):
     assert loops > 0
 
 
-@pytest.mark.parametrize("k", [33, 40, 64, 65, 70])
-def test_compose_crosses_the_byte_boundaries(k):
-    # Up to k = 64 the block index is bytes, past it a tuple.  A pair with
-    # more than 256 blocks between them joins through a list of roots, a
-    # pair with fewer through a byte table: every k here meets both, so
-    # each index type meets each kind of union-find.
+def test_compose_at_the_largest_size():
+    # At k = MAX_K two all-singleton diagrams put 4k + 4k = 256 blocks,
+    # every entry of the byte table, into the union-find.
+    k = MAX_K
     rng = random.Random(k)
-    singletons = from_codes(list(range(4 * k)), k, 2)
-    assert type(singletons.index) is (bytes if k <= 64 else tuple)
+    singletons = from_codes(range(4 * k), k, 2)
     diagrams = [singletons, identity_diagram(k)] + [
         _few_class_diagram(rng, k, classes) for classes in (1, 2, 3, 8, 40)]
     pairs = [(d1, d2) for d1 in diagrams for d2 in diagrams]
-    assert {len(d1.blocks) + len(d2.blocks) <= 256
-            for d1, d2 in pairs} == {True, False}
+    assert max(len(d1.blocks) + len(d2.blocks) for d1, d2 in pairs) == 256
     for d1, d2 in pairs:
         assert compose(d1, d2) == _compose_by_join(d1, d2), (d1, d2)
 
 
-@pytest.mark.parametrize("k", [33, 64, 65, 70, 128, 129])
-def test_reconstruct_crosses_the_byte_boundaries(k, monkeypatch):
-    # A half's index is bytes up to k = 128; reconstruct relabels the
-    # bottom row by one translate while the halves' blocks fit a byte, and
-    # through a list otherwise.  Up to k = 64 they always fit, from 65 to
-    # 128 the few-class diagrams do and the owner array is longer than 256
-    # codes, and past 128 none do.  Decompose's top row is a tuple past
-    # k = 64, where the one-row key is still bytes.  Both arrays are looked
-    # up in the key's type at every k, so a roundtrip renumbers only
-    # decompose's bottom row.
+def test_reconstruct_at_the_largest_size(monkeypatch):
+    # At k = MAX_K the halves of the all-singleton diagram have 2k = 64
+    # blocks each, and the owner array reconstruct relabels holds 128
+    # codes.  Decompose's top row and reconstruct's owner array are each
+    # their own intern key, so a roundtrip renumbers only decompose's
+    # bottom row.
+    k = MAX_K
     rng = random.Random(k)
-    diagrams = [from_codes(list(range(4 * k)), k, 2), identity_diagram(k)]
+    diagrams = [from_codes(range(4 * k), k, 2), identity_diagram(k)]
     diagrams += [_few_class_diagram(rng, k, c) for c in (1, 2, 3, 8, 40)]
     halves = [decompose(d) for d in diagrams]
-    assert {len(P.base.blocks) + len(Q.base.blocks) <= 256
-            and type(Q.base.index) is bytes
-            for P, Q, _ in halves} == ({True} if k <= 64 else
-                                       {True, False} if k <= 128 else {False})
     for d, (P, Q, g) in zip(diagrams, halves):
         top, bot, g0 = _decompose_by_lead_blocks(d)
         assert P is top and Q is bot and g == g0
@@ -743,13 +765,12 @@ def test_reconstruct_crosses_the_byte_boundaries(k, monkeypatch):
         assert len(calls) == 1, d
 
 
-@pytest.mark.parametrize("n", [1, 6, 256, 257, 300])
+@pytest.mark.parametrize("n", [1, 6, 256])
 def test_roots_is_a_byte_table_up_to_256_nodes(n):
     rng = random.Random(n)
     links = [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 2 + 1)]
-    root = roots(n, links)
-    assert type(root) is (bytes if n <= 256 else list)
-    assert len(root) == (256 if n <= 256 else n)
+    root = roots(links)
+    assert type(root) is bytes and len(root) == 256
     # oracle: one set per class, merged along every link
     cls = {a: {a} for a in range(n)}
     for a, b in links:
@@ -761,7 +782,7 @@ def test_roots_is_a_byte_table_up_to_256_nodes(n):
         assert root[a] in cls[a] and root[root[a]] == root[a]
         assert {root[b] for b in cls[a]} == {root[a]}
     assert len(set(root[:n])) == len({id(c) for c in cls.values()})
-    # a byte table leaves every node past n - 1 where it is
+    # a node no link reaches, such as every node past n - 1, is its root
     assert list(root[n:]) == list(range(n, len(root)))
 
 
