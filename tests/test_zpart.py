@@ -308,9 +308,33 @@ def test_equal_partitions_are_one_object():
             assert base is canonicalize(_shuffled(half, rng), k, 1)
 
 
-def test_interning_at_the_largest_size():
-    # 4k = 128 singleton blocks at k = MAX_K: ranks reach 127
-    k = MAX_K
+def _refused_past_max_k(k, rows):
+    """Past MAX_K no partition of size k can be made where one enters the
+    library: a block list in either order, JSON, the identity or an
+    enumeration all raise InvalidSize."""
+    assert k > MAX_K
+    singletons = [[v] for v in vertex_set(k, rows)]
+    obj = {"k": k, "rows": rows, "blocks": [
+        [[str(i) + "'" * row, s]] for row in range(rows)
+        for i in range(1, k + 1) for s in "eg"]}
+    makers = [lambda: canonicalize(singletons, k, rows),
+              lambda: canonicalize(singletons[::-1], k, rows),
+              lambda: ZStablePartition.from_json(obj),
+              lambda: enumerate_rk(k, rows)]
+    if rows == 2:
+        makers.append(lambda: identity_diagram(k))
+    for make in makers:
+        with pytest.raises(InvalidSize, match=r"k must be 1\.\.32"):
+            make()
+
+
+@pytest.mark.parametrize("k", [MAX_K, 64, 65])
+def test_interning_past_one_byte_ranks(k):
+    # 4k singleton blocks: at k = MAX_K ranks reach 127.  They would reach
+    # 255 at k = 64 and pass it at k = 65, sizes that are refused.
+    if k > MAX_K:
+        _refused_past_max_k(k, 2)
+        return
     singletons = [[v] for v in vertex_set(k, 2)]
     d = canonicalize(singletons, k, 2)
     assert canonicalize(singletons[::-1], k, 2) is d
@@ -720,10 +744,15 @@ def test_compose_equals_join_oracle(algebra):
     assert loops > 0
 
 
-def test_compose_at_the_largest_size():
+@pytest.mark.parametrize("k", [MAX_K, 33, 40, 64, 65, 70])
+def test_compose_crosses_the_byte_boundaries(k):
     # At k = MAX_K two all-singleton diagrams put 4k + 4k = 256 blocks,
-    # every entry of the byte table, into the union-find.
-    k = MAX_K
+    # every entry of the byte table, into the union-find.  Past it such a
+    # pair would overflow the table, and no diagram of that size can be
+    # made where one enters.
+    if k > MAX_K:
+        _refused_past_max_k(k, 2)
+        return
     rng = random.Random(k)
     singletons = from_codes(range(4 * k), k, 2)
     diagrams = [singletons, identity_diagram(k)] + [
@@ -734,13 +763,18 @@ def test_compose_at_the_largest_size():
         assert compose(d1, d2) == _compose_by_join(d1, d2), (d1, d2)
 
 
-def test_reconstruct_at_the_largest_size(monkeypatch):
+@pytest.mark.parametrize("k", [MAX_K, 33, 64, 65, 70, 128, 129])
+def test_reconstruct_crosses_the_byte_boundaries(k, monkeypatch):
     # At k = MAX_K the halves of the all-singleton diagram have 2k = 64
     # blocks each, and the owner array reconstruct relabels holds 128
     # codes.  Decompose's top row and reconstruct's owner array are each
     # their own intern key, so a roundtrip renumbers only decompose's
-    # bottom row.
-    k = MAX_K
+    # bottom row.  Past MAX_K neither a diagram nor a half base of that
+    # size can be made where one enters.
+    if k > MAX_K:
+        _refused_past_max_k(k, 2)
+        _refused_past_max_k(k, 1)
+        return
     rng = random.Random(k)
     diagrams = [from_codes(range(4 * k), k, 2), identity_diagram(k)]
     diagrams += [_few_class_diagram(rng, k, c) for c in (1, 2, 3, 8, 40)]
